@@ -14,7 +14,6 @@ by Wikidata-compatible endpoints.
 from __future__ import annotations
 
 import hashlib
-import logging
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterable, Mapping
@@ -25,8 +24,6 @@ from . import sexpr
 from .namespaces import WIKIDATA
 from .rdf.sparql import SelectQuery, TriplePattern, ValuesBlock, Var
 from .rdf.terms import Graph, IriTerm, Literal, Term, term_key
-
-logger = logging.getLogger(__name__)
 
 
 class CodecError(ValueError):
@@ -557,26 +554,16 @@ def decode(g: Graph) -> DecodeResult:
     statements.sort(key=lambda es: (m.canonical_key(es.statement),
                                     m.canonical_key(es.annotation)))
 
-    labels: dict[str, list[m.TextValue]] = {}
-    descs: dict[str, list[m.TextValue]] = {}
-    aliases: dict[str, list[m.TextValue]] = {}
+    texts: dict[str, dict[str, list[m.TextValue]]] = {}
     for t in g:
-        pred = t.predicate.value
-        target = (labels if pred == ns.RDFS_LABEL
-                  else descs if pred == ns.SCHEMA_DESCRIPTION
-                  else aliases if pred == ns.SKOS_ALT_LABEL else None)
-        if target is None or not isinstance(t.object, Literal):
+        which = _DESCRIPTOR_KINDS.get(t.predicate.value)
+        if which is None or not isinstance(t.object, Literal):
             continue
         text = m.TextValue(t.object.lexical, t.object.language or "en")
-        target.setdefault(t.subject.value, []).append(text)
+        texts.setdefault(t.subject.value, {}).setdefault(which, []).append(text)
 
-    descriptors: dict[m.Entity, m.Descriptor] = {}
-    for iri in sorted(set(labels) | set(descs) | set(aliases)):
-        entity = entity_from_iri(iri)
-        descriptors[entity] = m.Descriptor(
-            label=min(labels.get(iri, []), key=m.canonical_key, default=None),
-            description=min(descs.get(iri, []), key=m.canonical_key, default=None),
-            aliases=tuple(sorted(aliases.get(iri, []), key=m.canonical_key)))
+    descriptors = {entity_from_iri(iri): descriptor_from_texts(texts[iri])
+                   for iri in sorted(texts)}
     return DecodeResult(statements, descriptors, diagnostics)
 
 
@@ -722,21 +709,6 @@ def compile_novalue_plan(pattern: m.FilterPattern,
     return FilterPlan("novalue", query, s_const, plocal)
 
 
-def compile_filter(pattern: m.FilterPattern, level: str = "truthy",
-                   limit: int | None = None, offset: int | None = None) -> SelectQuery:
-    """Compile a filter pattern to one SELECT query at the given level.
-
-    The truthy level targets direct-property triples; the full level targets
-    the reified statement shape. No-value claims need the companion query
-    from compile_novalue_plan, which keeps each query inside the subset.
-    """
-    if level == "truthy":
-        return compile_truthy_plan(pattern, None, limit, offset).query
-    if level == "full":
-        return compile_full_plan(pattern, None, limit, offset).query
-    raise ValueError(f"unknown compilation level {level!r}")
-
-
 def statement_resolution_plan(stmt: m.Statement) -> FilterPlan:
     """Query resolving the statement nodes that carry *stmt* (protocol step 1)."""
     local = property_local(stmt.snak.property)
@@ -756,15 +728,6 @@ def statement_resolution_plan(stmt: m.Statement) -> FilterPlan:
     return FilterPlan("resolve", query, subj, local)
 
 
-def compile_annotations(stmts: Iterable[m.Statement]) -> list[SelectQuery]:
-    """Step-1 queries of the annotation protocol, one per statement.
-
-    Follow-up node-fetch queries (node_fetch_query) depend on the resolved
-    statement nodes, which keeps every query inside the SPARQL subset.
-    """
-    return [statement_resolution_plan(s).query for s in stmts]
-
-
 def node_fetch_query(nodes: Iterable[IriTerm]) -> SelectQuery:
     """Fetch all triples of the given nodes in one query via VALUES."""
     terms = tuple(sorted(nodes, key=term_key))
@@ -779,6 +742,7 @@ _DESCRIPTOR_PREDICATES = {
     "description": ns.SCHEMA_DESCRIPTION,
     "alias": ns.SKOS_ALT_LABEL,
 }
+_DESCRIPTOR_KINDS = {pred: which for which, pred in _DESCRIPTOR_PREDICATES.items()}
 
 
 def descriptor_query(entities: Iterable[m.Entity], which: str) -> SelectQuery:
@@ -788,3 +752,13 @@ def descriptor_query(entities: Iterable[m.Entity], which: str) -> SelectQuery:
         ("e", "x"),
         (TriplePattern(Var("e"), IriTerm(pred), Var("x")),),
         values=ValuesBlock("e", terms))
+
+
+def descriptor_from_texts(texts: Mapping[str, Iterable[m.TextValue]]) -> m.Descriptor:
+    """Descriptor of one entity from its texts, keyed like descriptor_query's
+    *which*: the canonically least label and description, and every alias in
+    canonical order."""
+    return m.Descriptor(
+        label=min(texts.get("label", ()), key=m.canonical_key, default=None),
+        description=min(texts.get("description", ()), key=m.canonical_key, default=None),
+        aliases=tuple(sorted(texts.get("alias", ()), key=m.canonical_key)))

@@ -4,8 +4,10 @@ A MappingSpec declares how source entities and predicates correspond to
 target (Wikidata-style) entities and properties. The mapper store rewrites
 filter patterns source-ward, runs them against the raw source, and rewrites
 the results target-ward, so the source looks like one more statement store.
-Patterns that mention unmapped properties are unsupported and yield empty
-results without touching the source.
+Source queries take the same paging and page-cache path as the RdfStore and
+SparqlStore queries (PagedStore.select_all), so a filter reads only the
+pages its limit needs. Patterns that mention unmapped properties are
+unsupported and yield empty results without touching the source.
 """
 
 from __future__ import annotations
@@ -15,15 +17,14 @@ import logging
 import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import model as m
-from .codec import property_local
-from .rdf.ntriples import parse_ntriples
+from .codec import descriptor_from_texts, property_local
 from .rdf.sparql import SelectQuery, TriplePattern, ValuesBlock, Var
 from .rdf.terms import Graph, IriTerm, Literal, Term
-from .stores.backed import GraphBackend, HttpBackend, Row
-from .stores.base import Store, StoreOptions
+from .stores.backed import PagedStore, Row
+from .stores.base import StoreOptions
 
 logger = logging.getLogger(__name__)
 
@@ -358,7 +359,7 @@ def translate_pattern(spec: MappingSpec,
 _UNMAPPED = IriTerm("urn:x-unmapped:sentinel")
 
 
-def translate_results(spec: MappingSpec, rows: list[Row],
+def translate_results(spec: MappingSpec, rows: Iterable[Row],
                       fixed_subject: IriTerm | None = None,
                       fixed_rule: PropertyRule | None = None,
                       fixed_value: m.Value | None = None) -> Iterator[m.Statement]:
@@ -394,38 +395,16 @@ def translate_results(spec: MappingSpec, rows: list[Row],
         yield m.Statement(subject, m.ValueSnak(rule.property, value))
 
 
-class MapperStore(Store):
-    """Present a raw SPARQL source as a Wikidata-shaped store via a mapping."""
+class MapperStore(PagedStore):
+    """Present a raw SPARQL source as a Wikidata-shaped store via a mapping.
 
-    def __init__(self, source, spec: MappingSpec,
+    The source is a Graph, an N-Triples file path, or an http(s) endpoint URL.
+    """
+
+    def __init__(self, source: Graph | str, spec: MappingSpec,
                  options: StoreOptions | None = None) -> None:
-        super().__init__(options)
+        super().__init__(source, options)
         self.spec = spec
-        if isinstance(source, (GraphBackend, HttpBackend)):
-            self._backend = source
-        elif isinstance(source, Graph):
-            self._backend = GraphBackend(source)
-        elif isinstance(source, str) and source.startswith(("http://", "https://")):
-            self._backend = HttpBackend(source, self.options.request_timeout)
-        elif isinstance(source, str):
-            with open(source, "r", encoding="utf-8") as fh:
-                self._backend = GraphBackend(parse_ntriples(fh))
-        else:
-            raise MappingError(f"cannot build a source backend from {source!r}")
-
-    @property
-    def request_count(self) -> int:
-        return self._backend.request_count
-
-    def _paged(self, query: SelectQuery) -> Iterator[Row]:
-        size = self.options.page_size
-        offset = 0
-        while True:
-            page = self._backend.select(query.with_page(size, offset))
-            yield from page
-            if len(page) < size:
-                return
-            offset += size
 
     def _filter(self, pattern: m.FilterPattern,
                 limit: int | None) -> Iterator[m.Statement]:
@@ -443,16 +422,13 @@ class MapperStore(Store):
         fixed_value = (pattern.value.entity
                        if isinstance(pattern.value, m.EntityFp) else None)
         seen: set[m.Statement] = set()
-        emitted = 0
-        rows = list(self._paged(query))
-        for stmt in translate_results(self.spec, rows, fixed_subject,
-                                      fixed_rule, fixed_value):
+        for stmt in translate_results(self.spec, self.select_all(query),
+                                      fixed_subject, fixed_rule, fixed_value):
             if stmt in seen:
                 continue
             seen.add(stmt)
-            emitted += 1
             yield stmt
-            if limit is not None and emitted >= limit:
+            if limit is not None and len(seen) >= limit:
                 return
 
     def _contains(self, stmt: m.Statement) -> bool:
@@ -487,7 +463,7 @@ class MapperStore(Store):
                     (TriplePattern(Var("e"), IriTerm(self.spec.label_predicate),
                                    Var("x")),),
                     values=ValuesBlock("e", terms))
-                for row in self._paged(query):
+                for row in self.select_all(query):
                     e, x = row.get("e"), row.get("x")
                     if not isinstance(e, IriTerm) or not isinstance(x, Literal):
                         continue
@@ -496,6 +472,4 @@ class MapperStore(Store):
                         continue
                     found.setdefault(sources[e.value], []).append(text)
         for entity in entities:
-            labels = found.get(entity.iri.value, [])
-            yield entity, m.Descriptor(
-                label=min(labels, key=m.canonical_key, default=None))
+            yield entity, descriptor_from_texts({"label": found.get(entity.iri.value, [])})

@@ -4,13 +4,14 @@ The mixer fans every operation out to its children and merges the results:
 filter results are deduplicated by statement content in child order,
 annotation sets are unioned per statement, and descriptors come from the
 first child that knows the entity. With parallel=True the child calls run
-concurrently but the merged stream is identical to the sequential one.
+concurrently, on one thread per child owned by the mixer, but the merged
+stream is identical to the sequential one.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Iterator, Sequence
 
 from . import model as m
@@ -37,6 +38,9 @@ class MixerStore(Store):
         self.children = list(children)
         self.parallel = parallel
         self.lenient = lenient
+        # Pool threads exit once the mixer, and with it the pool, is collected.
+        self._pool = (ThreadPoolExecutor(max_workers=len(self.children))
+                      if parallel and len(self.children) > 1 else None)
 
     # -- child dispatch -------------------------------------------------------
 
@@ -47,12 +51,15 @@ class MixerStore(Store):
         them concurrently and still yields in child order, so both modes
         produce identical streams.
         """
-        if self.parallel and len(self.children) > 1:
-            with ThreadPoolExecutor(max_workers=len(self.children)) as pool:
-                futures = [pool.submit(self._guarded, op, i)
-                           for i in range(len(self.children))]
+        if self._pool is not None:
+            futures = [self._pool.submit(self._guarded, op, i)
+                       for i in range(len(self.children))]
+            try:
                 for future in futures:
                     yield future.result()
+            finally:
+                # A call returns only after all of its child work is done.
+                wait(futures)
         else:
             for i in range(len(self.children)):
                 yield self._guarded(op, i)
@@ -73,9 +80,10 @@ class MixerStore(Store):
         seen: set[m.Statement] = set()
         emitted = 0
         # Children resolve fingerprints independently, so each child gets the
-        # full pattern; the merge deduplicates by content and applies the
-        # limit afterwards.
-        for result in self._child_results(lambda c: list(c.filter(pattern))):
+        # full pattern; the merge deduplicates by content. Each child yields
+        # distinct statements, so the first *limit* merged ones come from
+        # child prefixes no longer than *limit*, and the limit passes down.
+        for result in self._child_results(lambda c: list(c.filter(pattern, limit))):
             if result is None:
                 continue
             for stmt in result:

@@ -107,8 +107,10 @@ class EndpointServer:
         self._thread: threading.Thread | None = None
 
     def start(self) -> "EndpointServer":
-        self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
-        self._thread.start()
+        """Serve on a background thread; starting a started server does nothing."""
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+            self._thread.start()
         return self
 
     def serve_forever(self) -> None:

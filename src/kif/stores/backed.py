@@ -4,8 +4,12 @@ RdfStore evaluates the compiled queries over an embedded graph; SparqlStore
 sends the same queries to an HTTP endpoint and decodes SPARQL results JSON.
 Both share one pipeline: compile filter plans, page through candidates,
 batch-fetch the reified nodes they mention, and reassemble statements and
-annotations with the codec. Pages are cached per handle in a bounded LRU,
-so results are identical with the cache on or off except for request counts.
+annotations with the codec.
+
+Every query, here and in the mapper store, runs through one path:
+PagedStore.select_all pages it with LIMIT/OFFSET windows and caches the
+pages per handle in a bounded LRU, so results are identical with the cache
+on or off except for request counts.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import time
 import urllib.parse
 from collections import OrderedDict
 from contextlib import contextmanager
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .. import codec
@@ -203,41 +208,45 @@ class _PageCache:
                 self._data.popitem(last=False)
 
 
-class QueryBackedStore(Store):
-    """Shared machinery of RdfStore and SparqlStore."""
+class PagedStore(Store):
+    """Store answered by SELECT queries against one backend, built from a
+    Graph, an N-Triples file path, or an http(s) endpoint URL."""
 
-    def __init__(self, backend, options: StoreOptions | None = None) -> None:
+    def __init__(self, source: Graph | str, options: StoreOptions | None = None) -> None:
         super().__init__(options)
-        self._backend = backend
+        if isinstance(source, Graph):
+            self._backend = GraphBackend(source)
+        elif source.startswith(("http://", "https://")):
+            self._backend = HttpBackend(source, self.options.request_timeout)
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                self._backend = GraphBackend(parse_ntriples(fh))
         self._cache = _PageCache()
 
     @property
     def request_count(self) -> int:
         return self._backend.request_count
 
-    # -- query execution -------------------------------------------------------
-
-    def _select(self, query: SelectQuery) -> list[Row]:
-        key = serialize_query(query)
-        if self.options.cache_enabled:
-            hit = self._cache.get(key)
-            if hit is not None:
-                return hit
-        rows = self._backend.select(query)
-        if self.options.cache_enabled:
-            self._cache.put(key, rows)
-        return rows
-
-    def _paged(self, query: SelectQuery) -> Iterator[Row]:
-        """Transparently page a query with LIMIT/OFFSET windows."""
+    def select_all(self, query: SelectQuery) -> Iterator[Row]:
+        """All rows of *query*, fetched lazily in LIMIT/OFFSET pages."""
         size = self.options.page_size
         offset = 0
         while True:
-            page = self._select(query.with_page(size, offset))
+            paged = query.with_page(size, offset)
+            key = serialize_query(paged)
+            page = self._cache.get(key) if self.options.cache_enabled else None
+            if page is None:
+                page = self._backend.select(paged)
+                if self.options.cache_enabled:
+                    self._cache.put(key, page)
             yield from page
             if len(page) < size:
                 return
             offset += size
+
+
+class QueryBackedStore(PagedStore):
+    """Shared machinery of RdfStore and SparqlStore."""
 
     # -- node fetching and assembly ---------------------------------------------
 
@@ -247,7 +256,7 @@ class QueryBackedStore(Store):
         todo = sorted({n for n in nodes}, key=term_key)
         for i in range(0, len(todo), _NODE_CHUNK):
             chunk = todo[i:i + _NODE_CHUNK]
-            for row in self._paged(codec.node_fetch_query(chunk)):
+            for row in self.select_all(codec.node_fetch_query(chunk)):
                 w, p, o = row.get("w"), row.get("p"), row.get("o")
                 if isinstance(w, IriTerm) and isinstance(p, IriTerm) and o is not None:
                     into.add(Triple(w, p, o))
@@ -289,7 +298,7 @@ class QueryBackedStore(Store):
     def _full_candidates(self, plan: codec.FilterPlan) -> Iterator[tuple[IriTerm, IriTerm, str]]:
         """(subject, statement node, property local) rows of a full-shape plan."""
         seen: set[tuple] = set()
-        for row in self._paged(plan.query):
+        for row in self.select_all(plan.query):
             if plan.subject_term is not None:
                 subject = plan.subject_term
             else:
@@ -351,7 +360,7 @@ class QueryBackedStore(Store):
             batch: list[tuple[IriTerm, IriTerm, str]] = []
             candidates = self._full_candidates(plan)
             while True:
-                batch = list(_take(candidates, _NODE_CHUNK))
+                batch = list(islice(candidates, _NODE_CHUNK))
                 if not batch:
                     break
                 node_graph = self._fetch_statement_context(
@@ -371,7 +380,7 @@ class QueryBackedStore(Store):
                             return
 
             truthy = codec.compile_truthy_plan(pattern, object_term)
-            for row in self._paged(truthy.query):
+            for row in self.select_all(truthy.query):
                 subject = truthy.subject_term or row.get("s")
                 obj = truthy.object_term if truthy.object_term is not None else row.get("v")
                 if not isinstance(subject, IriTerm) or obj is None:
@@ -434,7 +443,7 @@ class QueryBackedStore(Store):
     def _annotations_of(self, stmt: m.Statement) -> frozenset[m.AnnotationRecord]:
         plan = codec.statement_resolution_plan(stmt)
         wds_nodes = []
-        for row in self._paged(plan.query):
+        for row in self.select_all(plan.query):
             w = row.get("w")
             if isinstance(w, IriTerm):
                 wds_nodes.append(w)
@@ -455,8 +464,7 @@ class QueryBackedStore(Store):
     # -- descriptors -----------------------------------------------------------
 
     def _descriptors(self, entities, language):
-        texts: dict[str, dict[str, list[m.TextValue]]] = {
-            "label": {}, "description": {}, "alias": {}}
+        texts: dict[str, dict[str, list[m.TextValue]]] = {}
         unique = []
         seen = set()
         for e in entities:
@@ -466,49 +474,29 @@ class QueryBackedStore(Store):
         for i in range(0, len(unique), _NODE_CHUNK):
             chunk = unique[i:i + _NODE_CHUNK]
             for which in ("label", "description", "alias"):
-                for row in self._paged(codec.descriptor_query(chunk, which)):
+                for row in self.select_all(codec.descriptor_query(chunk, which)):
                     e, x = row.get("e"), row.get("x")
                     if not isinstance(e, IriTerm) or not isinstance(x, Literal):
                         continue
                     text = m.TextValue(x.lexical, x.language or "en")
                     if text.language != language:
                         continue
-                    texts[which].setdefault(e.value, []).append(text)
+                    texts.setdefault(e.value, {}).setdefault(which, []).append(text)
         for entity in entities:
-            iri = entity.iri.value
-            desc = m.Descriptor(
-                label=min(texts["label"].get(iri, []), key=m.canonical_key, default=None),
-                description=min(texts["description"].get(iri, []),
-                                key=m.canonical_key, default=None),
-                aliases=tuple(sorted(texts["alias"].get(iri, []), key=m.canonical_key)))
-            yield entity, desc
-
-
-def _take(it: Iterator, n: int) -> Iterator:
-    for _ in range(n):
-        try:
-            yield next(it)
-        except StopIteration:
-            return
+            yield entity, codec.descriptor_from_texts(texts.get(entity.iri.value, {}))
 
 
 class RdfStore(QueryBackedStore):
-    """Store over an embedded graph (N-Triples file, text, or Graph)."""
+    """Store over an embedded graph (N-Triples file or Graph)."""
 
-    def __init__(self, source: Graph | str, options: StoreOptions | None = None) -> None:
-        if isinstance(source, Graph):
-            graph = source
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                graph = parse_ntriples(fh)
-        super().__init__(GraphBackend(graph), options)
-        self.graph = graph
+    @property
+    def graph(self) -> Graph:
+        return self._backend.graph
 
 
 class SparqlStore(QueryBackedStore):
     """Store over a Wikidata-compatible SPARQL endpoint."""
 
-    def __init__(self, endpoint: str, options: StoreOptions | None = None) -> None:
-        options = options or StoreOptions()
-        super().__init__(HttpBackend(endpoint, options.request_timeout), options)
-        self.endpoint = endpoint
+    @property
+    def endpoint(self) -> str:
+        return self._backend.url

@@ -218,7 +218,7 @@ def test_malformed_reification_is_skipped_with_diagnostics():
 
 def test_compile_filter_truthy_subject_and_property():
     pattern = m.FilterPattern(m.EntityFp(pf.benzene), m.EntityFp(pf.solubility))
-    query = codec.compile_filter(pattern, "truthy", limit=10)
+    query = codec.compile_truthy_plan(pattern, limit=10).query
     assert serialize_query(query) == (
         "SELECT ?v WHERE { "
         "<http://www.wikidata.org/entity/Q2270> "
@@ -229,7 +229,7 @@ def test_compile_filter_fingerprint_joins_on_subject_variable():
     pattern = m.FilterPattern(
         subject=m.SnakFp(m.ValueSnak(pf.inchi, m.StringValue(pf.BENZENE_INCHI))),
         property=m.EntityFp(pf.mass))
-    query = codec.compile_filter(pattern, "truthy")
+    query = codec.compile_truthy_plan(pattern).query
     assert len(query.patterns) == 2
     main, aux = query.patterns
     assert main.subject == aux.subject  # joined on ?s
@@ -238,20 +238,20 @@ def test_compile_filter_fingerprint_joins_on_subject_variable():
 
 
 def test_compile_filter_wildcard_uses_variable_predicate():
-    query = codec.compile_filter(m.FilterPattern(), "truthy")
+    query = codec.compile_truthy_plan(m.FilterPattern()).query
     assert serialize_query(query) == "SELECT ?s ?p ?v WHERE { ?s ?p ?v . }"
 
 
 def test_compile_filter_full_level_targets_statement_nodes():
     pattern = m.FilterPattern(m.EntityFp(pf.benzene), m.EntityFp(pf.solubility))
-    query = codec.compile_filter(pattern, "full")
+    query = codec.compile_full_plan(pattern).query
     text = serialize_query(query)
     assert ns.P + "P2177" in text and ns.PS + "P2177" in text and "?w" in text
 
 
 def test_compile_annotations_resolves_statement_nodes():
-    queries = codec.compile_annotations([pf.solubility_statement,
-                                         pf.mass_statement])
+    queries = [codec.statement_resolution_plan(s).query
+               for s in (pf.solubility_statement, pf.mass_statement)]
     assert len(queries) == 2
     text = serialize_query(queries[0])
     assert ns.P + "P2177" in text and ns.PS + "P2177" in text

@@ -7,7 +7,7 @@ from kif.mapper import (DecimalQuantityCodec, EntityRule, MapperStore,
                         MappingError, MappingSpec, PropertyRule, StringCodec,
                         TextCodec, translate_pattern, translate_results)
 from kif.rdf.sparql import serialize_query
-from kif.rdf.terms import IriTerm, Literal
+from kif.rdf.terms import IriTerm, Literal, Triple
 from kif.stores import MemoryStore, StoreOptions
 
 import paper_fixtures as pf
@@ -99,6 +99,23 @@ def test_unsupported_pattern_issues_no_source_query(store):
     assert list(store.filter(pattern)) == []
     assert store.count(pattern) == 0
     assert store.request_count == before
+
+
+def test_limit_stops_reading_the_source_and_pages_are_cached():
+    graph = pf.pubchem_source_graph()
+    for n in range(1000, 1040):
+        graph.add(Triple(IriTerm(pf.PUBCHEM_COMPOUND.replace("{n}", str(n))),
+                         IriTerm(pf.PUBCHEM_WEIGHT), Literal(f"{n}.5", pf.XSD_DECIMAL)))
+    pattern = m.FilterPattern(property=m.EntityFp(pf.mass))
+    options = StoreOptions(page_size=4)
+    unlimited = MapperStore(graph, pf.pubchem_mapping(), options)
+    assert len(list(unlimited.filter(pattern))) == 42
+    limited = MapperStore(graph, pf.pubchem_mapping(), options)
+    assert len(list(limited.filter(pattern, limit=1))) == 1
+    assert limited.request_count < unlimited.request_count
+    before = limited.request_count
+    assert len(list(limited.filter(pattern, limit=1))) == 1
+    assert limited.request_count == before
 
 
 def test_contains_outside_mapped_vocabulary_is_false(store):

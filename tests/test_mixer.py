@@ -3,7 +3,8 @@ import pytest
 from kif import codec
 from kif import model as m
 from kif.mixer import MixerChildError, MixerStore
-from kif.stores import MemoryStore, RdfStore, StoreOptions
+from kif.rdf.server import serve
+from kif.stores import MemoryStore, RdfStore, SparqlStore, StoreOptions
 
 import paper_fixtures as pf
 from randgen import WD, ModelGen
@@ -84,6 +85,22 @@ def test_parallel_and_sequential_streams_are_identical():
         assert list(sequential.filter(pattern)) == list(parallel.filter(pattern))
     assert list(sequential.filter(None, limit=5)) == \
         list(parallel.filter(None, limit=5))
+
+
+def test_limit_reaches_the_children():
+    prop = m.Property(WD + "P9001")
+    pairs = [(m.Statement(m.Item(WD + f"Q{i}"), m.ValueSnak(prop, m.StringValue(f"v{i}"))),
+              m.AnnotationRecord()) for i in range(300)]
+    pattern = m.FilterPattern(property=m.EntityFp(prop))
+    options = StoreOptions(page_size=5)
+    with serve(codec.encode_dataset(pairs)) as server:
+        alone = SparqlStore(server.url, options)
+        expected = list(alone.filter(pattern, 5))
+        for parallel in (False, True):
+            child = SparqlStore(server.url, options)
+            mixer = MixerStore([child, MemoryStore(pairs[:3])], parallel=parallel)
+            assert list(mixer.filter(pattern, limit=5)) == expected
+            assert child.request_count == alone.request_count
 
 
 def test_annotation_union_of_two_children_with_distinct_references():

@@ -1,4 +1,5 @@
 import json
+import threading
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -9,7 +10,7 @@ import pytest
 from kif import codec
 from kif.rdf.server import serve
 from kif.stores.backed import decode_results_json
-from kif.rdf.terms import IriTerm
+from kif.rdf.terms import Graph, IriTerm
 
 import paper_fixtures as pf
 
@@ -109,3 +110,16 @@ def test_concurrent_requests(endpoint):
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(ask, range(16)))
     assert all(r["results"]["bindings"] for r in results)
+
+
+def _serving_threads() -> set[threading.Thread]:
+    return {t for t in threading.enumerate()
+            if "serve_forever" in t.name and t.is_alive()}
+
+
+def test_start_is_idempotent_and_the_context_stops_its_thread():
+    before = _serving_threads()
+    with serve(Graph()) as server:
+        server.start()
+        assert len(_serving_threads() - before) == 1
+    assert not _serving_threads() - before
