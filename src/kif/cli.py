@@ -14,6 +14,7 @@ import json
 import shlex
 import signal
 import sys
+import threading
 
 from . import bench as bench_mod
 from . import codec, fixtures
@@ -23,7 +24,7 @@ from .decoder import DecoderError, answer, decode
 from .mapper import MapperStore, MappingError, MappingSpec
 from .mixer import MixerChildError, MixerStore
 from .rdf.ntriples import NTriplesError, parse_ntriples, serialize_ntriples
-from .rdf.server import EndpointServer
+from .rdf.server import serve
 from .rdf.sparql import SparqlError
 from .stores import (MemoryStore, RdfStore, SparqlStore, Store, StoreError,
                      StoreOptions, TransportError)
@@ -286,11 +287,13 @@ def cmd_describe(args) -> int:
 def cmd_serve(args) -> int:
     with open(args.graph, "r", encoding="utf-8") as fh:
         graph = parse_ntriples(fh)
-    server = EndpointServer(graph, args.port, args.host)
-    print(f"serving {len(graph)} triples at {server.url}", file=sys.stderr)
-    signal.signal(signal.SIGTERM, lambda *_: server.shutdown())
+    # SIGTERM stops the endpoint the way Ctrl-C does. A handler that only
+    # raises takes no lock the interrupted main thread might hold.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        server.serve_forever()
+        with serve(graph, args.port, args.host) as server:
+            print(f"serving {len(graph)} triples at {server.url}", file=sys.stderr)
+            threading.Event().wait()
     except KeyboardInterrupt:
         pass
     return EXIT_OK

@@ -409,18 +409,14 @@ def read_deep_value(g: Graph, node: IriTerm, diagnostics: list[str]) -> m.Value 
     return None
 
 
-def _snak_from_object(prop: m.Property, obj: Term, g: Graph,
-                      deep_node: IriTerm | None, diagnostics: list[str]) -> m.Snak | None:
+def truthy_snak(prop: m.Property, obj: Term) -> m.Snak:
+    """Snak of a direct-property triple's object: a some-value or no-value
+    snak for the marker IRIs, otherwise the lifted simple value."""
     if isinstance(obj, IriTerm):
         if obj.value.startswith(ns.WDGENID):
             return m.SomeValueSnak(prop)
         if obj.value.startswith(ns.WDNO):
             return m.NoValueSnak(prop)
-    if deep_node is not None:
-        value = read_deep_value(g, deep_node, diagnostics)
-        if value is None:
-            return None
-        return m.ValueSnak(prop, value)
     return m.ValueSnak(prop, lift_value(obj))
 
 
@@ -449,11 +445,8 @@ def _assemble_snak_family(g: Graph, node: IriTerm, simple_base: str, deep_base: 
             covered.add(term_key(m.simple_value(value)))
             snaks.append(m.ValueSnak(prop, value))
         for obj in sorted(simple.get(local, []), key=term_key):
-            if term_key(canonical_object_term(obj)) in covered:
-                continue
-            snak = _snak_from_object(prop, obj, g, None, diagnostics)
-            if snak is not None:
-                snaks.append(snak)
+            if term_key(canonical_object_term(obj)) not in covered:
+                snaks.append(truthy_snak(prop, obj))
     return snaks
 
 
@@ -473,8 +466,11 @@ def assemble_main_snak(g: Graph, wds: IriTerm, plocal: str,
     obj = ps_objects[0]
     deep_nodes = [o for o in g.objects(wds, IriTerm(ns.PSV + plocal))
                   if isinstance(o, IriTerm)]
-    deep_node = min(deep_nodes, key=term_key) if deep_nodes else None
-    return _snak_from_object(prop, obj, g, deep_node, diagnostics)
+    if not deep_nodes or (isinstance(obj, IriTerm)
+                          and obj.value.startswith((ns.WDGENID, ns.WDNO))):
+        return truthy_snak(prop, obj)
+    value = read_deep_value(g, min(deep_nodes, key=term_key), diagnostics)
+    return None if value is None else m.ValueSnak(prop, value)
 
 
 def assemble_annotation(g: Graph, wds: IriTerm,
@@ -544,10 +540,7 @@ def decode(g: Graph) -> DecodeResult:
         key = (t.subject.value, plocal, term_key(canonical_object_term(t.object)))
         if key in covered_truthy:
             continue
-        prop = m.Property(ns.WD + plocal)
-        snak = _snak_from_object(prop, t.object, g, None, diagnostics)
-        if snak is None:
-            continue
+        snak = truthy_snak(m.Property(ns.WD + plocal), t.object)
         stmt = m.Statement(entity_from_iri(t.subject.value), snak)
         statements.append(EncodedStatement(stmt, m.AnnotationRecord(), True))
 
@@ -579,7 +572,7 @@ def _fp_snaks(fp: m.Fingerprint) -> tuple[m.Snak, ...]:
     raise m.FingerprintError(f"unsupported fingerprint: {fp!r}")
 
 
-def _aux_patterns(fp: m.Fingerprint, var: Var, counter: list[int]) -> list[TriplePattern]:
+def _aux_patterns(fp: m.Fingerprint, var: Var) -> list[TriplePattern]:
     """Fingerprint snaks become truthy-level auxiliary patterns on *var*."""
     patterns = []
     for snak in _fp_snaks(fp):
@@ -590,7 +583,6 @@ def _aux_patterns(fp: m.Fingerprint, var: Var, counter: list[int]) -> list[Tripl
         local = property_local(snak.property)
         patterns.append(TriplePattern(var, IriTerm(ns.WDT + local),
                                       m.simple_value(snak.value)))
-        counter[0] += 1
     return patterns
 
 
@@ -609,24 +601,23 @@ class FilterPlan:
     object_term: Term | None = None
 
 
-def _subject_slot(pattern: m.FilterPattern, patterns: list, counter: list[int]):
+def _subject_slot(pattern: m.FilterPattern, patterns: list):
     if isinstance(pattern.subject, m.EntityFp):
         return IriTerm(pattern.subject.entity.iri.value), None
     svar = Var("s")
     if pattern.subject is not None:
-        patterns.extend(_aux_patterns(pattern.subject, svar, counter))
+        patterns.extend(_aux_patterns(pattern.subject, svar))
     return None, svar
 
 
-def _value_slot(pattern: m.FilterPattern, patterns: list, counter: list[int],
-                object_term: Term | None):
+def _value_slot(pattern: m.FilterPattern, patterns: list, object_term: Term | None):
     if object_term is not None:
         return object_term, None
     if isinstance(pattern.value, m.EntityFp):
         return IriTerm(pattern.value.entity.iri.value), None
     vvar = Var("v")
     if pattern.value is not None:
-        patterns.extend(_aux_patterns(pattern.value, vvar, counter))
+        patterns.extend(_aux_patterns(pattern.value, vvar))
     return None, vvar
 
 
@@ -661,9 +652,8 @@ def _finish(patterns: list[TriplePattern], projected: list[Var],
 def compile_truthy_plan(pattern: m.FilterPattern, object_term: Term | None = None,
                         limit: int | None = None, offset: int | None = None) -> FilterPlan:
     patterns: list[TriplePattern] = []
-    counter = [0]
-    s_const, s_var = _subject_slot(pattern, patterns, counter)
-    o_const, o_var = _value_slot(pattern, patterns, counter, object_term)
+    s_const, s_var = _subject_slot(pattern, patterns)
+    o_const, o_var = _value_slot(pattern, patterns, object_term)
     plocal = _property_local_of(pattern)
     p_slot = IriTerm(ns.WDT + plocal) if plocal else Var("p")
     main = TriplePattern(s_const or s_var, p_slot, o_const if o_const is not None else o_var)
@@ -676,9 +666,8 @@ def compile_truthy_plan(pattern: m.FilterPattern, object_term: Term | None = Non
 def compile_full_plan(pattern: m.FilterPattern, object_term: Term | None = None,
                       limit: int | None = None, offset: int | None = None) -> FilterPlan:
     patterns: list[TriplePattern] = []
-    counter = [0]
-    s_const, s_var = _subject_slot(pattern, patterns, counter)
-    o_const, o_var = _value_slot(pattern, patterns, counter, object_term)
+    s_const, s_var = _subject_slot(pattern, patterns)
+    o_const, o_var = _value_slot(pattern, patterns, object_term)
     plocal = _property_local_of(pattern)
     wvar = Var("w")
     link = IriTerm(ns.P + plocal) if plocal else Var("p")
@@ -695,8 +684,7 @@ def compile_full_plan(pattern: m.FilterPattern, object_term: Term | None = None,
 def compile_novalue_plan(pattern: m.FilterPattern,
                          limit: int | None = None, offset: int | None = None) -> FilterPlan:
     patterns: list[TriplePattern] = []
-    counter = [0]
-    s_const, s_var = _subject_slot(pattern, patterns, counter)
+    s_const, s_var = _subject_slot(pattern, patterns)
     plocal = _property_local_of(pattern)
     wvar = Var("w")
     link = IriTerm(ns.P + plocal) if plocal else Var("p")

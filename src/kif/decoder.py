@@ -19,9 +19,10 @@ from . import codec
 from . import model as m
 from . import namespaces as ns
 from .namespaces import WIKIDATA
+from .rdf.bgp import solution_rows
 from .rdf.server import results_to_json
 from .rdf.sparql import Var, parse_query
-from .rdf.terms import IriTerm, Literal, Term, term_key
+from .rdf.terms import IriTerm, Literal, Term
 from .stores.base import Store
 
 
@@ -49,10 +50,6 @@ def _entity_constant(term: IriTerm, slot: str) -> m.Entity:
             f"object constant <{term.value}> is not an entity; literal and "
             f"plain-IRI value constraints are unsupported")
     return codec.entity_from_iri(term.value)
-
-
-def _is_constant(t) -> bool:
-    return not isinstance(t, Var)
 
 
 def decode(text: str) -> DecodedQuery:
@@ -191,17 +188,6 @@ def answer(store: Store, text: str) -> dict:
             rows.append(_statement_row(stmt, decoded))
         except codec.CodecError:
             continue  # no truthy rendering for this claim
-    projected = [{v: row[v] for v in decoded.variables} for row in rows]
-    if decoded.distinct:
-        seen: set[tuple] = set()
-        unique = []
-        for row in projected:
-            key = tuple(term_key(row[v]) for v in decoded.variables)
-            if key not in seen:
-                seen.add(key)
-                unique.append(row)
-        projected = unique
-    projected.sort(key=lambda row: tuple(term_key(row[v]) for v in decoded.variables))
-    if decoded.limit is not None:
-        projected = projected[:decoded.limit]
+    projected = solution_rows(rows, decoded.variables, decoded.distinct,
+                              limit=decoded.limit)
     return results_to_json(decoded.variables, projected)

@@ -421,25 +421,8 @@ class MapperStore(PagedStore):
             fixed_rule = self.spec.rule_for(pattern.property.entity)
         fixed_value = (pattern.value.entity
                        if isinstance(pattern.value, m.EntityFp) else None)
-        seen: set[m.Statement] = set()
-        for stmt in translate_results(self.spec, self.select_all(query),
-                                      fixed_subject, fixed_rule, fixed_value):
-            if stmt in seen:
-                continue
-            seen.add(stmt)
-            yield stmt
-            if limit is not None and len(seen) >= limit:
-                return
-
-    def _contains(self, stmt: m.Statement) -> bool:
-        if not isinstance(stmt.snak, m.ValueSnak):
-            return False
-        rule = self.spec.rule_for(stmt.snak.property)
-        if rule is None:
-            return False
-        pattern = m.FilterPattern(subject=m.EntityFp(stmt.subject),
-                                  property=m.EntityFp(stmt.snak.property))
-        return any(s == stmt for s in self._filter(pattern, None))
+        yield from translate_results(self.spec, self.select_all(query),
+                                     fixed_subject, fixed_rule, fixed_value)
 
     def _annotations(self, stmts):
         for stmt in stmts:

@@ -77,23 +77,13 @@ class MixerStore(Store):
 
     def _filter(self, pattern: m.FilterPattern,
                 limit: int | None) -> Iterator[m.Statement]:
-        seen: set[m.Statement] = set()
-        emitted = 0
         # Children resolve fingerprints independently, so each child gets the
-        # full pattern; the merge deduplicates by content. Each child yields
-        # distinct statements, so the first *limit* merged ones come from
-        # child prefixes no longer than *limit*, and the limit passes down.
+        # full pattern; filter() deduplicates the merge by content. Each child
+        # yields distinct statements, so the first *limit* merged ones come
+        # from child prefixes no longer than *limit*, and the limit passes down.
         for result in self._child_results(lambda c: list(c.filter(pattern, limit))):
-            if result is None:
-                continue
-            for stmt in result:
-                if stmt in seen:
-                    continue
-                seen.add(stmt)
-                emitted += 1
-                yield stmt
-                if limit is not None and emitted >= limit:
-                    return
+            if result is not None:
+                yield from result
 
     def _contains(self, stmt: m.Statement) -> bool:
         if self.parallel:

@@ -58,12 +58,6 @@ def decimal_lexical(d: Decimal) -> str:
     return s
 
 
-def parse_decimal(text: str) -> Decimal:
-    if not _DECIMAL_RE.match(text):
-        raise ModelError(f"not a decimal literal: {text!r}")
-    return Decimal(text)
-
-
 # ---------------------------------------------------------------------------
 # Values
 # ---------------------------------------------------------------------------

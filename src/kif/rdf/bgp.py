@@ -6,7 +6,7 @@ then sliced by OFFSET/LIMIT, so paging the same query is stable.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .sparql import SelectQuery, TriplePattern, Var
 from .terms import Graph, Term, term_key
@@ -59,19 +59,22 @@ def match_bgp(graph: Graph, query: SelectQuery) -> list[Binding]:
         bindings = next_bindings
         if not bindings:
             break
-    rows = [{v: b[v] for v in query.variables} for b in bindings]
-    if query.distinct:
-        seen: set[tuple] = set()
-        unique = []
-        for row in rows:
-            key = tuple(term_key(row[v]) for v in query.variables)
-            if key not in seen:
-                seen.add(key)
-                unique.append(row)
-        rows = unique
-    rows.sort(key=lambda row: tuple(term_key(row[v]) for v in query.variables))
-    if query.offset:
-        rows = rows[query.offset:]
-    if query.limit is not None:
-        rows = rows[:query.limit]
-    return rows
+    return solution_rows(bindings, query.variables, query.distinct,
+                         query.offset, query.limit)
+
+
+def solution_rows(bindings: Iterable[Binding], variables: Sequence[str],
+                  distinct: bool = False, offset: int | None = None,
+                  limit: int | None = None) -> list[Binding]:
+    """Apply the solution modifiers: project *bindings* on *variables*,
+    drop repeated rows if *distinct*, order canonically, then slice."""
+    def key(row: Binding) -> tuple:
+        return tuple(term_key(row[v]) for v in variables)
+
+    rows = [{v: b[v] for v in variables} for b in bindings]
+    rows.sort(key=key)
+    if distinct:
+        rows = [row for i, row in enumerate(rows)
+                if i == 0 or key(row) != key(rows[i - 1])]
+    start = offset or 0
+    return rows[start:None if limit is None else start + limit]

@@ -21,6 +21,9 @@ logger = logging.getLogger(__name__)
 
 RESULTS_JSON = "application/sparql-results+json"
 
+# Seconds between checks for a shutdown request; shutdown() waits up to one.
+_POLL_INTERVAL = 0.05
+
 
 def term_to_json(t: Term) -> dict:
     if isinstance(t, IriTerm):
@@ -109,18 +112,18 @@ class EndpointServer:
     def start(self) -> "EndpointServer":
         """Serve on a background thread; starting a started server does nothing."""
         if self._thread is None:
-            self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
+            self._thread = threading.Thread(target=self._httpd.serve_forever,
+                                            args=(_POLL_INTERVAL,), daemon=True)
             self._thread.start()
         return self
 
-    def serve_forever(self) -> None:
-        self._httpd.serve_forever()
-
     def shutdown(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread:
+        """Stop serving, if started, and close the listening socket."""
+        if self._thread is not None:
+            # Waiting for a serve loop that never ran would block forever.
+            self._httpd.shutdown()
             self._thread.join(timeout=5)
+        self._httpd.server_close()
 
     def __enter__(self) -> "EndpointServer":
         return self.start()

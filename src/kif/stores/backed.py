@@ -4,7 +4,9 @@ RdfStore evaluates the compiled queries over an embedded graph; SparqlStore
 sends the same queries to an HTTP endpoint and decodes SPARQL results JSON.
 Both share one pipeline: compile filter plans, page through candidates,
 batch-fetch the reified nodes they mention, and reassemble statements and
-annotations with the codec.
+annotations with the codec. The filter hook only yields candidate
+statements; Store.filter drops repeats and stops at the limit, and because
+every stage is lazy no query runs past it.
 
 Every query, here and in the mapper store, runs through one path:
 PagedStore.select_all pages it with LIMIT/OFFSET windows and caches the
@@ -22,7 +24,7 @@ import time
 import urllib.parse
 from collections import OrderedDict
 from contextlib import contextmanager
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from .. import codec
@@ -38,7 +40,6 @@ from .base import Store, StoreOptions, TransportError
 Row = dict[str, Term]
 
 _NODE_CHUNK = 50
-_EMPTY_GRAPH = Graph()
 
 # Wall time spent inside HTTP requests, accumulated into every registered
 # timer; the benchmark uses this to split API time from endpoint time.
@@ -62,6 +63,23 @@ def _record_network_time(elapsed: float) -> None:
     with _net_lock:
         for acc in _net_timers:
             acc[0] += elapsed
+
+
+def _local(term: Term | None, prefix: str) -> str | None:
+    return WIKIDATA.local(term.value, prefix) if isinstance(term, IriTerm) else None
+
+
+def _claim_key(subject: IriTerm, plocal: str, obj: Term) -> tuple:
+    return subject.value, plocal, term_key(codec.canonical_object_term(obj))
+
+
+def _links_context(predicate: str, deep_only: bool) -> bool:
+    """Whether a statement-context fetch follows *predicate* to its object."""
+    if WIKIDATA.local(predicate, "psv"):
+        return True
+    return not deep_only and (predicate == ns.PROV_WAS_DERIVED_FROM
+                              or bool(WIKIDATA.local(predicate, "pqv")
+                                      or WIKIDATA.local(predicate, "prv")))
 
 
 class GraphBackend:
@@ -263,34 +281,18 @@ class QueryBackedStore(PagedStore):
 
     def _fetch_statement_context(self, wds_nodes: list[IriTerm],
                                  deep_only: bool) -> Graph:
-        """Fetch statement nodes plus the value/reference nodes they mention."""
+        """Fetch statement nodes plus the nodes they link to: deep value
+        nodes always, qualifier and reference nodes unless *deep_only*."""
         node_graph = Graph()
-        self._fetch_nodes(wds_nodes, node_graph)
-        second: set[IriTerm] = set()
-        for wds in wds_nodes:
-            for t in node_graph.match(s=wds):
-                pred = t.predicate.value
-                if not isinstance(t.object, IriTerm):
-                    continue
-                if WIKIDATA.local(pred, "psv"):
-                    second.add(t.object)
-                elif not deep_only and (
-                        WIKIDATA.local(pred, "pqv")
-                        or pred == ns.PROV_WAS_DERIVED_FROM):
-                    second.add(t.object)
-        if second:
-            self._fetch_nodes(second, node_graph)
-        if not deep_only:
-            third: set[IriTerm] = set()
-            for node in second:
-                if not node.value.startswith(ns.WDREF):
-                    continue
-                for t in node_graph.match(s=node):
-                    if isinstance(t.object, IriTerm) and WIKIDATA.local(
-                            t.predicate.value, "prv"):
-                        third.add(t.object)
-            if third:
-                self._fetch_nodes(third, node_graph)
+        fetched: set[IriTerm] = set()
+        frontier = set(wds_nodes)
+        while frontier:
+            self._fetch_nodes(frontier, node_graph)
+            fetched |= frontier
+            # Subtracting what is fetched ends the loop on cyclic graphs.
+            frontier = {t.object for node in frontier for t in node_graph.match(s=node)
+                        if isinstance(t.object, IriTerm)
+                        and _links_context(t.predicate.value, deep_only)} - fetched
         return node_graph
 
     # -- filter pipeline ----------------------------------------------------------
@@ -299,30 +301,19 @@ class QueryBackedStore(PagedStore):
         """(subject, statement node, property local) rows of a full-shape plan."""
         seen: set[tuple] = set()
         for row in self.select_all(plan.query):
-            if plan.subject_term is not None:
-                subject = plan.subject_term
-            else:
-                subject = row.get("s")
+            subject = plan.subject_term or row.get("s")
             wds = row.get("w")
             if not isinstance(subject, IriTerm) or not isinstance(wds, IriTerm):
                 continue
-            if plan.property_local is not None:
-                plocal = plan.property_local
-            else:
-                link = row.get("p")
-                if plan.shape == "novalue":
-                    other = row.get("n")
-                    other_local = (WIKIDATA.local(other.value, "wdno")
-                                   if isinstance(other, IriTerm) else None)
-                else:
-                    other = row.get("q")
-                    other_local = (WIKIDATA.local(other.value, "ps")
-                                   if isinstance(other, IriTerm) else None)
-                link_local = (WIKIDATA.local(link.value, "p")
-                              if isinstance(link, IriTerm) else None)
-                if not link_local or link_local != other_local:
+            plocal = plan.property_local
+            if plocal is None:
+                # The link and the value (or no-value marker) predicates must
+                # name the same property.
+                plocal = _local(row.get("p"), "p")
+                other = (_local(row.get("n"), "wdno") if plan.shape == "novalue"
+                         else _local(row.get("q"), "ps"))
+                if not plocal or plocal != other:
                     continue
-                plocal = link_local
             key = (subject.value, wds.value, plocal)
             if key not in seen:
                 seen.add(key)
@@ -330,93 +321,59 @@ class QueryBackedStore(PagedStore):
 
     def _filter(self, pattern: m.FilterPattern,
                 limit: int | None) -> Iterator[m.Statement]:
-        yield from self._filter_statements(pattern, limit, None)
+        return self._candidates(pattern, None)
 
-    def _filter_statements(self, pattern: m.FilterPattern, limit: int | None,
-                           object_term: Term | None) -> Iterator[m.Statement]:
-        wants_value = m.SnakKind.VALUE in pattern.snak_kinds
-        wants_some = m.SnakKind.SOME_VALUE in pattern.snak_kinds
-        wants_none = m.SnakKind.NO_VALUE in pattern.snak_kinds
-        seen: set[m.Statement] = set()
-        emitted = 0
+    def _candidates(self, pattern: m.FilterPattern,
+                    object_term: Term | None) -> Iterator[m.Statement]:
+        """Candidate statements of *pattern*, from three lazily chained
+        stages; each stage compiles its plan only when it starts."""
+        kinds = pattern.snak_kinds
         covered: set[tuple] = set()
+        stages = []
+        if m.SnakKind.VALUE in kinds or m.SnakKind.SOME_VALUE in kinds:
+            stages += [self._reified(pattern, object_term, covered),
+                       self._truthy_only(pattern, object_term, covered)]
+        if m.SnakKind.NO_VALUE in kinds and object_term is None and pattern.value is None:
+            stages.append(self._no_value(pattern))
+        return (stmt for stmt in chain.from_iterable(stages)
+                if m.snak_kind(stmt.snak) in kinds)
 
-        def admit(stmt: m.Statement) -> bool:
-            kind = m.snak_kind(stmt.snak)
-            if kind is m.SnakKind.VALUE and not wants_value:
-                return False
-            if kind is m.SnakKind.SOME_VALUE and not wants_some:
-                return False
-            if kind is m.SnakKind.NO_VALUE and not wants_none:
-                return False
-            if stmt in seen:
-                return False
-            seen.add(stmt)
-            return True
-
+    def _reified(self, pattern: m.FilterPattern, object_term: Term | None,
+                 covered: set[tuple]) -> Iterator[m.Statement]:
+        """Statements assembled from their statement nodes; adds the claims
+        they carry to *covered*."""
         diagnostics: list[str] = []
-        if wants_value or wants_some:
-            plan = codec.compile_full_plan(pattern, object_term)
-            batch: list[tuple[IriTerm, IriTerm, str]] = []
-            candidates = self._full_candidates(plan)
-            while True:
-                batch = list(islice(candidates, _NODE_CHUNK))
-                if not batch:
-                    break
-                node_graph = self._fetch_statement_context(
-                    [wds for _, wds, _ in batch], deep_only=True)
-                for subject, wds, plocal in batch:
-                    snak = codec.assemble_main_snak(node_graph, wds, plocal, diagnostics)
-                    if snak is None:
-                        continue
-                    for obj in node_graph.objects(wds, IriTerm(ns.PS + plocal)):
-                        covered.add((subject.value, plocal,
-                                     term_key(codec.canonical_object_term(obj))))
-                    stmt = m.Statement(codec.entity_from_iri(subject.value), snak)
-                    if admit(stmt):
-                        emitted += 1
-                        yield stmt
-                        if limit is not None and emitted >= limit:
-                            return
-
-            truthy = codec.compile_truthy_plan(pattern, object_term)
-            for row in self.select_all(truthy.query):
-                subject = truthy.subject_term or row.get("s")
-                obj = truthy.object_term if truthy.object_term is not None else row.get("v")
-                if not isinstance(subject, IriTerm) or obj is None:
-                    continue
-                if truthy.property_local is not None:
-                    plocal = truthy.property_local
-                else:
-                    pred = row.get("p")
-                    plocal = (WIKIDATA.local(pred.value, "wdt")
-                              if isinstance(pred, IriTerm) else None)
-                    if not plocal:
-                        continue
-                if (subject.value, plocal,
-                        term_key(codec.canonical_object_term(obj))) in covered:
-                    continue
-                prop = m.Property(ns.WD + plocal)
-                snak = codec._snak_from_object(prop, obj, _EMPTY_GRAPH, None, diagnostics)
+        candidates = self._full_candidates(codec.compile_full_plan(pattern, object_term))
+        while batch := list(islice(candidates, _NODE_CHUNK)):
+            node_graph = self._fetch_statement_context(
+                [wds for _, wds, _ in batch], deep_only=True)
+            for subject, wds, plocal in batch:
+                snak = codec.assemble_main_snak(node_graph, wds, plocal, diagnostics)
                 if snak is None:
                     continue
-                stmt = m.Statement(codec.entity_from_iri(subject.value), snak)
-                if admit(stmt):
-                    emitted += 1
-                    yield stmt
-                    if limit is not None and emitted >= limit:
-                        return
+                for obj in node_graph.objects(wds, IriTerm(ns.PS + plocal)):
+                    covered.add(_claim_key(subject, plocal, obj))
+                yield m.Statement(codec.entity_from_iri(subject.value), snak)
 
-        if wants_none and object_term is None and pattern.value is None:
-            plan = codec.compile_novalue_plan(pattern)
-            for subject, wds, plocal in self._full_candidates(plan):
-                stmt = m.Statement(codec.entity_from_iri(subject.value),
-                                   m.NoValueSnak(m.Property(ns.WD + plocal)))
-                if admit(stmt):
-                    emitted += 1
-                    yield stmt
-                    if limit is not None and emitted >= limit:
-                        return
+    def _truthy_only(self, pattern: m.FilterPattern, object_term: Term | None,
+                     covered: set[tuple]) -> Iterator[m.Statement]:
+        """Claims carried only by a truthy triple, not by a statement node."""
+        plan = codec.compile_truthy_plan(pattern, object_term)
+        for row in self.select_all(plan.query):
+            subject = plan.subject_term or row.get("s")
+            obj = plan.object_term if plan.object_term is not None else row.get("v")
+            plocal = plan.property_local or _local(row.get("p"), "wdt")
+            if (not isinstance(subject, IriTerm) or obj is None or not plocal
+                    or _claim_key(subject, plocal, obj) in covered):
+                continue
+            yield m.Statement(codec.entity_from_iri(subject.value),
+                              codec.truthy_snak(m.Property(ns.WD + plocal), obj))
+
+    def _no_value(self, pattern: m.FilterPattern) -> Iterator[m.Statement]:
+        plan = codec.compile_novalue_plan(pattern)
+        for subject, _, plocal in self._full_candidates(plan):
+            yield m.Statement(codec.entity_from_iri(subject.value),
+                              m.NoValueSnak(m.Property(ns.WD + plocal)))
 
     # -- contains -------------------------------------------------------------------
 
@@ -431,8 +388,7 @@ class QueryBackedStore(PagedStore):
             object_term = m.simple_value(stmt.snak.value)
         elif isinstance(stmt.snak, m.SomeValueSnak):
             object_term = codec.statement_genid(stmt)
-        return any(s == stmt
-                   for s in self._filter_statements(pattern, None, object_term))
+        return any(s == stmt for s in self._candidates(pattern, object_term))
 
     # -- annotations -------------------------------------------------------------
 

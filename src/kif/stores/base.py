@@ -2,12 +2,18 @@
 
 A store handle may be shared across threads; every operation is safe to
 call concurrently, and each returned iterator is single-consumer.
+
+Store.filter is the one place that enforces the filter contract, distinct
+statements and at most *limit* of them. A backend's _filter hook only
+yields candidate statements, lazily and possibly repeated; it reads *limit*
+only to pass it on to stores it delegates to.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .. import model as m
@@ -68,9 +74,8 @@ class Store:
         """Distinct statements matching *pattern*, at most *limit* of them."""
         if limit is not None and limit < 0:
             raise ValueError("limit must be non-negative")
-        if limit == 0:
-            return iter(())
-        return self._filter(pattern or m.FilterPattern(), limit)
+        return islice(_first_occurrences(
+            self._filter(pattern or m.FilterPattern(), limit)), limit)
 
     def count(self, pattern: m.FilterPattern | None = None) -> int:
         """Number of distinct statements matching *pattern*."""
@@ -102,6 +107,8 @@ class Store:
 
     def _filter(self, pattern: m.FilterPattern,
                 limit: int | None) -> Iterator[m.Statement]:
+        """Candidate statements matching *pattern*; filter() drops repeats
+        and stops at *limit*, so a lazy hook does no work past it."""
         raise NotImplementedError
 
     def _contains(self, stmt: m.Statement) -> bool:
@@ -120,3 +127,11 @@ class Store:
     def _descriptors(self, entities: list[m.Entity],
                      language: str) -> Iterator[tuple[m.Entity, m.Descriptor]]:
         raise NotImplementedError
+
+
+def _first_occurrences(stmts: Iterable[m.Statement]) -> Iterator[m.Statement]:
+    seen: set[m.Statement] = set()
+    for stmt in stmts:
+        if stmt not in seen:
+            seen.add(stmt)
+            yield stmt

@@ -88,12 +88,8 @@ class MemoryStore(Store):
 
     def _filter(self, pattern: m.FilterPattern,
                 limit: int | None) -> Iterator[m.Statement]:
-        emitted = 0
         for stmt in self._statements:
-            if limit is not None and emitted >= limit:
-                return
             if self._matches(pattern, stmt):
-                emitted += 1
                 yield stmt
 
     def _contains(self, stmt: m.Statement) -> bool:

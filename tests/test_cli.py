@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
+import kif
 from kif import codec, sexpr
 from kif import model as m
 from kif.cli import main
@@ -202,3 +207,20 @@ def test_bad_store_spec_and_parse_errors_exit_2(data_dir, capsys):
     code, _, err = run(capsys, "filter", "--store", f"memory:{data_dir}/wd.sexp",
                        "--subject", "(Item")
     assert code == 2 and "cannot parse" in err
+
+
+def test_serve_stops_on_sigterm(data_dir):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(kif.__file__)), env.get("PYTHONPATH", "")])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kif.cli", "serve", "--graph", str(data_dir / "wd.nt"),
+         "--port", "0"], stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        assert "serving" in proc.stderr.readline()
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=5) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()

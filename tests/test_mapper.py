@@ -125,6 +125,14 @@ def test_contains_outside_mapped_vocabulary_is_false(store):
                                           m.SomeValueSnak(pf.mass)))
 
 
+def test_contains_outside_mapped_vocabulary_sends_no_source_query(store):
+    before = store.request_count
+    assert not store.contains(pf.solubility_statement)
+    assert not store.contains(m.Statement(pf.pubchem_benzene,
+                                          m.SomeValueSnak(pf.mass)))
+    assert store.request_count == before
+
+
 def test_annotations_default_to_normal_rank_plus_extra_references():
     tag = m.ReferenceRecord([m.ValueSnak(pf.reference_url,
                                          m.Iri("https://example.org/pubchem"))])

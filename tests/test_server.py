@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from kif import codec
-from kif.rdf.server import serve
+from kif.rdf.server import EndpointServer, serve
 from kif.stores.backed import decode_results_json
 from kif.rdf.terms import Graph, IriTerm
 
@@ -123,3 +123,11 @@ def test_start_is_idempotent_and_the_context_stops_its_thread():
         server.start()
         assert len(_serving_threads() - before) == 1
     assert not _serving_threads() - before
+
+
+def test_shutdown_of_a_server_never_started_returns():
+    server = EndpointServer(Graph())
+    stopper = threading.Thread(target=server.shutdown, daemon=True)
+    stopper.start()
+    stopper.join(timeout=1)
+    assert not stopper.is_alive()

@@ -62,6 +62,25 @@ def test_filter_respects_limit(memory):
     assert len(list(memory.filter(None, limit=2))) == 2
 
 
+class _Doubling(MemoryStore):
+    """A backend whose filter hook yields every candidate twice."""
+
+    def _filter(self, pattern, limit):
+        for stmt in super()._filter(pattern, limit):
+            yield stmt
+            yield stmt
+
+
+def test_filter_drops_repeated_candidates_before_the_limit():
+    pairs, _ = ModelGen(17).dataset(20)
+    expected = list(MemoryStore(pairs).filter())
+    doubled = _Doubling(pairs)
+    assert list(doubled.filter()) == expected
+    limited = list(doubled.filter(limit=3))
+    assert limited == expected[:3] and len(set(limited)) == 3
+    assert doubled.count() == len(expected)
+
+
 # ---------------------------------------------------------------------------
 # count / contains
 # ---------------------------------------------------------------------------
