@@ -38,9 +38,16 @@ class MixerStore(Store):
         self.children = list(children)
         self.parallel = parallel
         self.lenient = lenient
-        # Pool threads exit once the mixer, and with it the pool, is collected.
+        # Pool threads exit on close(), or once the mixer, and with it the
+        # pool, is collected.
         self._pool = (ThreadPoolExecutor(max_workers=len(self.children))
                       if parallel and len(self.children) > 1 else None)
+
+    def close(self) -> None:
+        """Stop the pool threads; the children stay open, their owner
+        closes them."""
+        if self._pool is not None:
+            self._pool.shutdown()
 
     # -- child dispatch -------------------------------------------------------
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import logging
+import selectors
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
@@ -20,10 +22,6 @@ from .terms import Graph, IriTerm, Term
 logger = logging.getLogger(__name__)
 
 RESULTS_JSON = "application/sparql-results+json"
-
-# Seconds between checks for a shutdown request; shutdown() waits up to one.
-_POLL_INTERVAL = 0.05
-
 
 def term_to_json(t: Term) -> dict:
     if isinstance(t, IriTerm):
@@ -95,15 +93,44 @@ class _Handler(BaseHTTPRequestHandler):
         self._answer(body)
 
 
+class _HttpServer(ThreadingHTTPServer):
+    """Serves *graph*; the serve loop sleeps until a client connects or
+    wake() is called, and returns on the wake-up."""
+
+    daemon_threads = True
+
+    def __init__(self, address, graph: Graph) -> None:
+        super().__init__(address, _Handler)
+        # Handlers reach the graph through self.server.
+        self.graph = graph
+        self._wake_r, self._wake_w = socket.socketpair()
+
+    def serve_forever(self) -> None:
+        with selectors.DefaultSelector() as selector:
+            selector.register(self, selectors.EVENT_READ)
+            selector.register(self._wake_r, selectors.EVENT_READ)
+            while True:
+                ready = [key.fileobj for key, _ in selector.select()]
+                if self._wake_r in ready:
+                    return
+                self._handle_request_noblock()
+                self.service_actions()
+
+    def wake(self) -> None:
+        self._wake_w.send(b"\0")
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake_r.close()
+        self._wake_w.close()
+
+
 class EndpointServer:
     """A running endpoint; use as a context manager or call shutdown()."""
 
     def __init__(self, graph: Graph, port: int = 0, host: str = "127.0.0.1") -> None:
         self.graph = graph
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        # Handlers reach the graph through self.server.
-        self._httpd.graph = graph  # type: ignore[attr-defined]
+        self._httpd = _HttpServer((host, port), graph)
         self.host = host
         self.port = self._httpd.server_address[1]
         self.url = f"http://{host}:{self.port}/sparql"
@@ -112,16 +139,14 @@ class EndpointServer:
     def start(self) -> "EndpointServer":
         """Serve on a background thread; starting a started server does nothing."""
         if self._thread is None:
-            self._thread = threading.Thread(target=self._httpd.serve_forever,
-                                            args=(_POLL_INTERVAL,), daemon=True)
+            self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
             self._thread.start()
         return self
 
     def shutdown(self) -> None:
-        """Stop serving, if started, and close the listening socket."""
-        if self._thread is not None:
-            # Waiting for a serve loop that never ran would block forever.
-            self._httpd.shutdown()
+        """Stop serving, if serving, and close the listening socket."""
+        if self._thread is not None and self._thread.is_alive():
+            self._httpd.wake()
             self._thread.join(timeout=5)
         self._httpd.server_close()
 

@@ -87,7 +87,7 @@ class SelectQuery:
             raise SparqlError(
                 f"projected variable ?{missing[0]} does not occur in the pattern")
 
-    def with_page(self, limit: int, offset: int) -> "SelectQuery":
+    def with_page(self, limit: int | None, offset: int | None) -> "SelectQuery":
         return SelectQuery(self.variables, self.patterns, self.distinct,
                            self.values, limit, offset)
 

@@ -5,7 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
+from ..lru import Lru
 from ..namespaces import RDF_LANG_STRING, XSD_STRING
+
+# Paged queries whose sorted solutions one graph keeps for their next
+# OFFSET page (see rdf.bgp).
+MEMO_SIZE = 8
+
+_EMPTY: frozenset = frozenset()
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,7 +76,8 @@ class Graph:
     """A set of triples with (s), (p), (o), (s,p), (p,o) indexes.
 
     Mutation is only expected during load; concurrent readers are safe once
-    loading is done.
+    loading is done. ``memo`` holds the evaluator's sorted solutions of
+    paged queries; adding a triple clears it.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()) -> None:
@@ -79,6 +87,7 @@ class Graph:
         self._by_o: dict[Term, set[Triple]] = {}
         self._by_sp: dict[tuple[IriTerm, IriTerm], set[Triple]] = {}
         self._by_po: dict[tuple[IriTerm, Term], set[Triple]] = {}
+        self.memo = Lru(MEMO_SIZE)
         for t in triples:
             self.add(t)
 
@@ -91,6 +100,7 @@ class Graph:
         self._by_o.setdefault(t.object, set()).add(t)
         self._by_sp.setdefault((t.subject, t.predicate), set()).add(t)
         self._by_po.setdefault((t.predicate, t.object), set()).add(t)
+        self.memo.clear()
         return True
 
     def update(self, triples: Iterable[Triple]) -> None:
@@ -106,22 +116,31 @@ class Graph:
     def __contains__(self, t: Triple) -> bool:
         return t in self._triples
 
+    def _bucket(self, s: IriTerm | None, p: IriTerm | None,
+                o: Term | None) -> Iterable[Triple]:
+        """The smallest index bucket holding every triple that matches."""
+        if s is not None and p is not None:
+            return self._by_sp.get((s, p), _EMPTY)
+        if p is not None and o is not None:
+            return self._by_po.get((p, o), _EMPTY)
+        if s is not None:
+            return self._by_s.get(s, _EMPTY)
+        if p is not None:
+            return self._by_p.get(p, _EMPTY)
+        if o is not None:
+            return self._by_o.get(o, _EMPTY)
+        return self._triples
+
+    def bucket_size(self, s: IriTerm | None = None, p: IriTerm | None = None,
+                    o: Term | None = None) -> int:
+        """How many triples match() reads for these constants: an upper
+        bound on its matches, and what a join order can estimate cost by."""
+        return len(self._bucket(s, p, o))
+
     def match(self, s: IriTerm | None = None, p: IriTerm | None = None,
               o: Term | None = None) -> Iterator[Triple]:
         """Triples matching the given constants (None is a wildcard)."""
-        if s is not None and p is not None:
-            candidates = self._by_sp.get((s, p), set())
-        elif p is not None and o is not None:
-            candidates = self._by_po.get((p, o), set())
-        elif s is not None:
-            candidates = self._by_s.get(s, set())
-        elif p is not None:
-            candidates = self._by_p.get(p, set())
-        elif o is not None:
-            candidates = self._by_o.get(o, set())
-        else:
-            candidates = self._triples
-        for t in candidates:
+        for t in self._bucket(s, p, o):
             if s is not None and t.subject != s:
                 continue
             if p is not None and t.predicate != p:

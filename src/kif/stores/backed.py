@@ -22,7 +22,7 @@ import socket
 import threading
 import time
 import urllib.parse
-from collections import OrderedDict
+import weakref
 from contextlib import contextmanager
 from itertools import chain, islice
 from typing import Iterable, Iterator
@@ -30,6 +30,7 @@ from typing import Iterable, Iterator
 from .. import codec
 from .. import model as m
 from .. import namespaces as ns
+from ..lru import Lru
 from ..namespaces import WIKIDATA
 from ..rdf.bgp import match_bgp
 from ..rdf.ntriples import parse_ntriples
@@ -40,6 +41,7 @@ from .base import Store, StoreOptions, TransportError
 Row = dict[str, Term]
 
 _NODE_CHUNK = 50
+_PAGE_CACHE_SIZE = 1024
 
 # Wall time spent inside HTTP requests, accumulated into every registered
 # timer; the benchmark uses this to split API time from endpoint time.
@@ -96,6 +98,9 @@ class GraphBackend:
     def describe(self) -> str:
         return f"graph({len(self.graph)} triples)"
 
+    def close(self) -> None:
+        pass
+
 
 def _term_from_json(obj: dict) -> Term | None:
     kind = obj.get("type")
@@ -123,11 +128,21 @@ def decode_results_json(payload: dict) -> list[Row]:
     return rows
 
 
+def _close_all(conns: dict, lock: threading.Lock) -> None:
+    with lock:
+        for conn in conns.values():
+            conn.close()
+        conns.clear()
+
+
 class HttpBackend:
     """Sends queries to a SPARQL-protocol endpoint over HTTP POST.
 
     Connections are persistent (one keep-alive connection per thread), so a
-    paging store does not burn a TCP handshake per request.
+    paging store does not burn a TCP handshake per request. close() closes
+    every one of them, on whichever thread it was opened; so does garbage
+    collection of the backend. The connection of a thread that has ended is
+    closed when another thread opens one.
     """
 
     def __init__(self, url: str, timeout: float = 30.0) -> None:
@@ -143,6 +158,14 @@ class HttpBackend:
         if split.query:
             self._path += "?" + split.query
         self._local = threading.local()
+        self._open: dict[threading.Thread, http.client.HTTPConnection] = {}
+        self._open_lock = threading.Lock()
+        weakref.finalize(self, _close_all, self._open, self._open_lock)
+
+    def close(self) -> None:
+        """Close every connection; a later query opens a new one."""
+        self._local = threading.local()
+        _close_all(self._open, self._open_lock)
 
     def _connection(self) -> http.client.HTTPConnection:
         conn = getattr(self._local, "conn", None)
@@ -152,6 +175,10 @@ class HttpBackend:
             conn = factory(self._netloc, timeout=self.timeout)
             conn.connect()
             conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with self._open_lock:
+                for thread in [t for t in self._open if not t.is_alive()]:
+                    self._open.pop(thread).close()
+                self._open[threading.current_thread()] = conn
             self._local.conn = conn
         return conn
 
@@ -159,6 +186,8 @@ class HttpBackend:
         conn = getattr(self._local, "conn", None)
         if conn is not None:
             conn.close()
+            with self._open_lock:
+                self._open.pop(threading.current_thread(), None)
             self._local.conn = None
 
     def _round_trip(self, body: bytes) -> tuple[int, bytes]:
@@ -203,29 +232,6 @@ class HttpBackend:
         return self.url
 
 
-class _PageCache:
-    """Bounded LRU of query pages, internally synchronized."""
-
-    def __init__(self, maxsize: int = 1024) -> None:
-        self._data: OrderedDict[str, list[Row]] = OrderedDict()
-        self._maxsize = maxsize
-        self._lock = threading.Lock()
-
-    def get(self, key: str) -> list[Row] | None:
-        with self._lock:
-            if key not in self._data:
-                return None
-            self._data.move_to_end(key)
-            return self._data[key]
-
-    def put(self, key: str, rows: list[Row]) -> None:
-        with self._lock:
-            self._data[key] = rows
-            self._data.move_to_end(key)
-            while len(self._data) > self._maxsize:
-                self._data.popitem(last=False)
-
-
 class PagedStore(Store):
     """Store answered by SELECT queries against one backend, built from a
     Graph, an N-Triples file path, or an http(s) endpoint URL."""
@@ -239,24 +245,27 @@ class PagedStore(Store):
         else:
             with open(source, "r", encoding="utf-8") as fh:
                 self._backend = GraphBackend(parse_ntriples(fh))
-        self._cache = _PageCache()
+        self._cache = Lru(_PAGE_CACHE_SIZE)
 
     @property
     def request_count(self) -> int:
         return self._backend.request_count
 
+    def close(self) -> None:
+        self._backend.close()
+
     def select_all(self, query: SelectQuery) -> Iterator[Row]:
-        """All rows of *query*, fetched lazily in LIMIT/OFFSET pages."""
+        """All rows of *query*, fetched lazily in LIMIT/OFFSET pages; the
+        page cache is keyed by the paged query itself."""
         size = self.options.page_size
         offset = 0
         while True:
             paged = query.with_page(size, offset)
-            key = serialize_query(paged)
-            page = self._cache.get(key) if self.options.cache_enabled else None
+            page = self._cache.get(paged) if self.options.cache_enabled else None
             if page is None:
                 page = self._backend.select(paged)
                 if self.options.cache_enabled:
-                    self._cache.put(key, page)
+                    self._cache.put(paged, page)
             yield from page
             if len(page) < size:
                 return

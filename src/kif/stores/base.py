@@ -1,7 +1,9 @@
 """Store interface: the five query operations over a statement repository.
 
 A store handle may be shared across threads; every operation is safe to
-call concurrently, and each returned iterator is single-consumer.
+call concurrently, and each returned iterator is single-consumer. close()
+releases what the handle holds open, such as endpoint connections; a store
+is also a context manager that closes it on exit.
 
 Store.filter is the one place that enforces the filter contract, distinct
 statements and at most *limit* of them. A backend's _filter hook only
@@ -66,6 +68,15 @@ class Store:
 
     def __init__(self, options: StoreOptions | None = None) -> None:
         self.options = options or StoreOptions()
+
+    def close(self) -> None:
+        """Release connections and threads; nothing to release by default."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- public operations ---------------------------------------------------
 
