@@ -590,7 +590,8 @@ def _aux_patterns(fp: m.Fingerprint, var: Var) -> list[TriplePattern]:
 class FilterPlan:
     """One compiled query plus how to read its rows.
 
-    shape: 'full' rows carry statement nodes; 'novalue' rows carry
+    shape: 'full' rows carry statement nodes; 'node' rows carry links to
+    statement nodes whose value is not yet checked; 'novalue' rows carry
     no-value statement nodes; 'truthy' rows carry direct triples.
     """
 
@@ -665,17 +666,35 @@ def compile_truthy_plan(pattern: m.FilterPattern, object_term: Term | None = Non
 
 def compile_full_plan(pattern: m.FilterPattern, object_term: Term | None = None,
                       limit: int | None = None, offset: int | None = None) -> FilterPlan:
+    """Query for the statement nodes that may carry statements of *pattern*,
+    in one of three forms (S is the subject slot, V the value slot):
+
+    - property bound: ``S p:X ?w . ?w ps:X V``;
+    - property unbound, value constrained or subject a snak fingerprint:
+      ``S ?p ?w . ?w ?q V``, whose rows count only where ``?p`` and ``?q``
+      name the same property (that rejects a qualifier holding the value);
+    - property unbound, value unconstrained, subject absent or an entity:
+      ``S ?p ?w . ?w wikibase:rank ?r`` ('node' shape). Every statement node
+      carries one rank, so this is one row per link to a statement node;
+      the reader checks that the node has a value of the link's property.
+    """
     patterns: list[TriplePattern] = []
     s_const, s_var = _subject_slot(pattern, patterns)
-    o_const, o_var = _value_slot(pattern, patterns, object_term)
     plocal = _property_local_of(pattern)
     wvar = Var("w")
     link = IriTerm(ns.P + plocal) if plocal else Var("p")
+    p_var = None if plocal else Var("p")
+    if (plocal is None and object_term is None and pattern.value is None
+            and (pattern.subject is None or isinstance(pattern.subject, m.EntityFp))):
+        patterns += [TriplePattern(s_const or s_var, link, wvar),
+                     TriplePattern(wvar, IriTerm(ns.WIKIBASE_RANK), Var("r"))]
+        query = _finish(patterns, [s_var, p_var, wvar], s_const, limit, offset)
+        return FilterPlan("node", query, s_const, plocal)
+    o_const, o_var = _value_slot(pattern, patterns, object_term)
     value_pred = IriTerm(ns.PS + plocal) if plocal else Var("q")
     patterns.insert(0, TriplePattern(wvar, value_pred,
                                      o_const if o_const is not None else o_var))
     patterns.insert(0, TriplePattern(s_const or s_var, link, wvar))
-    p_var = None if plocal else Var("p")
     q_var = None if plocal else Var("q")
     query = _finish(patterns, [s_var, p_var, wvar, q_var, o_var], s_const, limit, offset)
     return FilterPlan("full", query, s_const, plocal, o_const)

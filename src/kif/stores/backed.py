@@ -317,10 +317,12 @@ class QueryBackedStore(PagedStore):
             plocal = plan.property_local
             if plocal is None:
                 # The link and the value (or no-value marker) predicates must
-                # name the same property.
+                # name the same property; a 'node' row has no value predicate,
+                # and _reified checks the value on the fetched node.
                 plocal = _local(row.get("p"), "p")
                 other = (_local(row.get("n"), "wdno") if plan.shape == "novalue"
-                         else _local(row.get("q"), "ps"))
+                         else _local(row.get("q"), "ps") if plan.shape == "full"
+                         else plocal)
                 if not plocal or plocal != other:
                     continue
             key = (subject.value, wds.value, plocal)
@@ -357,10 +359,15 @@ class QueryBackedStore(PagedStore):
             node_graph = self._fetch_statement_context(
                 [wds for _, wds, _ in batch], deep_only=True)
             for subject, wds, plocal in batch:
+                objects = node_graph.objects(wds, IriTerm(ns.PS + plocal))
+                if not objects:
+                    # No value of the link's property: a no-value statement,
+                    # which only the _no_value stage yields, or a dangling link.
+                    continue
                 snak = codec.assemble_main_snak(node_graph, wds, plocal, diagnostics)
                 if snak is None:
                     continue
-                for obj in node_graph.objects(wds, IriTerm(ns.PS + plocal)):
+                for obj in objects:
                     covered.add(_claim_key(subject, plocal, obj))
                 yield m.Statement(codec.entity_from_iri(subject.value), snak)
 

@@ -9,6 +9,8 @@ import pytest
 
 from kif import codec
 from kif import model as m
+from kif import namespaces as ns
+from kif.namespaces import WIKIDATA
 from kif.rdf.bgp import match_bgp
 from kif.rdf.server import serve
 from kif.rdf.sparql import SelectQuery, TriplePattern, Var
@@ -222,10 +224,10 @@ def test_a_paged_wildcard_filter_evaluates_each_join_once(monkeypatch):
     store = RdfStore(graph, StoreOptions(page_size=7, cache_enabled=False))
     counter = _ScanCounter(monkeypatch)
     statements = set(store.filter())
-    # The two queries that start from every triple, the candidate join
-    # ?s ?p ?w . ?w ?q ?v and the truthy ?s ?p ?v, each ran once although
-    # the store read them in many pages.
-    assert counter.whole_graph_scans == 2
+    # The one query that starts from every triple, the truthy ?s ?p ?v, ran
+    # once although the store read it in many pages; the candidate join
+    # ?s ?p ?w . ?w wikibase:rank ?r starts from the rank triples.
+    assert counter.whole_graph_scans == 1
     assert store.request_count > 20
     assert statements == set(MemoryStore(pairs, descriptors).filter())
 
@@ -237,3 +239,26 @@ def test_memo_entries_go_once_their_last_page_is_served(size):
     for _ in _pages(graph, query, size):
         pass
     assert len(graph.memo) == 0
+
+
+def test_the_property_unbound_candidate_query_reads_one_row_per_statement_link(monkeypatch):
+    _, _, graph = _model_graph(7, 400)
+    rank = IriTerm(ns.WIKIBASE_RANK)
+    links = {(t.subject, t.predicate, t.object) for t in graph
+             if isinstance(t.object, IriTerm) and graph.objects(t.object, rank)}
+    assert len(links) > 300
+    assert all(WIKIDATA.local(p.value, "p") for _, p, _ in links)
+    subjects = sorted({s for s, _, _ in links}, key=lambda t: t.value)
+    patterns = [m.FilterPattern()] + [m.FilterPattern(subject=m.EntityFp(m.Item(s.value)))
+                                      for s in subjects]
+    counter = _ScanCounter(monkeypatch)
+    for pattern in patterns:
+        plan = codec.compile_full_plan(pattern)
+        before = counter.triples
+        rows = match_bgp(graph, plan.query)
+        got = [(plan.subject_term or row["s"], row["p"], row["w"]) for row in rows]
+        expected = {link for link in links
+                    if plan.subject_term in (None, link[0])}
+        assert len(got) == len(set(got)) and set(got) == expected, pattern
+        # A rank bucket or a subject bucket, then one index probe per row.
+        assert counter.triples - before <= 3 * len(rows), pattern

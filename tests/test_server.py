@@ -58,6 +58,7 @@ def test_star_projection_is_rejected_with_400(endpoint):
         _get(endpoint, "SELECT * WHERE {}")
     assert err.value.code == 400
     assert "star projection" in err.value.read().decode()
+    err.value.close()
 
 
 def test_limit_is_applied(endpoint):
@@ -70,15 +71,18 @@ def test_malformed_query_and_missing_parameter(endpoint):
     with pytest.raises(urllib.error.HTTPError) as err:
         _get(endpoint, "SELECT WHERE {")
     assert err.value.code == 400
+    err.value.close()
     with pytest.raises(urllib.error.HTTPError) as err:
         urllib.request.urlopen(endpoint.url, timeout=10)
     assert err.value.code == 400
+    err.value.close()
 
 
 def test_unsupported_content_type_is_rejected(endpoint):
     with pytest.raises(urllib.error.HTTPError) as err:
         _post(endpoint, b"query=x", "application/x-www-form-urlencoded")
     assert err.value.code == 400
+    err.value.close()
 
 
 def test_unsupported_feature_is_rejected_with_diagnostic(endpoint):
@@ -86,6 +90,7 @@ def test_unsupported_feature_is_rejected_with_diagnostic(endpoint):
         _get(endpoint, "SELECT ?s WHERE { OPTIONAL { ?s ?p ?o } }")
     assert err.value.code == 400
     assert "OPTIONAL" in err.value.read().decode()
+    err.value.close()
 
 
 def test_responses_round_trip_through_the_results_decoder(endpoint):

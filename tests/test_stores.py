@@ -356,3 +356,54 @@ def test_statements_sharing_a_simple_value_stay_distinct():
         annotations = dict(store.get_annotations([pf.solubility_statement, shallow]))
         assert annotations[pf.solubility_statement] == frozenset({ann_deep})
         assert annotations[shallow] == frozenset({ann_shallow})
+
+
+# ---------------------------------------------------------------------------
+# statement-node candidates
+# ---------------------------------------------------------------------------
+
+def test_no_value_nodes_and_dangling_links_are_not_read_as_values():
+    from kif import namespaces as ns
+    from kif.rdf.terms import IriTerm, Literal, Triple
+
+    q1, q2 = m.Item(WD + "Q1"), m.Item(WD + "Q2")
+    p1, p2, p3 = (m.Property(WD + f"P{i}") for i in (1, 2, 3))
+    no_value = m.Statement(q1, m.NoValueSnak(p1))
+    truthy_only = m.Statement(q1, m.ValueSnak(p3, m.StringValue("bare")))
+    pairs = [(m.Statement(q1, m.ValueSnak(p2, q2)), m.AnnotationRecord()),
+             (no_value, m.AnnotationRecord()),
+             (m.Statement(q2, m.ValueSnak(p1, m.StringValue("x"))),
+              m.AnnotationRecord(rank=m.Rank.PREFERRED))]
+    graph = codec.encode_dataset(pairs)
+    # A link to a ranked node without a value, and a claim without a node.
+    dangling = IriTerm(ns.WDS + "dangling")
+    graph.update([Triple(IriTerm(q1.iri.value), IriTerm(ns.P + "P1"), dangling),
+                  Triple(dangling, IriTerm(ns.WIKIBASE_RANK),
+                         IriTerm(ns.WIKIBASE_NORMAL_RANK)),
+                  Triple(IriTerm(q1.iri.value), IriTerm(ns.WDT + "P3"), Literal("bare"))])
+    memory = MemoryStore(pairs + [(truthy_only, m.AnnotationRecord())])
+    options = StoreOptions(page_size=2)
+    with serve(graph) as server, SparqlStore(server.url, options) as sparql:
+        for store in (RdfStore(graph, options), sparql):
+            for pattern in (m.FilterPattern(), m.FilterPattern(m.EntityFp(q1))):
+                got = list(store.filter(pattern))
+                assert set(got) == set(memory.filter(pattern)), (store, pattern)
+                # Reified, then truthy-only, then no-value statements.
+                assert got.count(no_value) == 1 and got[-1] == no_value
+                assert got[-2] == truthy_only
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_limited_scans_are_prefixes_of_the_full_scan(seed):
+    pairs, descriptors = ModelGen(seed).dataset(60)
+    graph = codec.encode_dataset(pairs, descriptors)
+    subjects = [stmt.subject for stmt, _ in pairs]
+    subject = m.EntityFp(max(subjects, key=subjects.count))
+    options = StoreOptions(page_size=4, cache_enabled=False)
+    with serve(graph) as server, SparqlStore(server.url, options) as sparql:
+        for store in (RdfStore(graph, options), sparql):
+            for pattern in (m.FilterPattern(), m.FilterPattern(subject)):
+                full = list(store.filter(pattern))
+                assert len(full) > 5
+                for k in (1, 5, 30):
+                    assert list(store.filter(pattern, limit=k)) == full[:k]
