@@ -716,25 +716,6 @@ def compile_novalue_plan(pattern: m.FilterPattern,
     return FilterPlan("novalue", query, s_const, plocal)
 
 
-def statement_resolution_plan(stmt: m.Statement) -> FilterPlan:
-    """Query resolving the statement nodes that carry *stmt* (protocol step 1)."""
-    local = property_local(stmt.snak.property)
-    subj = IriTerm(stmt.subject.iri.value)
-    wvar = Var("w")
-    patterns = [TriplePattern(subj, IriTerm(ns.P + local), wvar)]
-    if isinstance(stmt.snak, m.ValueSnak):
-        patterns.append(TriplePattern(wvar, IriTerm(ns.PS + local),
-                                      m.simple_value(stmt.snak.value)))
-    elif isinstance(stmt.snak, m.SomeValueSnak):
-        patterns.append(TriplePattern(wvar, IriTerm(ns.PS + local),
-                                      statement_genid(stmt)))
-    else:
-        patterns.append(TriplePattern(wvar, IriTerm(ns.RDF_TYPE),
-                                      IriTerm(ns.WDNO + local)))
-    query = SelectQuery(("w",), tuple(patterns))
-    return FilterPlan("resolve", query, subj, local)
-
-
 def node_fetch_query(nodes: Iterable[IriTerm]) -> SelectQuery:
     """Fetch all triples of the given nodes in one query via VALUES."""
     terms = tuple(sorted(nodes, key=term_key))

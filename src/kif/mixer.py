@@ -93,12 +93,7 @@ class MixerStore(Store):
                 yield from result
 
     def _contains(self, stmt: m.Statement) -> bool:
-        if self.parallel:
-            return any(ok for ok in self._child_results(lambda c: c.contains(stmt)))
-        for i in range(len(self.children)):
-            if self._guarded(lambda c: c.contains(stmt), i):
-                return True
-        return False
+        return any(self._child_results(lambda c: c.contains(stmt)))
 
     def _annotations(self, stmts):
         all_results = list(self._child_results(

@@ -28,34 +28,29 @@ _BNODE_RE = re.compile(r"_:([A-Za-z0-9][A-Za-z0-9._-]*)")
 _STRING_RE = re.compile(r'"((?:[^"\\\n\r]|\\.)*)"')
 _LANG_RE = re.compile(r"@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)")
 
-_UNESC = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
+_ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
           '"': '"', "'": "'", "\\": "\\"}
+# ECHAR, UCHAR4, UCHAR8, and anything else after a backslash (an error).
+_ESCAPE_RE = re.compile(
+    r"\\(?:([tbnrf\"'\\])|u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(u.{0,4}|U.{0,8}|.?))",
+    re.DOTALL)
 
 
-def _unescape(s: str, line: int) -> str:
-    out = []
-    i, n = 0, len(s)
-    while i < n:
-        c = s[i]
-        if c != "\\":
-            out.append(c)
-            i += 1
-            continue
-        if i + 1 >= n:
-            raise NTriplesError("dangling escape", line)
-        e = s[i + 1]
-        if e in _UNESC:
-            out.append(_UNESC[e])
-            i += 2
-        elif e == "u":
-            out.append(chr(int(s[i + 2:i + 6], 16)))
-            i += 6
-        elif e == "U":
-            out.append(chr(int(s[i + 2:i + 10], 16)))
-            i += 10
-        else:
-            raise NTriplesError(f"unknown escape \\{e}", line)
-    return "".join(out)
+def _unescape_one(m: re.Match) -> str:
+    echar, uchar4, uchar8, bad = m.groups()
+    if echar:
+        return _ECHAR[echar]
+    if bad is None:
+        code = int(uchar4 or uchar8, 16)
+        if code < 0x110000:
+            return chr(code)
+    raise ValueError(f"invalid escape {m.group(0)!r}")
+
+
+def unescape(text: str) -> str:
+    """Decode the ECHAR and UCHAR escapes that N-Triples and SPARQL string
+    literals share; raises ValueError naming an invalid escape."""
+    return _ESCAPE_RE.sub(_unescape_one, text)
 
 
 class _LineParser:
@@ -76,7 +71,7 @@ class _LineParser:
         m = _IRI_RE.match(self.text, self.pos)
         if m:
             self.pos = m.end()
-            iri = _unescape(m.group(1), self.line_no)
+            iri = m.group(1)
             if not iri or ":" not in iri:
                 raise self.fail(f"invalid IRI <{iri}>")
             return IriTerm(iri)
@@ -93,14 +88,17 @@ class _LineParser:
         if not m:
             raise self.fail("unterminated literal")
         self.pos = m.end()
-        lexical = _unescape(m.group(1), self.line_no)
+        try:
+            lexical = unescape(m.group(1))
+        except ValueError as e:
+            raise self.fail(str(e)) from None
         if self.text[self.pos:self.pos + 2] == "^^":
             self.pos += 2
             dt = _IRI_RE.match(self.text, self.pos)
             if not dt:
                 raise self.fail("expected datatype IRI after ^^")
             self.pos = dt.end()
-            return Literal(lexical, _unescape(dt.group(1), self.line_no))
+            return Literal(lexical, dt.group(1))
         lang = _LANG_RE.match(self.text, self.pos)
         if lang:
             self.pos = lang.end()
@@ -140,24 +138,13 @@ def parse_ntriples(source: str | IO[str]) -> Graph:
     return graph
 
 
+_ESCAPE_TABLE = str.maketrans({
+    **{chr(c): f"\\u{c:04X}" for c in range(0x20)},
+    "\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
+
+
 def _escape(s: str) -> str:
-    out = []
-    for c in s:
-        if c == "\\":
-            out.append("\\\\")
-        elif c == '"':
-            out.append('\\"')
-        elif c == "\n":
-            out.append("\\n")
-        elif c == "\r":
-            out.append("\\r")
-        elif c == "\t":
-            out.append("\\t")
-        elif ord(c) < 0x20:
-            out.append(f"\\u{ord(c):04X}")
-        else:
-            out.append(c)
-    return "".join(out)
+    return s.translate(_ESCAPE_TABLE)
 
 
 def write_term(t: Term) -> str:

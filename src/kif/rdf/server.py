@@ -88,8 +88,20 @@ class _Handler(BaseHTTPRequestHandler):
             self._bad_request(f"unsupported content type {ctype!r}; "
                               "use application/sparql-query")
             return
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length).decode("utf-8")
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+            if length < 0:
+                raise ValueError
+        except ValueError:
+            # The body's end is unknown, so the connection cannot be reused.
+            self.close_connection = True
+            self._bad_request("invalid Content-Length")
+            return
+        try:
+            body = self.rfile.read(length).decode("utf-8")
+        except UnicodeDecodeError as e:
+            self._bad_request(f"query is not UTF-8: {e}")
+            return
         self._answer(body)
 
 

@@ -2,7 +2,9 @@
 
 This is exactly the query shape the codec generates; anything outside it is
 rejected loudly rather than mis-evaluated. Prefixed names resolve against
-the built-in namespace table.
+the built-in namespace table. String literals use the N-Triples escapes
+(``ntriples.unescape``); an invalid one raises SparqlError at the
+literal's offset.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from ..namespaces import WIKIDATA, XSD_DECIMAL, XSD_INTEGER, NamespaceError
-from .ntriples import write_term
+from .ntriples import unescape, write_term
 from .terms import IriTerm, Literal, Term
 
 
@@ -135,9 +137,6 @@ _TOKEN_RE = re.compile(r"""
   | (?P<name>[A-Za-z_][A-Za-z0-9_-]*(?::[A-Za-z0-9_.-]*)?)
 """, re.VERBOSE)
 
-_STR_UNESC = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\", "'": "'"}
-
-
 @dataclass(frozen=True)
 class _Tok:
     kind: str
@@ -207,25 +206,10 @@ class _QueryParser:
         raise SparqlError(f"expected an IRI, got {t.text!r}", t.pos)
 
     def _string_literal(self, t: _Tok) -> Literal:
-        raw = t.text[1:-1]
-        out = []
-        i = 0
-        while i < len(raw):
-            c = raw[i]
-            if c == "\\" and i + 1 < len(raw):
-                e = raw[i + 1]
-                if e in _STR_UNESC:
-                    out.append(_STR_UNESC[e])
-                    i += 2
-                    continue
-                if e == "u":
-                    out.append(chr(int(raw[i + 2:i + 6], 16)))
-                    i += 6
-                    continue
-                raise SparqlError(f"unknown escape \\{e} in literal", t.pos)
-            out.append(c)
-            i += 1
-        lexical = "".join(out)
+        try:
+            lexical = unescape(t.text[1:-1])
+        except ValueError as e:
+            raise SparqlError(f"{e} in literal", t.pos) from None
         nxt = self._peek()
         if nxt.kind == "punct" and nxt.text == "^^":
             self._next()

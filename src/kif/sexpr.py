@@ -43,7 +43,6 @@ class SexprToken:
 
 _DELIMS = set(' \t\r\n()"')
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
-_UNESCAPES = {"\n": "\\n", "\t": "\\t", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
 
 
 def tokenize(text: str) -> Iterator[SexprToken]:
@@ -557,16 +556,13 @@ def _parse_top(parser: _Parser) -> object:
 # Printing
 # ---------------------------------------------------------------------------
 
+_ESCAPE_TABLE = str.maketrans({
+    **{chr(c): f"\\u{c:04x}" for c in range(0x20)},
+    **{c: "\\" + e for e, c in _ESCAPES.items()}})
+
+
 def _escape(s: str) -> str:
-    out = []
-    for c in s:
-        if c in _UNESCAPES:
-            out.append(_UNESCAPES[c])
-        elif ord(c) < 0x20:
-            out.append(f"\\u{ord(c):04x}")
-        else:
-            out.append(c)
-    return '"' + "".join(out) + '"'
+    return '"' + s.translate(_ESCAPE_TABLE) + '"'
 
 
 _COMPACT_LOCAL_OK = frozenset(

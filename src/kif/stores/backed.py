@@ -393,18 +393,22 @@ class QueryBackedStore(PagedStore):
 
     # -- contains -------------------------------------------------------------------
 
-    def _contains(self, stmt: m.Statement) -> bool:
-        kind = m.snak_kind(stmt.snak)
+    @staticmethod
+    def _probe(stmt: m.Statement) -> tuple[m.FilterPattern, Term | None]:
+        """The filter pattern and object term that find *stmt*'s claims."""
         pattern = m.FilterPattern(
             subject=m.EntityFp(stmt.subject),
             property=m.EntityFp(stmt.snak.property),
-            snak_kinds=frozenset({kind}))
+            snak_kinds=frozenset({m.snak_kind(stmt.snak)}))
         object_term: Term | None = None
         if isinstance(stmt.snak, m.ValueSnak):
             object_term = m.simple_value(stmt.snak.value)
         elif isinstance(stmt.snak, m.SomeValueSnak):
             object_term = codec.statement_genid(stmt)
-        return any(s == stmt for s in self._candidates(pattern, object_term))
+        return pattern, object_term
+
+    def _contains(self, stmt: m.Statement) -> bool:
+        return any(s == stmt for s in self._candidates(*self._probe(stmt)))
 
     # -- annotations -------------------------------------------------------------
 
@@ -413,15 +417,12 @@ class QueryBackedStore(PagedStore):
             yield stmt, self._annotations_of(stmt)
 
     def _annotations_of(self, stmt: m.Statement) -> frozenset[m.AnnotationRecord]:
-        plan = codec.statement_resolution_plan(stmt)
-        wds_nodes = []
-        for row in self.select_all(plan.query):
-            w = row.get("w")
-            if isinstance(w, IriTerm):
-                wds_nodes.append(w)
+        pattern, object_term = self._probe(stmt)
+        plan = (codec.compile_novalue_plan(pattern) if object_term is None
+                else codec.compile_full_plan(pattern, object_term))
+        wds_nodes = sorted({wds for _, wds, _ in self._full_candidates(plan)}, key=term_key)
         if not wds_nodes:
             return frozenset()
-        wds_nodes = sorted(set(wds_nodes), key=term_key)
         node_graph = self._fetch_statement_context(wds_nodes, deep_only=False)
         diagnostics: list[str] = []
         records = set()

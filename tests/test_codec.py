@@ -5,6 +5,7 @@ from kif import model as m
 from kif import namespaces as ns
 from kif.rdf.sparql import serialize_query
 from kif.rdf.terms import Graph, IriTerm, Literal, Triple
+from kif.stores import RdfStore
 
 import paper_fixtures as pf
 from randgen import WD, ModelGen
@@ -249,11 +250,14 @@ def test_compile_filter_full_level_targets_statement_nodes():
     assert ns.P + "P2177" in text and ns.PS + "P2177" in text and "?w" in text
 
 
-def test_compile_annotations_resolves_statement_nodes():
-    queries = [codec.statement_resolution_plan(s).query
-               for s in (pf.solubility_statement, pf.mass_statement)]
-    assert len(queries) == 2
-    text = serialize_query(queries[0])
+def test_compile_annotations_resolves_statement_nodes(monkeypatch):
+    store = RdfStore(codec.encode_dataset(pf.wikidata_pairs()))
+    sent = []
+    select = store._backend.select
+    monkeypatch.setattr(store._backend, "select",
+                        lambda q: sent.append(q) or select(q))
+    list(store.get_annotations([pf.solubility_statement, pf.mass_statement]))
+    text = serialize_query(sent[0])
     assert ns.P + "P2177" in text and ns.PS + "P2177" in text
     assert '"0.07"' in text
 

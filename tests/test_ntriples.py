@@ -88,3 +88,22 @@ def test_errors_carry_line_numbers():
         parse_ntriples('<http://x.org/s> <http://x.org/p> "unterminated .')
     with pytest.raises(NTriplesError):
         parse_ntriples("<relative> <http://x.org/p> <http://x.org/o> .")
+
+
+@pytest.mark.parametrize("literal", [r'"a\u00"', r'"\uZZZZ"'])
+def test_invalid_escapes_raise_with_the_line(literal):
+    text = ('<http://x.org/s> <http://x.org/p> "ok" .\n'
+            f'<http://x.org/s> <http://x.org/p> {literal} .')
+    with pytest.raises(NTriplesError) as err:
+        parse_ntriples(text)
+    assert err.value.line == 2
+    assert "invalid escape" in str(err.value)
+
+
+def test_every_ascii_and_a_non_bmp_character_round_trip():
+    text = "".join(map(chr, range(0x80))) + "\U0001F600"
+    g = Graph([Triple(IriTerm("http://x.org/s"), IriTerm("http://x.org/p"),
+                      Literal(text))])
+    written = serialize_ntriples(g)
+    assert "\\u001F" in written and "\\t" in written
+    assert set(parse_ntriples(written)) == set(g)

@@ -1,3 +1,4 @@
+import http.client
 import json
 import threading
 import urllib.error
@@ -91,6 +92,45 @@ def test_unsupported_feature_is_rejected_with_diagnostic(endpoint):
     assert err.value.code == 400
     assert "OPTIONAL" in err.value.read().decode()
     err.value.close()
+
+
+def _raw_post(conn: http.client.HTTPConnection, path: str, body: bytes,
+              length: str | None = None) -> tuple[int, str]:
+    conn.putrequest("POST", path)
+    conn.putheader("Content-Type", "application/sparql-query")
+    conn.putheader("Content-Length", str(len(body)) if length is None else length)
+    conn.endheaders(body)
+    with conn.getresponse() as resp:
+        return resp.status, resp.read().decode()
+
+
+def test_bad_query_text_answers_400_and_keeps_the_connection(endpoint):
+    parts = urllib.parse.urlsplit(endpoint.url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+    try:
+        bad_escape = 'SELECT ?s WHERE { ?s ?p "a\\uZZZZ" }'.encode()
+        status, text = _raw_post(conn, parts.path, bad_escape)
+        assert status == 400 and "invalid escape" in text
+        sock = conn.sock
+        status, text = _raw_post(conn, parts.path, b'SELECT ?s WHERE { ?s ?p "\xff" }')
+        assert status == 400 and "UTF-8" in text
+        status, _ = _raw_post(conn, parts.path,
+                              b"SELECT ?x WHERE { ?x wdt:P166 wd:Q38104 }")
+        assert status == 200
+        assert conn.sock is sock
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("length", ["abc", "-1"])
+def test_invalid_content_length_answers_400(endpoint, length):
+    parts = urllib.parse.urlsplit(endpoint.url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+    try:
+        status, text = _raw_post(conn, parts.path, b"", length)
+        assert status == 400 and "Content-Length" in text
+    finally:
+        conn.close()
 
 
 def test_responses_round_trip_through_the_results_decoder(endpoint):

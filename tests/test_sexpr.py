@@ -133,6 +133,14 @@ def test_string_escapes_round_trip():
     assert sexpr.parse(text) == tricky
 
 
+def test_every_ascii_and_a_non_bmp_character_round_trip():
+    value = m.StringValue("".join(map(chr, range(0x80))) + "\U0001F600")
+    text = sexpr.dumps(value)
+    # Statement-node IRIs hash this text, so its escapes must not change.
+    assert "\\u001f" in text and "\\t" in text
+    assert sexpr.parse(text) == value
+
+
 # ---------------------------------------------------------------------------
 # Errors and positions
 # ---------------------------------------------------------------------------

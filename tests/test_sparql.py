@@ -104,6 +104,20 @@ def test_rejections_name_the_construct_with_position():
         assert needle in str(err.value), text
 
 
+def test_string_literals_decode_every_n_triples_escape():
+    q = parse_query(r"""SELECT ?s WHERE { ?s ?p "\b\f\'\U0001F600" }""")
+    assert q.patterns[0].object == Literal("\b\f'\U0001F600")
+
+
+@pytest.mark.parametrize("literal", [r'"a\uZZZZ"', r'"\q"'])
+def test_invalid_escapes_raise_at_the_literal(literal):
+    text = f"SELECT ?s WHERE {{ ?s ?p {literal} }}"
+    with pytest.raises(SparqlError) as err:
+        parse_query(text)
+    assert err.value.pos == text.index(literal)
+    assert "invalid escape" in str(err.value)
+
+
 def test_builtin_prefixes_and_bare_numbers():
     q = parse_query('SELECT ?s WHERE { ?s wdt:P2067 78.11 . ?s a wd:Q5 }')
     assert q.patterns[0].object == Literal("78.11", XSD_DECIMAL)
