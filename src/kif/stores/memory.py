@@ -1,12 +1,20 @@
 """In-memory store over native statements; the reference backend.
 
-Everything is answered by direct scans over the loaded pairs, which makes
-this store the oracle the query-compiling backends are tested against.
+The store keeps its statements in canonical order and two indexes built
+in the same pass: subject -> positions, and (property, simple value) ->
+the subjects that own that claim through a non-deprecated record. A
+filter with an entity subject reads that subject's positions; one with a
+fingerprint subject reads the positions of the subjects its snaks share.
+Any other pattern, such as a wildcard, a property-only or a value-only
+one, scans every statement. The indexes only prune: _matches is the one
+check every candidate passes, and the full scan stays as the oracle the
+indexes are tested against. This store is in turn the oracle the
+query-compiling backends are tested against.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .. import model as m
 from ..rdf.terms import term_key
@@ -20,33 +28,31 @@ class MemoryStore(Store):
                  descriptors: Mapping[m.Entity, m.Descriptor] | None = None,
                  options: StoreOptions | None = None) -> None:
         super().__init__(options)
-        self._pairs: list[Pair] = []
+        self._descriptor_map = dict(descriptors or {})
+        self._annotations_by_stmt: dict[m.Statement, set[m.AnnotationRecord]] = {}
         for stmt, ann in pairs:
             if not isinstance(stmt, m.Statement) or not isinstance(ann, m.AnnotationRecord):
                 raise m.ModelError(f"expected (Statement, AnnotationRecord), got {(stmt, ann)!r}")
-            self._pairs.append((stmt, ann))
-        self._descriptor_map = dict(descriptors or {})
-        self._annotations_by_stmt: dict[m.Statement, set[m.AnnotationRecord]] = {}
-        for stmt, ann in self._pairs:
             self._annotations_by_stmt.setdefault(stmt, set()).add(ann)
-        self._statements = sorted(self._annotations_by_stmt, key=m.canonical_key)
-        # Truthy-visible claims: (subject, property, simple value) of value
-        # snaks carried by at least one non-deprecated record. Fingerprints
-        # resolve against this set, mirroring direct-property semantics.
-        self._visible: set[tuple] = set()
-        for stmt, anns in self._annotations_by_stmt.items():
+        ordered = sorted(self._annotations_by_stmt.items(),
+                         key=lambda item: m.canonical_key(item[0]))
+        self._statements = [stmt for stmt, _ in ordered]
+        self._by_subject: dict[m.Entity, list[int]] = {}
+        # Truthy-visible claims: the subjects of value snaks carried by at
+        # least one non-deprecated record, by (property, simple value).
+        # _matches resolves fingerprints against this map, mirroring
+        # direct-property semantics.
+        self._owners: dict[tuple, set[m.Entity]] = {}
+        for i, (stmt, anns) in enumerate(ordered):
+            self._by_subject.setdefault(stmt.subject, []).append(i)
             if isinstance(stmt.snak, m.ValueSnak) and any(
                     a.rank is not m.Rank.DEPRECATED for a in anns):
-                self._visible.add(self._claim_key(stmt.subject, stmt.snak))
+                self._owners.setdefault(self._snak_key(stmt.snak), set()).add(stmt.subject)
 
     @staticmethod
-    def _claim_key(entity: m.Entity, snak: m.ValueSnak) -> tuple:
-        return (m.canonical_key(entity), m.canonical_key(snak.property),
+    def _snak_key(snak: m.ValueSnak) -> tuple:
+        return (m.canonical_key(snak.property),
                 term_key(m.simple_value(snak.value)))
-
-    @property
-    def pairs(self) -> list[Pair]:
-        return list(self._pairs)
 
     # -- pattern matching -----------------------------------------------------
 
@@ -58,7 +64,7 @@ class MemoryStore(Store):
         snaks = (fp.snak,) if isinstance(fp, m.SnakFp) else fp.snaks
         return all(
             isinstance(s, m.ValueSnak)
-            and self._claim_key(entity, s) in self._visible
+            and entity in self._owners.get(self._snak_key(s), ())
             for s in snaks)
 
     def _matches(self, pattern: m.FilterPattern, stmt: m.Statement) -> bool:
@@ -84,13 +90,39 @@ class MemoryStore(Store):
                     return False
         return True
 
+    def _scan(self, pattern: m.FilterPattern) -> Iterator[m.Statement]:
+        """Every matching statement, by testing each one: the oracle of
+        the indexed path."""
+        return (stmt for stmt in self._statements if self._matches(pattern, stmt))
+
+    # -- indexes ----------------------------------------------------------------
+
+    def _owned_positions(self, fp: m.SnakFp | m.SnakSetFp) -> list[int]:
+        """Positions of the statements of every subject that owns all the
+        fingerprint's snaks, in canonical order."""
+        snaks = (fp.snak,) if isinstance(fp, m.SnakFp) else fp.snaks
+        owners = set.intersection(
+            *(self._owners.get(self._snak_key(s), set()) for s in snaks))
+        return sorted(i for owner in owners for i in self._by_subject[owner])
+
+    def _candidates(self, pattern: m.FilterPattern) -> Sequence[int] | None:
+        """The positions of the statements the pattern's subject allows,
+        or None when it has no subject."""
+        if isinstance(pattern.subject, m.EntityFp):
+            return self._by_subject.get(pattern.subject.entity, ())
+        if pattern.subject is not None:
+            return self._owned_positions(pattern.subject)
+        return None
+
     # -- store hooks ------------------------------------------------------------
 
     def _filter(self, pattern: m.FilterPattern,
                 limit: int | None) -> Iterator[m.Statement]:
-        for stmt in self._statements:
-            if self._matches(pattern, stmt):
-                yield stmt
+        positions = self._candidates(pattern)
+        if positions is None:
+            return self._scan(pattern)
+        return (stmt for stmt in map(self._statements.__getitem__, positions)
+                if self._matches(pattern, stmt))
 
     def _contains(self, stmt: m.Statement) -> bool:
         return stmt in self._annotations_by_stmt
