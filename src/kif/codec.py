@@ -549,7 +549,7 @@ def decode(g: Graph) -> DecodeResult:
 
     texts: dict[str, dict[str, list[m.TextValue]]] = {}
     for t in g:
-        which = _DESCRIPTOR_KINDS.get(t.predicate.value)
+        which = DESCRIPTOR_KINDS.get(t.predicate.value)
         if which is None or not isinstance(t.object, Literal):
             continue
         text = m.TextValue(t.object.lexical, t.object.language or "en")
@@ -593,6 +593,9 @@ class FilterPlan:
     shape: 'full' rows carry statement nodes; 'node' rows carry links to
     statement nodes whose value is not yet checked; 'novalue' rows carry
     no-value statement nodes; 'truthy' rows carry direct triples.
+
+    folded: the rows also carry the triples of their statement nodes, one
+    per row, as ``?w ?q ?o``.
     """
 
     shape: str
@@ -600,6 +603,7 @@ class FilterPlan:
     subject_term: IriTerm | None
     property_local: str | None
     object_term: Term | None = None
+    folded: bool = False
 
 
 def _subject_slot(pattern: m.FilterPattern, patterns: list):
@@ -640,11 +644,11 @@ def _finish(patterns: list[TriplePattern], projected: list[Var],
         if var is not None and var.name not in seen:
             names.append(var.name)
             seen.add(var.name)
-    values = None
+    values = ()
     if not names:
         # All slots constant: bind the subject through VALUES so the
         # projection is non-empty and the row count signals presence.
-        values = ValuesBlock("s", (subject_const,))
+        values = (ValuesBlock("s", (subject_const,)),)
         names = ["s"]
     return SelectQuery(tuple(names), tuple(patterns), distinct=False,
                        values=values, limit=limit, offset=offset)
@@ -677,27 +681,44 @@ def compile_full_plan(pattern: m.FilterPattern, object_term: Term | None = None,
       ``S ?p ?w . ?w wikibase:rank ?r`` ('node' shape). Every statement node
       carries one rank, so this is one row per link to a statement node;
       the reader checks that the node has a value of the link's property.
+
+    With an entity subject, the first and the last form are folded: they
+    also project the triples of each statement node (``?w ?q ?o``), so the
+    reader needs no query to fetch them. The folded property-bound form
+    keeps ``?w ps:X V`` only where the value is constrained; without it,
+    the plan reads every node the ``p:X`` links reach, no-value nodes too.
+    Scans (any other subject) keep the plain forms, where the node triples
+    would cost more pages than the node fetches they save.
     """
     patterns: list[TriplePattern] = []
     s_const, s_var = _subject_slot(pattern, patterns)
     plocal = _property_local_of(pattern)
     wvar = Var("w")
-    link = IriTerm(ns.P + plocal) if plocal else Var("p")
     p_var = None if plocal else Var("p")
-    if (plocal is None and object_term is None and pattern.value is None
-            and (pattern.subject is None or isinstance(pattern.subject, m.EntityFp))):
-        patterns += [TriplePattern(s_const or s_var, link, wvar),
-                     TriplePattern(wvar, IriTerm(ns.WIKIBASE_RANK), Var("r"))]
-        query = _finish(patterns, [s_var, p_var, wvar], s_const, limit, offset)
-        return FilterPlan("node", query, s_const, plocal)
-    o_const, o_var = _value_slot(pattern, patterns, object_term)
-    value_pred = IriTerm(ns.PS + plocal) if plocal else Var("q")
-    patterns.insert(0, TriplePattern(wvar, value_pred,
-                                     o_const if o_const is not None else o_var))
-    patterns.insert(0, TriplePattern(s_const or s_var, link, wvar))
-    q_var = None if plocal else Var("q")
-    query = _finish(patterns, [s_var, p_var, wvar, q_var, o_var], s_const, limit, offset)
-    return FilterPlan("full", query, s_const, plocal, o_const)
+    link = TriplePattern(s_const or s_var, IriTerm(ns.P + plocal) if plocal else p_var, wvar)
+    value_free = object_term is None and pattern.value is None
+    o_const = None
+    if plocal is None and value_free and (pattern.subject is None or s_const is not None):
+        shape = "node"
+        patterns[:0] = [link, TriplePattern(wvar, IriTerm(ns.WIKIBASE_RANK), Var("r"))]
+        projected = [s_var, p_var, wvar]
+    elif plocal and s_const is not None and value_free:
+        shape = "full"
+        patterns.insert(0, link)
+        projected = [wvar]
+    else:
+        shape = "full"
+        o_const, o_var = _value_slot(pattern, patterns, object_term)
+        q_var = None if plocal else Var("q")
+        patterns[:0] = [link, TriplePattern(wvar, IriTerm(ns.PS + plocal) if plocal else q_var,
+                                            o_const if o_const is not None else o_var)]
+        projected = [s_var, p_var, wvar, q_var, o_var]
+    folded = s_const is not None and (plocal is not None or shape == "node")
+    if folded:
+        patterns.append(TriplePattern(wvar, Var("q"), Var("o")))
+        projected += [Var("q"), Var("o")]
+    query = _finish(patterns, projected, s_const, limit, offset)
+    return FilterPlan(shape, query, s_const, plocal, o_const, folded)
 
 
 def compile_novalue_plan(pattern: m.FilterPattern,
@@ -722,7 +743,7 @@ def node_fetch_query(nodes: Iterable[IriTerm]) -> SelectQuery:
     return SelectQuery(
         ("w", "p", "o"),
         (TriplePattern(Var("w"), Var("p"), Var("o")),),
-        values=ValuesBlock("w", terms))
+        values=(ValuesBlock("w", terms),))
 
 
 _DESCRIPTOR_PREDICATES = {
@@ -730,22 +751,25 @@ _DESCRIPTOR_PREDICATES = {
     "description": ns.SCHEMA_DESCRIPTION,
     "alias": ns.SKOS_ALT_LABEL,
 }
-_DESCRIPTOR_KINDS = {pred: which for which, pred in _DESCRIPTOR_PREDICATES.items()}
+DESCRIPTOR_KINDS = {pred: which for which, pred in _DESCRIPTOR_PREDICATES.items()}
 
 
-def descriptor_query(entities: Iterable[m.Entity], which: str) -> SelectQuery:
-    pred = _DESCRIPTOR_PREDICATES[which]
+def descriptor_query(entities: Iterable[m.Entity]) -> SelectQuery:
+    """Labels, descriptions and aliases of *entities* in one query: a row
+    binds an entity ?e, a descriptor predicate ?d (a key of
+    DESCRIPTOR_KINDS) and its text ?x."""
     terms = tuple(IriTerm(e.iri.value) for e in entities)
+    predicates = tuple(IriTerm(pred) for pred in _DESCRIPTOR_PREDICATES.values())
     return SelectQuery(
-        ("e", "x"),
-        (TriplePattern(Var("e"), IriTerm(pred), Var("x")),),
-        values=ValuesBlock("e", terms))
+        ("e", "d", "x"),
+        (TriplePattern(Var("e"), Var("d"), Var("x")),),
+        values=(ValuesBlock("e", terms), ValuesBlock("d", predicates)))
 
 
 def descriptor_from_texts(texts: Mapping[str, Iterable[m.TextValue]]) -> m.Descriptor:
-    """Descriptor of one entity from its texts, keyed like descriptor_query's
-    *which*: the canonically least label and description, and every alias in
-    canonical order."""
+    """Descriptor of one entity from its texts, keyed by the values of
+    DESCRIPTOR_KINDS: the canonically least label and description, and
+    every alias in canonical order."""
     return m.Descriptor(
         label=min(texts.get("label", ()), key=m.canonical_key, default=None),
         description=min(texts.get("description", ()), key=m.canonical_key, default=None),

@@ -55,7 +55,7 @@ def _entity_constant(term: IriTerm, slot: str) -> m.Entity:
 def decode(text: str) -> DecodedQuery:
     """Decode a SPARQL SELECT into a filter pattern and projection map."""
     query = parse_query(text)
-    if query.values is not None:
+    if query.values:
         raise DecoderError("VALUES is unsupported in filter queries")
     if query.offset is not None:
         raise DecoderError("OFFSET is unsupported in filter queries")

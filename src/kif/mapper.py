@@ -308,7 +308,7 @@ def translate_pattern(spec: MappingSpec,
             if not _fingerprint_patterns(spec, pattern.subject, _SUBJECT, patterns):
                 return None
 
-    values: ValuesBlock | None = None
+    values: tuple[ValuesBlock, ...] = ()
     if pattern.property is not None:
         assert isinstance(pattern.property, m.EntityFp)
         prop = pattern.property.entity
@@ -324,7 +324,7 @@ def translate_pattern(spec: MappingSpec,
             return None
         predicate_slot = _PREDICATE
         preds = sorted(r.source_predicate for r in spec.property_rules)
-        values = ValuesBlock("p", tuple(IriTerm(p) for p in preds))
+        values = (ValuesBlock("p", tuple(IriTerm(p) for p in preds)),)
         rules = list(spec.property_rules)
 
     if isinstance(pattern.value, m.EntityFp):
@@ -352,7 +352,7 @@ def translate_pattern(spec: MappingSpec,
         # signals presence.
         assert isinstance(subject_slot, IriTerm)
         return SelectQuery(("s",), tuple(patterns),
-                           values=ValuesBlock("s", (subject_slot,)))
+                           values=(ValuesBlock("s", (subject_slot,)),))
     return SelectQuery(tuple(projected), tuple(patterns), values=values)
 
 
@@ -445,7 +445,7 @@ class MapperStore(PagedStore):
                     ("e", "x"),
                     (TriplePattern(Var("e"), IriTerm(self.spec.label_predicate),
                                    Var("x")),),
-                    values=ValuesBlock("e", terms))
+                    values=(ValuesBlock("e", terms),))
                 for row in self.select_all(query):
                     e, x = row.get("e"), row.get("x")
                     if not isinstance(e, IriTerm) or not isinstance(x, Literal):

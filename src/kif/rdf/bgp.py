@@ -2,7 +2,7 @@
 
 Join order. Patterns are joined one at a time, greedily: the next one is
 the remaining pattern with the most bound slots (constants, the VALUES
-variable, and variables bound by the patterns already joined), ties going
+variables, and variables bound by the patterns already joined), ties going
 to the smaller graph index bucket its constants select
 (``Graph.bucket_size``), then to textual order. This follows the
 bound-first heuristics of Stocker et al., "SPARQL Basic Graph Pattern
@@ -28,6 +28,7 @@ later page is served only to a client that read the pages before it.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Sequence
 
 from .sparql import SelectQuery, TriplePattern, Var
@@ -75,7 +76,7 @@ def _unbound(pattern: TriplePattern, bound: set[str]) -> int:
 
 def _join_order(graph: Graph, query: SelectQuery) -> list[TriplePattern]:
     """The patterns of *query* in the order they are joined."""
-    bound = {query.values.variable} if query.values is not None else set()
+    bound = {block.variable for block in query.values}
     # (textual position, pattern, index bucket of its constants)
     remaining = [(i, p, graph.bucket_size(*_constants(p)))
                  for i, p in enumerate(query.patterns)]
@@ -89,16 +90,12 @@ def _join_order(graph: Graph, query: SelectQuery) -> list[TriplePattern]:
 
 
 def _solutions(graph: Graph, query: SelectQuery) -> list[Binding]:
-    """Every solution of the patterns and the VALUES block, unprojected."""
-    if query.values is not None:
-        bindings: list[Binding] = [{query.values.variable: t} for t in query.values.terms]
-        # VALUES joins like any other pattern; duplicate seeds collapse.
-        seen_seed = set()
-        bindings = [b for b in bindings
-                    if (key := term_key(b[query.values.variable])) not in seen_seed
-                    and not seen_seed.add(key)]
-    else:
-        bindings = [{}]
+    """Every solution of the patterns and the VALUES blocks, unprojected."""
+    # VALUES joins like any other pattern: the seeds are the cross product
+    # of the blocks, whose duplicate rows collapse.
+    columns = [[(block.variable, t) for t in dict.fromkeys(block.terms)]
+               for block in query.values]
+    bindings: list[Binding] = [dict(seed) for seed in product(*columns)]
     for pattern in _join_order(graph, query):
         if not bindings:
             break

@@ -1,7 +1,9 @@
 """SELECT query subset: BGP, DISTINCT, VALUES, LIMIT, OFFSET.
 
 This is exactly the query shape the codec generates; anything outside it is
-rejected loudly rather than mis-evaluated. Prefixed names resolve against
+rejected loudly rather than mis-evaluated. A group may hold several VALUES
+blocks (SPARQL 1.1, section 10.2), each binding one variable of its own;
+their rows join as a cross product. Prefixed names resolve against
 the built-in namespace table. String literals use the N-Triples escapes
 (``ntriples.unescape``); an invalid one raises SparqlError at the
 literal's offset.
@@ -72,7 +74,7 @@ class SelectQuery:
     variables: tuple[str, ...]
     patterns: tuple[TriplePattern, ...]
     distinct: bool = False
-    values: ValuesBlock | None = None
+    values: tuple[ValuesBlock, ...] = ()
     limit: int | None = None
     offset: int | None = None
 
@@ -82,8 +84,14 @@ class SelectQuery:
         in_scope: set[str] = set()
         for p in self.patterns:
             in_scope |= p.variables()
-        if self.values:
-            in_scope.add(self.values.variable)
+        bound_by_values: set[str] = set()
+        for block in self.values:
+            if block.variable in bound_by_values:
+                raise SparqlError(
+                    f"two VALUES blocks bind ?{block.variable}; this subset "
+                    f"takes one block per variable")
+            bound_by_values.add(block.variable)
+        in_scope |= bound_by_values
         missing = [v for v in self.variables if v not in in_scope]
         if missing:
             raise SparqlError(
@@ -111,9 +119,9 @@ def serialize_query(q: SelectQuery) -> str:
         parts.append(" ".join((_write_pattern_term(p.subject),
                                _write_pattern_term(p.predicate),
                                _write_pattern_term(p.object), ".")))
-    if q.values:
-        terms = " ".join(write_term(t) for t in q.values.terms)
-        parts.append(f"VALUES ?{q.values.variable} {{ {terms} }}")
+    for block in q.values:
+        terms = " ".join(write_term(t) for t in block.terms)
+        parts.append(f"VALUES ?{block.variable} {{ {terms} }}")
     parts.append("}")
     if q.limit is not None:
         parts.append(f"LIMIT {q.limit}")
@@ -254,7 +262,7 @@ class _QueryParser:
         self._expect_word("WHERE")
         self._expect_punct("{")
         patterns: list[TriplePattern] = []
-        values: ValuesBlock | None = None
+        values: list[ValuesBlock] = []
         while True:
             t = self._peek()
             if t.kind == "punct" and t.text == "}":
@@ -263,9 +271,7 @@ class _QueryParser:
             if t.kind == "eof":
                 raise SparqlError("missing }", t.pos)
             if t.kind == "name" and t.text.upper() == "VALUES":
-                if values is not None:
-                    raise SparqlError("only one VALUES block is supported", t.pos)
-                values = self._parse_values()
+                values.append(self._parse_values())
                 continue
             self._check_supported(t)
             s = self._term(self._next())
@@ -294,7 +300,7 @@ class _QueryParser:
                 raise SparqlError(f"unexpected trailing {t.text!r}", t.pos)
         try:
             return SelectQuery(tuple(variables), tuple(patterns), distinct,
-                               values, limit, offset)
+                               tuple(values), limit, offset)
         except SparqlError as e:
             raise SparqlError(str(e).split(": ", 1)[-1], 0) from None
 

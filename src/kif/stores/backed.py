@@ -3,10 +3,34 @@
 RdfStore evaluates the compiled queries over an embedded graph; SparqlStore
 sends the same queries to an HTTP endpoint and decodes SPARQL results JSON.
 Both share one pipeline: compile filter plans, page through candidates,
-batch-fetch the reified nodes they mention, and reassemble statements and
+read the statement nodes they mention, and reassemble statements and
 annotations with the codec. The filter hook only yields candidate
 statements; Store.filter drops repeats and stops at the limit, and because
 every stage is lazy no query runs past it.
+
+With an entity as subject, the candidate query also returns the triples of
+its statement nodes (a folded plan, codec.compile_full_plan), so only the
+nodes these link to are fetched. Read in one page each, the operations on
+an entity send these queries:
+
+- filter or count, property bound: the candidate query, then the truthy
+  query; the no-value statements come from the candidate rows (2);
+- filter or count, property unbound: the candidate query, the truthy query
+  and the no-value query, which also finds no-value nodes without a rank
+  (3);
+- contains: the candidate query for the statement's value, then the truthy
+  query unless the first found it (1 or 2); for a no-value statement, the
+  no-value query (1);
+- get_annotations: per statement, the candidate query (1);
+- get_descriptor: one query per 50 entities for labels, descriptions and
+  aliases together (1).
+
+Each adds one node fetch per level of linked nodes it reads: the deep value
+nodes for filter, count and contains; for get_annotations, the deep value,
+qualifier value and reference nodes, then the reference value nodes. A
+scan (no subject, or a snak fingerprint), and a filter on an entity that
+constrains the value but not the property, keep the plain candidate query
+and fetch their statement nodes in batches of 50.
 
 Every query, here and in the mapper store, runs through one path:
 PagedStore.select_all pages it with LIMIT/OFFSET windows and caches the
@@ -18,6 +42,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import logging
 import socket
 import threading
 import time
@@ -35,8 +60,10 @@ from ..namespaces import WIKIDATA
 from ..rdf.bgp import match_bgp
 from ..rdf.ntriples import parse_ntriples
 from ..rdf.sparql import SelectQuery, serialize_query
-from ..rdf.terms import Graph, IriTerm, Literal, Term, term_key
+from ..rdf.terms import Graph, IriTerm, Literal, Term, Triple, term_key
 from .base import Store, StoreOptions, TransportError
+
+logger = logging.getLogger(__name__)
 
 Row = dict[str, Term]
 
@@ -73,6 +100,17 @@ def _local(term: Term | None, prefix: str) -> str | None:
 
 def _claim_key(subject: IriTerm, plocal: str, obj: Term) -> tuple:
     return subject.value, plocal, term_key(codec.canonical_object_term(obj))
+
+
+def _add_triple(into: Graph, s: Term | None, p: Term | None, o: Term | None) -> None:
+    """Add a node triple read from a result row, if the row binds one."""
+    if isinstance(s, IriTerm) and isinstance(p, IriTerm) and o is not None:
+        into.add(Triple(s, p, o))
+
+
+def _is_no_value(node_graph: Graph, wds: IriTerm, plocal: str) -> bool:
+    """Whether statement node *wds* is typed as a no-value statement of *plocal*."""
+    return IriTerm(ns.WDNO + plocal) in node_graph.objects(wds, IriTerm(ns.RDF_TYPE))
 
 
 def _links_context(predicate: str, deep_only: bool) -> bool:
@@ -275,50 +313,57 @@ class PagedStore(Store):
 class QueryBackedStore(PagedStore):
     """Shared machinery of RdfStore and SparqlStore."""
 
+    def _warn(self, diagnostics: list[str]) -> None:
+        """Log what the codec reported while assembling, then forget it."""
+        for message in diagnostics:
+            logger.warning("%s: %s", self._backend.describe(), message)
+        diagnostics.clear()
+
     # -- node fetching and assembly ---------------------------------------------
 
     def _fetch_nodes(self, nodes: Iterable[IriTerm], into: Graph) -> None:
-        from ..rdf.terms import Triple
-
-        todo = sorted({n for n in nodes}, key=term_key)
+        todo = sorted(set(nodes), key=term_key)
         for i in range(0, len(todo), _NODE_CHUNK):
             chunk = todo[i:i + _NODE_CHUNK]
             for row in self.select_all(codec.node_fetch_query(chunk)):
-                w, p, o = row.get("w"), row.get("p"), row.get("o")
-                if isinstance(w, IriTerm) and isinstance(p, IriTerm) and o is not None:
-                    into.add(Triple(w, p, o))
+                _add_triple(into, row.get("w"), row.get("p"), row.get("o"))
 
-    def _fetch_statement_context(self, wds_nodes: list[IriTerm],
-                                 deep_only: bool) -> Graph:
-        """Fetch statement nodes plus the nodes they link to: deep value
-        nodes always, qualifier and reference nodes unless *deep_only*."""
-        node_graph = Graph()
-        fetched: set[IriTerm] = set()
-        frontier = set(wds_nodes)
-        while frontier:
-            self._fetch_nodes(frontier, node_graph)
-            fetched |= frontier
+    def _fetch_statement_context(self, node_graph: Graph, wds_nodes: Iterable[IriTerm],
+                                 deep_only: bool) -> None:
+        """Fetch into *node_graph*, which holds the triples of the statement
+        nodes *wds_nodes*, the nodes they link to: deep value nodes always,
+        qualifier and reference nodes unless *deep_only*."""
+        fetched = set(wds_nodes)
+        frontier = fetched
+        while True:
             # Subtracting what is fetched ends the loop on cyclic graphs.
             frontier = {t.object for node in frontier for t in node_graph.match(s=node)
                         if isinstance(t.object, IriTerm)
                         and _links_context(t.predicate.value, deep_only)} - fetched
-        return node_graph
+            if not frontier:
+                return
+            self._fetch_nodes(frontier, node_graph)
+            fetched |= frontier
 
     # -- filter pipeline ----------------------------------------------------------
 
-    def _full_candidates(self, plan: codec.FilterPlan) -> Iterator[tuple[IriTerm, IriTerm, str]]:
-        """(subject, statement node, property local) rows of a full-shape plan."""
+    def _full_candidates(self, plan: codec.FilterPlan, node_graph: Graph | None = None
+                         ) -> Iterator[tuple[IriTerm, IriTerm, str]]:
+        """(subject, statement node, property local) rows of a full-shape plan;
+        the node triples of a folded plan's rows go into *node_graph*."""
         seen: set[tuple] = set()
         for row in self.select_all(plan.query):
             subject = plan.subject_term or row.get("s")
             wds = row.get("w")
             if not isinstance(subject, IriTerm) or not isinstance(wds, IriTerm):
                 continue
+            if plan.folded:
+                _add_triple(node_graph, wds, row.get("q"), row.get("o"))
             plocal = plan.property_local
             if plocal is None:
                 # The link and the value (or no-value marker) predicates must
                 # name the same property; a 'node' row has no value predicate,
-                # and _reified checks the value on the fetched node.
+                # and _reified checks the value on the node's triples.
                 plocal = _local(row.get("p"), "p")
                 other = (_local(row.get("n"), "wdno") if plan.shape == "novalue"
                          else _local(row.get("q"), "ps") if plan.shape == "full"
@@ -330,6 +375,29 @@ class QueryBackedStore(PagedStore):
                 seen.add(key)
                 yield subject, wds, plocal
 
+    def _statement_nodes(self, plan: codec.FilterPlan, deep_only: bool
+                         ) -> Iterator[tuple[list[tuple[IriTerm, IriTerm, str]], Graph]]:
+        """The candidates of *plan* in batches, each with a graph of their
+        statement nodes and the nodes these link to. A folded plan is one
+        batch, read to its last page before anything is assembled, so its
+        answer cannot depend on how its rows fall into pages; a scan streams
+        batches of _NODE_CHUNK candidates and fetches their nodes."""
+        if plan.folded:
+            node_graph = Graph()
+            batch = list(self._full_candidates(plan, node_graph))
+            if batch:
+                self._fetch_statement_context(node_graph, [wds for _, wds, _ in batch],
+                                              deep_only)
+                yield batch, node_graph
+            return
+        candidates = self._full_candidates(plan)
+        while batch := list(islice(candidates, _NODE_CHUNK)):
+            node_graph = Graph()
+            wds_nodes = [wds for _, wds, _ in batch]
+            self._fetch_nodes(wds_nodes, node_graph)
+            self._fetch_statement_context(node_graph, wds_nodes, deep_only)
+            yield batch, node_graph
+
     def _filter(self, pattern: m.FilterPattern,
                 limit: int | None) -> Iterator[m.Statement]:
         return self._candidates(pattern, None)
@@ -340,31 +408,46 @@ class QueryBackedStore(PagedStore):
         stages; each stage compiles its plan only when it starts."""
         kinds = pattern.snak_kinds
         covered: set[tuple] = set()
+        no_value = (m.SnakKind.NO_VALUE in kinds and object_term is None
+                    and pattern.value is None)
+        # With an entity subject and the property bound, the statement-node
+        # plan reads every node its links reach (compile_full_plan), so the
+        # reified stage collects the no-value statements for the last stage.
+        no_values: list[m.Statement] | None = None
         stages = []
         if m.SnakKind.VALUE in kinds or m.SnakKind.SOME_VALUE in kinds:
-            stages += [self._reified(pattern, object_term, covered),
+            if (no_value and pattern.property is not None
+                    and isinstance(pattern.subject, m.EntityFp)):
+                no_values = []
+            stages += [self._reified(pattern, object_term, covered, no_values),
                        self._truthy_only(pattern, object_term, covered)]
-        if m.SnakKind.NO_VALUE in kinds and object_term is None and pattern.value is None:
-            stages.append(self._no_value(pattern))
+        if no_value:
+            # A list iterator reads the list as it is when the stage starts.
+            stages.append(self._no_value(pattern) if no_values is None else iter(no_values))
         return (stmt for stmt in chain.from_iterable(stages)
                 if m.snak_kind(stmt.snak) in kinds)
 
     def _reified(self, pattern: m.FilterPattern, object_term: Term | None,
-                 covered: set[tuple]) -> Iterator[m.Statement]:
+                 covered: set[tuple],
+                 no_values: list[m.Statement] | None) -> Iterator[m.Statement]:
         """Statements assembled from their statement nodes; adds the claims
-        they carry to *covered*."""
+        they carry to *covered* and, if *no_values* is a list, the no-value
+        statements among the nodes to it."""
         diagnostics: list[str] = []
-        candidates = self._full_candidates(codec.compile_full_plan(pattern, object_term))
-        while batch := list(islice(candidates, _NODE_CHUNK)):
-            node_graph = self._fetch_statement_context(
-                [wds for _, wds, _ in batch], deep_only=True)
+        plan = codec.compile_full_plan(pattern, object_term)
+        for batch, node_graph in self._statement_nodes(plan, deep_only=True):
             for subject, wds, plocal in batch:
                 objects = node_graph.objects(wds, IriTerm(ns.PS + plocal))
                 if not objects:
                     # No value of the link's property: a no-value statement,
-                    # which only the _no_value stage yields, or a dangling link.
+                    # yielded by the last stage, or a dangling link.
+                    if no_values is not None and _is_no_value(node_graph, wds, plocal):
+                        no_values.append(m.Statement(
+                            codec.entity_from_iri(subject.value),
+                            m.NoValueSnak(m.Property(ns.WD + plocal))))
                     continue
                 snak = codec.assemble_main_snak(node_graph, wds, plocal, diagnostics)
+                self._warn(diagnostics)
                 if snak is None:
                     continue
                 for obj in objects:
@@ -418,43 +501,42 @@ class QueryBackedStore(PagedStore):
 
     def _annotations_of(self, stmt: m.Statement) -> frozenset[m.AnnotationRecord]:
         pattern, object_term = self._probe(stmt)
-        plan = (codec.compile_novalue_plan(pattern) if object_term is None
-                else codec.compile_full_plan(pattern, object_term))
-        wds_nodes = sorted({wds for _, wds, _ in self._full_candidates(plan)}, key=term_key)
+        plan = codec.compile_full_plan(pattern, object_term)
+        node_graph = Graph()
+        candidates = list(self._full_candidates(plan, node_graph))
+        # Without an object term (a no-value statement) the plan reads every
+        # node of the property; only the no-value ones can carry the statement.
+        wds_nodes = sorted({wds for _, wds, plocal in candidates
+                            if object_term is not None
+                            or _is_no_value(node_graph, wds, plocal)}, key=term_key)
         if not wds_nodes:
             return frozenset()
-        node_graph = self._fetch_statement_context(wds_nodes, deep_only=False)
+        self._fetch_statement_context(node_graph, wds_nodes, deep_only=False)
         diagnostics: list[str] = []
         records = set()
         for wds in wds_nodes:
             snak = codec.assemble_main_snak(node_graph, wds, plan.property_local,
                                             diagnostics)
-            if snak != stmt.snak:
-                continue
-            records.add(codec.assemble_annotation(node_graph, wds, diagnostics))
+            if snak == stmt.snak:
+                records.add(codec.assemble_annotation(node_graph, wds, diagnostics))
+            self._warn(diagnostics)
         return frozenset(records)
 
     # -- descriptors -----------------------------------------------------------
 
     def _descriptors(self, entities, language):
         texts: dict[str, dict[str, list[m.TextValue]]] = {}
-        unique = []
-        seen = set()
-        for e in entities:
-            if e.iri.value not in seen:
-                seen.add(e.iri.value)
-                unique.append(e)
+        unique = list({e.iri.value: e for e in entities}.values())
         for i in range(0, len(unique), _NODE_CHUNK):
-            chunk = unique[i:i + _NODE_CHUNK]
-            for which in ("label", "description", "alias"):
-                for row in self.select_all(codec.descriptor_query(chunk, which)):
-                    e, x = row.get("e"), row.get("x")
-                    if not isinstance(e, IriTerm) or not isinstance(x, Literal):
-                        continue
-                    text = m.TextValue(x.lexical, x.language or "en")
-                    if text.language != language:
-                        continue
-                    texts.setdefault(e.value, {}).setdefault(which, []).append(text)
+            for row in self.select_all(codec.descriptor_query(unique[i:i + _NODE_CHUNK])):
+                e, d, x = row.get("e"), row.get("d"), row.get("x")
+                which = codec.DESCRIPTOR_KINDS.get(d.value) if isinstance(d, IriTerm) else None
+                if not isinstance(e, IriTerm) or which is None or not isinstance(x, Literal):
+                    continue
+                text = m.TextValue(x.lexical, x.language or "en")
+                if text.language != language:
+                    continue
+                texts.setdefault(e.value, {}).setdefault(which, []).append(text)
         for entity in entities:
             yield entity, codec.descriptor_from_texts(texts.get(entity.iri.value, {}))
 

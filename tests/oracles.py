@@ -11,16 +11,16 @@ from kif.rdf.terms import Graph, term_key
 def brute_force_bgp(graph: Graph, query: SelectQuery) -> list[dict]:
     """Try every assignment of graph triples to patterns, no indexes, no joins."""
     triples = list(graph)
-    if query.values is not None:
-        seeds = []
+    seeds = [{}]
+    for block in query.values:
+        distinct = []
         seen = set()
-        for t in query.values.terms:
+        for t in block.terms:
             key = term_key(t)
             if key not in seen:
                 seen.add(key)
-                seeds.append({query.values.variable: t})
-    else:
-        seeds = [{}]
+                distinct.append(t)
+        seeds = [{**seed, block.variable: t} for seed in seeds for t in distinct]
 
     solutions = []
     for seed in seeds:

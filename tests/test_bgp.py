@@ -13,8 +13,8 @@ from kif import namespaces as ns
 from kif.namespaces import WIKIDATA
 from kif.rdf.bgp import match_bgp
 from kif.rdf.server import serve
-from kif.rdf.sparql import SelectQuery, TriplePattern, Var
-from kif.rdf.terms import Graph, IriTerm, Literal, Triple
+from kif.rdf.sparql import SelectQuery, TriplePattern, ValuesBlock, Var
+from kif.rdf.terms import Graph, IriTerm, Literal, Triple, term_key
 from kif.stores import MemoryStore, RdfStore, SparqlStore, StoreOptions
 
 from oracles import brute_force_bgp
@@ -111,6 +111,25 @@ def test_interleaved_pages_concatenate_to_the_unpaged_answer():
             for query, rows in zip((first, second), paged):
                 assert rows == match_bgp(graph, query) == brute_force_bgp(graph, query), \
                     (case, size, query)
+
+
+def test_two_values_blocks_equal_the_brute_force_oracle():
+    rng = random.Random(4242)
+    extra = [IriTerm(X + "absent"), Literal("9")]
+    for case in range(60):
+        graph = _random_graph(rng, rng.randint(0, 24))
+        query = _random_query(rng, graph)
+        terms = sorted({t.subject for t in graph} | {t.predicate for t in graph}
+                       | {t.object for t in graph}, key=term_key) + extra
+        in_scope = sorted({v for p in query.patterns for v in p.variables()})
+        names = rng.sample(in_scope + ["z"], k=2)
+        blocks = tuple(ValuesBlock(name, tuple(rng.choices(terms, k=rng.randint(0, 4))))
+                       for name in names)
+        query = SelectQuery(query.variables, query.patterns, query.distinct, blocks)
+        assert match_bgp(graph, query) == brute_force_bgp(graph, query), (case, query)
+        for size in (1, 3):
+            assert [row for page in _pages(graph, query, size) for row in page] == \
+                match_bgp(graph, query), (case, size)
 
 
 def test_a_triple_added_between_pages_shows_in_the_next_page():
@@ -259,6 +278,12 @@ def test_the_property_unbound_candidate_query_reads_one_row_per_statement_link(m
         got = [(plan.subject_term or row["s"], row["p"], row["w"]) for row in rows]
         expected = {link for link in links
                     if plan.subject_term in (None, link[0])}
+        if plan.folded:
+            # An entity subject's rows also carry the statement nodes'
+            # triples: one row per link and triple of the linked node.
+            got = [(*link, row["q"], row["o"]) for link, row in zip(got, rows)]
+            expected = {(*link, t.predicate, t.object)
+                        for link in expected for t in graph.match(s=link[2])}
         assert len(got) == len(set(got)) and set(got) == expected, pattern
         # A rank bucket or a subject bucket, then one index probe per row.
         assert counter.triples - before <= 3 * len(rows), pattern

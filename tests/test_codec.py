@@ -245,9 +245,14 @@ def test_compile_filter_wildcard_uses_variable_predicate():
 
 def test_compile_filter_full_level_targets_statement_nodes():
     pattern = m.FilterPattern(m.EntityFp(pf.benzene), m.EntityFp(pf.solubility))
-    query = codec.compile_full_plan(pattern).query
-    text = serialize_query(query)
-    assert ns.P + "P2177" in text and ns.PS + "P2177" in text and "?w" in text
+    # An entity subject folds the statement nodes' triples into the query;
+    # without a value it reads every node of the property.
+    text = serialize_query(codec.compile_full_plan(pattern).query)
+    assert ns.P + "P2177" in text and "?w ?q ?o" in text
+    assert ns.PS + "P2177" not in text
+    value = m.simple_value(pf.solubility_statement.snak.value)
+    text = serialize_query(codec.compile_full_plan(pattern, value).query)
+    assert ns.P + "P2177" in text and ns.PS + "P2177" in text and "?w ?q ?o" in text
 
 
 def test_compile_annotations_resolves_statement_nodes(monkeypatch):

@@ -82,6 +82,13 @@ def test_rejection_completeness_over_out_of_subset_queries():
         assert needle in str(err.value), text
 
 
+def test_several_values_blocks_are_rejected_too():
+    text = "SELECT ?v WHERE { ?s wdt:P1 ?v VALUES ?s { wd:Q1 } VALUES ?v { wd:Q2 } }"
+    assert len(parse_query(text).values) == 2
+    with pytest.raises(DecoderError, match="VALUES"):
+        decode(text)
+
+
 def test_answer_benzene_solubility():
     payload = answer(pf.wikidata_store(),
                      "SELECT ?v WHERE { wd:Q2270 wdt:P2177 ?v } LIMIT 10")

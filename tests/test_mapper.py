@@ -41,9 +41,10 @@ def test_translate_wildcard_expands_to_mapped_predicates():
     spec = pf.pubchem_mapping()
     query = translate_pattern(spec, m.FilterPattern())
     assert query is not None
-    assert query.values is not None and query.values.variable == "p"
-    assert set(query.values.terms) == {IriTerm(pf.PUBCHEM_INCHI),
-                                       IriTerm(pf.PUBCHEM_WEIGHT)}
+    (block,) = query.values
+    assert block.variable == "p"
+    assert set(block.terms) == {IriTerm(pf.PUBCHEM_INCHI),
+                                IriTerm(pf.PUBCHEM_WEIGHT)}
 
 
 def test_translate_results_rewrites_subject_and_decodes_value():

@@ -80,10 +80,26 @@ def test_serializer_round_trips_through_parser():
         (TriplePattern(Var("s"), IriTerm(WDT + "P2177"), Var("v")),
          TriplePattern(Var("s"), IriTerm(WDT + "P234"), Literal('say "hi"'))),
         distinct=True,
-        values=ValuesBlock("s", (IriTerm(WD + "Q2270"),)),
+        values=(ValuesBlock("s", (IriTerm(WD + "Q2270"),)),),
         limit=10, offset=5)
     text = serialize_query(q)
     assert serialize_query(parse_query(text)) == text
+
+
+def test_several_values_blocks_round_trip_and_join_as_a_cross_product():
+    text = ("SELECT ?e ?d ?x WHERE { ?e ?d ?x . "
+            "VALUES ?e { wd:Q7286 wd:Q2270 wd:Q7286 } "
+            "VALUES ?d { wdt:P166 wdt:P999 } }")
+    q = parse_query(text)
+    assert [(b.variable, len(b.terms)) for b in q.values] == [("e", 3), ("d", 2)]
+    assert parse_query(serialize_query(q)) == q
+    assert serialize_query(parse_query(serialize_query(q))) == serialize_query(q)
+    g = _marie_truthy()
+    rows = match_bgp(g, q)
+    assert rows == brute_force_bgp(g, q)
+    assert {r["x"] for r in rows} == {IriTerm(WD + "Q38104"), IriTerm(WD + "Q902788")}
+    with pytest.raises(SparqlError, match="two VALUES blocks bind"):
+        parse_query("SELECT ?e WHERE { ?e ?d ?x VALUES ?e { wd:Q1 } VALUES ?e { wd:Q2 } }")
 
 
 def test_rejections_name_the_construct_with_position():
