@@ -450,12 +450,16 @@ def _assemble_snak_family(g: Graph, node: IriTerm, simple_base: str, deep_base: 
     return snaks
 
 
+def is_no_value(g: Graph, wds: IriTerm, plocal: str) -> bool:
+    """Whether statement node *wds* is typed as a no-value statement of *plocal*."""
+    return IriTerm(ns.WDNO + plocal) in g.objects(wds, IriTerm(ns.RDF_TYPE))
+
+
 def assemble_main_snak(g: Graph, wds: IriTerm, plocal: str,
                        diagnostics: list[str]) -> m.Snak | None:
     prop = m.Property(ns.WD + plocal)
-    for obj in g.objects(wds, IriTerm(ns.RDF_TYPE)):
-        if isinstance(obj, IriTerm) and obj.value == ns.WDNO + plocal:
-            return m.NoValueSnak(prop)
+    if is_no_value(g, wds, plocal):
+        return m.NoValueSnak(prop)
     ps_objects = sorted(g.objects(wds, IriTerm(ns.PS + plocal)), key=term_key)
     if not ps_objects:
         diagnostics.append(

@@ -108,11 +108,6 @@ def _add_triple(into: Graph, s: Term | None, p: Term | None, o: Term | None) -> 
         into.add(Triple(s, p, o))
 
 
-def _is_no_value(node_graph: Graph, wds: IriTerm, plocal: str) -> bool:
-    """Whether statement node *wds* is typed as a no-value statement of *plocal*."""
-    return IriTerm(ns.WDNO + plocal) in node_graph.objects(wds, IriTerm(ns.RDF_TYPE))
-
-
 def _links_context(predicate: str, deep_only: bool) -> bool:
     """Whether a statement-context fetch follows *predicate* to its object."""
     if WIKIDATA.local(predicate, "psv"):
@@ -441,7 +436,7 @@ class QueryBackedStore(PagedStore):
                 if not objects:
                     # No value of the link's property: a no-value statement,
                     # yielded by the last stage, or a dangling link.
-                    if no_values is not None and _is_no_value(node_graph, wds, plocal):
+                    if no_values is not None and codec.is_no_value(node_graph, wds, plocal):
                         no_values.append(m.Statement(
                             codec.entity_from_iri(subject.value),
                             m.NoValueSnak(m.Property(ns.WD + plocal))))
@@ -508,7 +503,7 @@ class QueryBackedStore(PagedStore):
         # node of the property; only the no-value ones can carry the statement.
         wds_nodes = sorted({wds for _, wds, plocal in candidates
                             if object_term is not None
-                            or _is_no_value(node_graph, wds, plocal)}, key=term_key)
+                            or codec.is_no_value(node_graph, wds, plocal)}, key=term_key)
         if not wds_nodes:
             return frozenset()
         self._fetch_statement_context(node_graph, wds_nodes, deep_only=False)
