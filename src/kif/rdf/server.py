@@ -3,16 +3,37 @@
 Supports GET with a ``query`` parameter and POST with an
 ``application/sparql-query`` body; answers SPARQL results JSON. Anything
 outside the query subset yields HTTP 400 with a diagnostic.
+
+The endpoint speaks this subset of HTTP/1.1, reading requests with its own
+few lines of code and writing each response in one write:
+
+- Connections are kept alive under HTTP/1.1. A request with
+  ``Connection: close``, or an HTTP/1.0 request without
+  ``Connection: keep-alive``, is answered and the connection closed.
+- A POST body is delimited by its ``Content-Length``; an invalid one is
+  answered with 400 and the connection closed. ``Expect: 100-continue`` is
+  answered with an interim 100 before the body is read.
+- A request line over 65536 bytes gets 414; a header line over 65536 bytes,
+  or more than 100 header lines, gets 431; a malformed request line gets
+  400, a version other than HTTP/1.x 505, a method other than GET and
+  POST 501, and a POST of another content type 400. Each of these closes
+  the connection. A query that cannot be read or evaluated gets 400 and
+  keeps it.
+- Each answered request is logged at DEBUG on ``kif.rdf.server``: method,
+  status, rows returned and milliseconds spent.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import selectors
 import socket
+import socketserver
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import time
+from http import HTTPStatus
 from urllib.parse import parse_qs, urlsplit
 
 from .bgp import Binding, match_bgp
@@ -44,72 +65,142 @@ def results_to_json(variables: tuple[str, ...], rows: list[Binding]) -> dict:
     }
 
 
-class _Handler(BaseHTTPRequestHandler):
-    # self.server is the ThreadingHTTPServer; the graph hangs off it.
-    # HTTP/1.1 keeps client connections alive between queries; Nagle is off
-    # so small response writes are not held back waiting for ACKs.
-    protocol_version = "HTTP/1.1"
+MAX_LINE = 65536          # bytes in a request, status or header line
+_MAX_HEADERS = 100
+_TEXT = "text/plain; charset=utf-8"
+
+
+def read_header_fields(rfile) -> dict[str, str]:
+    """The header fields of an HTTP message by lower-cased name, read from
+    *rfile* up to the empty line that ends them (or the end of the
+    stream). A line over MAX_LINE bytes raises http.client.LineTooLong,
+    more than 100 fields http.client.HTTPException."""
+    fields: dict[str, str] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = rfile.readline(MAX_LINE + 1)
+        if len(line) > MAX_LINE:
+            raise http.client.LineTooLong("header line")
+        if line in (b"\r\n", b"\n", b""):
+            return fields
+        name, _, value = line.decode("latin-1").partition(":")
+        fields[name.strip().lower()] = value.strip()
+    raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+
+
+def keeps_alive(version: str, fields: dict[str, str]) -> bool:
+    """Whether the connection stays open after a message of HTTP *version*
+    with header *fields*: under HTTP/1.0 only with keep-alive, under
+    HTTP/1.1 unless closed."""
+    tokens = {t.strip() for t in fields.get("connection", "").lower().split(",")}
+    if version == "HTTP/1.0":
+        return "keep-alive" in tokens
+    return "close" not in tokens
+
+
+class _Refusal(Exception):
+    """A request answered with an error status, after which the
+    connection closes."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """Serves the requests of one client connection until it closes.
+    self.server is the _HttpServer; the graph hangs off it. Nagle is off,
+    so a response is not held back waiting for the ACK of the last one."""
+
     disable_nagle_algorithm = True
 
-    def log_message(self, format: str, *args) -> None:
-        logger.debug("endpoint: " + format, *args)
+    def handle(self) -> None:
+        while True:
+            line = self.rfile.readline(MAX_LINE + 1)
+            if not line:
+                return
+            started = time.perf_counter()
+            method, rows = "-", 0
+            try:
+                method, target, keep_alive, headers = self._read_head(line)
+                status, content_type, body, rows = self._answer(method, target, headers)
+            except _Refusal as refusal:
+                status, content_type, body = refusal.status, _TEXT, str(refusal).encode()
+                keep_alive = False
+            if logger.isEnabledFor(logging.DEBUG):
+                logger.debug("%s %d, %d rows, %.3f ms", method, status, rows,
+                             (time.perf_counter() - started) * 1e3)
+            head = (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+                    f"Content-Type: {content_type}\r\n"
+                    f"Content-Length: {len(body)}\r\n")
+            if not keep_alive:
+                head += "Connection: close\r\n"
+            self.wfile.write((head + "\r\n").encode("latin-1") + body)
+            if not keep_alive:
+                return
 
-    def _reply(self, status: int, content_type: str, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _bad_request(self, message: str) -> None:
-        self._reply(400, "text/plain; charset=utf-8", message.encode("utf-8"))
-
-    def _answer(self, query_text: str) -> None:
+    def _read_head(self, line: bytes) -> tuple[str, str, bool, dict[str, str]]:
+        """The method, target, whether the connection stays open, and the
+        header fields of the request whose request line is *line*."""
+        if len(line) > MAX_LINE:
+            raise _Refusal(414, "request line too long")
+        words = line.decode("latin-1").split()
+        if len(words) != 3 or not words[2].startswith("HTTP/"):
+            raise _Refusal(400, f"bad request line {line[:100]!r}")
+        if not words[2].startswith("HTTP/1."):
+            raise _Refusal(505, f"unsupported HTTP version {words[2]!r}")
         try:
-            query = parse_query(query_text)
-        except SparqlError as e:
-            self._bad_request(f"unsupported or malformed query: {e}")
-            return
-        rows = match_bgp(self.server.graph, query)
-        body = json.dumps(results_to_json(query.variables, rows)).encode("utf-8")
-        self._reply(200, RESULTS_JSON, body)
+            fields = read_header_fields(self.rfile)
+        except http.client.HTTPException as e:
+            raise _Refusal(431, str(e)) from None
+        return words[0], words[1], keeps_alive(words[2], fields), fields
 
-    def do_GET(self) -> None:
-        params = parse_qs(urlsplit(self.path).query)
-        queries = params.get("query")
-        if not queries:
-            self._bad_request("missing query parameter")
-            return
-        self._answer(queries[0])
-
-    def do_POST(self) -> None:
-        ctype = self.headers.get("Content-Type", "").split(";")[0].strip().lower()
+    def _answer(self, method: str, target: str, headers: dict[str, str]
+                ) -> tuple[int, str, bytes, int]:
+        """Status, content type, body and row count of the answer."""
+        if method == "GET":
+            queries = parse_qs(urlsplit(target).query).get("query")
+            if not queries:
+                return 400, _TEXT, b"missing query parameter", 0
+            return self._evaluate(queries[0])
+        if method != "POST":
+            raise _Refusal(501, f"unsupported method {method!r}")
+        ctype = headers.get("content-type", "").split(";")[0].strip().lower()
         if ctype != "application/sparql-query":
-            self._bad_request(f"unsupported content type {ctype!r}; "
-                              "use application/sparql-query")
-            return
+            # The body is left unread, so the connection cannot be reused.
+            raise _Refusal(400, f"unsupported content type {ctype!r}; "
+                                "use application/sparql-query")
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            length = int(headers.get("content-length") or 0)
             if length < 0:
                 raise ValueError
         except ValueError:
             # The body's end is unknown, so the connection cannot be reused.
-            self.close_connection = True
-            self._bad_request("invalid Content-Length")
-            return
+            raise _Refusal(400, "invalid Content-Length") from None
+        if headers.get("expect", "").lower() == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         try:
-            body = self.rfile.read(length).decode("utf-8")
+            text = self.rfile.read(length).decode("utf-8")
         except UnicodeDecodeError as e:
-            self._bad_request(f"query is not UTF-8: {e}")
-            return
-        self._answer(body)
+            return 400, _TEXT, f"query is not UTF-8: {e}".encode(), 0
+        return self._evaluate(text)
+
+    def _evaluate(self, text: str) -> tuple[int, str, bytes, int]:
+        try:
+            query = parse_query(text)
+        except SparqlError as e:
+            return 400, _TEXT, f"unsupported or malformed query: {e}".encode(), 0
+        rows = match_bgp(self.server.graph, query)
+        body = json.dumps(results_to_json(query.variables, rows)).encode("utf-8")
+        return 200, RESULTS_JSON, body, len(rows)
 
 
-class _HttpServer(ThreadingHTTPServer):
-    """Serves *graph*; the serve loop sleeps until a client connects or
-    wake() is called, and returns on the wake-up."""
+class _HttpServer(socketserver.ThreadingTCPServer):
+    """Serves *graph*, one thread per client connection; the serve loop
+    sleeps until a client connects or wake() is called, and returns on the
+    wake-up."""
 
     daemon_threads = True
+    allow_reuse_address = True
 
     def __init__(self, address, graph: Graph) -> None:
         super().__init__(address, _Handler)

@@ -59,6 +59,7 @@ from ..lru import Lru
 from ..namespaces import WIKIDATA
 from ..rdf.bgp import match_bgp
 from ..rdf.ntriples import parse_ntriples
+from ..rdf.server import MAX_LINE, keeps_alive, read_header_fields
 from ..rdf.sparql import SelectQuery, serialize_query
 from ..rdf.terms import Graph, IriTerm, Literal, Term, Triple, term_key
 from .base import Store, StoreOptions, TransportError
@@ -168,6 +169,84 @@ def _close_all(conns: dict, lock: threading.Lock) -> None:
         conns.clear()
 
 
+class _Connection:
+    """A kept-alive connection: http.client opens it (address, TLS,
+    timeout); requests go out through its socket, and responses are read
+    from a buffered reader over that socket."""
+
+    def __init__(self, opened: http.client.HTTPConnection) -> None:
+        self.opened = opened
+        self.rfile = opened.sock.makefile("rb")
+        self.answered = False             # has a response been read from it
+
+    def send(self, request: bytes) -> bytes:
+        """Send *request*; the status line of the answer, or b"" if the
+        peer closed or reset the connection before one arrived."""
+        try:
+            self.opened.sock.sendall(request)
+            return _read_line(self.rfile)
+        except ConnectionError:           # a timeout is not a ConnectionError
+            return b""
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.opened.close()
+
+
+def _read_line(rfile) -> bytes:
+    line = rfile.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        raise http.client.LineTooLong("status or chunk line")
+    return line
+
+
+def _read_response(rfile, status_line: bytes) -> tuple[int, bytes, bool]:
+    """The status and body of the response whose status line is
+    *status_line*, and whether the connection stays open after it."""
+    while True:
+        words = status_line.decode("latin-1").split(None, 2)
+        if (len(words) < 2 or not words[0].startswith("HTTP/1.")
+                or len(words[1]) != 3 or not words[1].isdecimal()):
+            raise http.client.BadStatusLine(repr(status_line[:100]))
+        fields = read_header_fields(rfile)
+        if words[1] >= "200":
+            break
+        status_line = _read_line(rfile)   # after an interim 1xx response
+    status, keep_alive = int(words[1]), keeps_alive(words[0], fields)
+    if "chunked" in fields.get("transfer-encoding", "").lower():
+        return status, _read_chunked(rfile), keep_alive
+    length = fields.get("content-length")
+    if length is None:
+        return status, rfile.read(), False
+    if not length.isdecimal():
+        raise http.client.HTTPException(f"invalid Content-Length {length[:100]!r}")
+    body = rfile.read(int(length))
+    if len(body) < int(length):
+        raise http.client.IncompleteRead(body, int(length) - len(body))
+    return status, body, keep_alive
+
+
+def _read_chunked(rfile) -> bytes:
+    chunks = []
+    while True:
+        line = _read_line(rfile)
+        try:
+            size = int(line.split(b";", 1)[0], 16)
+            if size < 0:
+                raise ValueError
+        except ValueError:
+            raise http.client.IncompleteRead(b"".join(chunks)) from None
+        if size == 0:
+            break
+        chunk = rfile.read(size + 2)      # the chunk and its CRLF
+        if len(chunk) < size + 2:
+            raise http.client.IncompleteRead(b"".join(chunks) + chunk, size + 2 - len(chunk))
+        chunks.append(chunk[:size])
+    while _read_line(rfile) not in (b"\r\n", b"\n", b""):
+        pass                              # trailer fields
+    return b"".join(chunks)
+
+
 class HttpBackend:
     """Sends queries to a SPARQL-protocol endpoint over HTTP POST.
 
@@ -176,6 +255,18 @@ class HttpBackend:
     every one of them, on whichever thread it was opened; so does garbage
     collection of the backend. The connection of a thread that has ended is
     closed when another thread opens one.
+
+    http.client opens the connections (TLS, timeout); the messages are
+    this class's own. Each request leaves in one write. A response body is
+    delimited by its Content-Length, by chunked transfer coding, or by the
+    close of the connection. The connection is closed after a response
+    with ``Connection: close``, after an HTTP/1.0 response without
+    ``Connection: keep-alive``, and when a response cannot be read.
+    Interim 1xx responses are skipped. A status line or header line over
+    65536 bytes, more than 100 headers, a malformed status line or a short
+    body is a TransportError. A query is sent again, once and on a new connection,
+    only when a kept-alive connection that has answered before is closed
+    or reset before a status line arrives; a timeout is never retried.
     """
 
     def __init__(self, url: str, timeout: float = 30.0) -> None:
@@ -187,11 +278,18 @@ class HttpBackend:
         self.request_count = 0
         self._scheme = split.scheme
         self._netloc = split.netloc
-        self._path = split.path or "/"
+        path = split.path or "/"
         if split.query:
-            self._path += "?" + split.query
+            path += "?" + split.query
+        if not (path.isascii() and path.isprintable()) or " " in path:
+            raise ValueError(f"not an endpoint URL: {url!r}")
+        self._head = (f"POST {path} HTTP/1.1\r\nHost: {split.netloc}\r\n"
+                      "Content-Type: application/sparql-query\r\n"
+                      "Accept: application/sparql-results+json\r\n"
+                      "Accept-Encoding: identity\r\n"
+                      "Content-Length: ").encode("ascii")
         self._local = threading.local()
-        self._open: dict[threading.Thread, http.client.HTTPConnection] = {}
+        self._open: dict[threading.Thread, _Connection] = {}
         self._open_lock = threading.Lock()
         weakref.finalize(self, _close_all, self._open, self._open_lock)
 
@@ -200,14 +298,15 @@ class HttpBackend:
         self._local = threading.local()
         _close_all(self._open, self._open_lock)
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> _Connection:
         conn = getattr(self._local, "conn", None)
         if conn is None:
             factory = (http.client.HTTPSConnection if self._scheme == "https"
                        else http.client.HTTPConnection)
-            conn = factory(self._netloc, timeout=self.timeout)
-            conn.connect()
-            conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            opened = factory(self._netloc, timeout=self.timeout)
+            opened.connect()
+            opened.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = _Connection(opened)
             with self._open_lock:
                 for thread in [t for t in self._open if not t.is_alive()]:
                     self._open.pop(thread).close()
@@ -224,22 +323,27 @@ class HttpBackend:
             self._local.conn = None
 
     def _round_trip(self, body: bytes) -> tuple[int, bytes]:
-        headers = {"Content-Type": "application/sparql-query",
-                   "Accept": "application/sparql-results+json"}
-        for attempt in (0, 1):
-            conn = self._connection()
-            try:
-                conn.request("POST", self._path, body, headers)
-                response = conn.getresponse()
-                payload = response.read()
-                return response.status, payload
-            except (http.client.HTTPException, ConnectionError, OSError):
-                # A kept-alive connection may have been closed by the peer;
-                # reconnect once before giving up.
+        request = self._head + b"%d\r\n\r\n" % len(body) + body
+        conn = self._connection()
+        try:
+            status_line = conn.send(request)
+            if not status_line and conn.answered:
+                # The peer closed the idle kept-alive connection.
                 self._drop_connection()
-                if attempt:
-                    raise
-        raise AssertionError("unreachable")
+                conn = self._connection()
+                status_line = conn.send(request)
+            if not status_line:
+                raise http.client.RemoteDisconnected(
+                    "connection closed without a response")
+            status, payload, keep_alive = _read_response(conn.rfile, status_line)
+        except BaseException:
+            self._drop_connection()
+            raise
+        if keep_alive:
+            conn.answered = True
+        else:
+            self._drop_connection()
+        return status, payload
 
     def select(self, query: SelectQuery) -> list[Row]:
         body = serialize_query(query).encode("utf-8")

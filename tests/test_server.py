@@ -1,5 +1,7 @@
 import http.client
 import json
+import logging
+import socket
 import threading
 import urllib.error
 import urllib.parse
@@ -176,3 +178,86 @@ def test_shutdown_of_a_server_never_started_returns():
     stopper.start()
     stopper.join(timeout=1)
     assert not stopper.is_alive()
+
+
+# -- the HTTP subset, spoken over raw sockets -----------------------------------
+
+QUERY = b"SELECT ?x WHERE { ?x wdt:P166 wd:Q38104 }"
+
+
+def _connect(server) -> socket.socket:
+    return socket.create_connection((server.host, server.port), timeout=10)
+
+
+def _post_bytes(body: bytes, *headers: str) -> bytes:
+    head = ["POST /sparql HTTP/1.1", "Host: x", "Content-Type: application/sparql-query",
+            f"Content-Length: {len(body)}", *headers]
+    return ("\r\n".join(head) + "\r\n\r\n").encode() + body
+
+
+def _read_reply(rfile) -> tuple[int, dict[str, str], bytes]:
+    """Status, headers (lower-case names) and body of one response."""
+    status = int(rfile.readline().split()[1])
+    headers = {}
+    while (line := rfile.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode().partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers, rfile.read(int(headers.get("content-length", 0)))
+
+
+def _values(body: bytes) -> list[str]:
+    return [b["x"]["value"] for b in json.loads(body)["results"]["bindings"]]
+
+
+def test_two_queries_are_answered_on_one_connection(endpoint):
+    with _connect(endpoint) as sock, sock.makefile("rb") as rfile:
+        sock.sendall(_post_bytes(QUERY))
+        first = _read_reply(rfile)
+        sock.sendall(_post_bytes(QUERY))
+        second = _read_reply(rfile)
+    assert first[0] == second[0] == 200
+    assert _values(first[2]) == _values(second[2]) == [WD + "Q7286"]
+
+
+def test_expect_100_continue_gets_an_interim_response(endpoint):
+    body = QUERY + b" " * (2048 - len(QUERY))
+    with _connect(endpoint) as sock, sock.makefile("rb") as rfile:
+        sock.sendall(_post_bytes(body, "Expect: 100-continue")[:-len(body)])
+        assert rfile.readline().split()[1] == b"100"
+        assert rfile.readline() == b"\r\n"
+        sock.sendall(body)
+        status, _, payload = _read_reply(rfile)
+    assert status == 200 and _values(payload) == [WD + "Q7286"]
+
+
+def test_connection_close_is_answered_then_closed(endpoint):
+    with _connect(endpoint) as sock, sock.makefile("rb") as rfile:
+        sock.sendall(_post_bytes(QUERY, "Connection: close"))
+        status, headers, payload = _read_reply(rfile)
+        assert status == 200 and _values(payload) == [WD + "Q7286"]
+        assert headers["connection"] == "close"
+        assert rfile.read() == b""
+
+
+@pytest.mark.parametrize("request_bytes, status", [
+    (b"PUT /sparql HTTP/1.1\r\nHost: x\r\n\r\n", 501),
+    (b"GET /" + b"x" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+    (b"GET /sparql?query=x HTTP/1.1\r\n"
+     + b"".join(b"X-H%d: v\r\n" % i for i in range(101)) + b"\r\n", 431),
+])
+def test_refused_requests_get_their_status_then_eof(endpoint, request_bytes, status):
+    with _connect(endpoint) as sock, sock.makefile("rb") as rfile:
+        sock.sendall(request_bytes)
+        assert _read_reply(rfile)[0] == status
+        assert rfile.read() == b""
+
+
+def test_each_request_is_logged_at_debug_with_its_row_count(endpoint, caplog):
+    with caplog.at_level(logging.DEBUG, logger="kif.rdf.server"):
+        _get(endpoint, "SELECT ?y WHERE { wd:Q7286 wdt:P166 ?y }")
+    (record,) = [r for r in caplog.records if r.name == "kif.rdf.server"]
+    assert record.levelno == logging.DEBUG
+    assert record.getMessage().startswith("GET 200, 2 rows, ")
+    caplog.clear()
+    _get(endpoint, "SELECT ?y WHERE { wd:Q7286 wdt:P166 ?y }")
+    assert not [r for r in caplog.records if r.name == "kif.rdf.server"]
