@@ -65,21 +65,28 @@ def results_to_json(variables: tuple[str, ...], rows: list[Binding]) -> dict:
     }
 
 
-MAX_LINE = 65536          # bytes in a request, status or header line
+_MAX_LINE = 65536         # bytes in a request, status or header line
 _MAX_HEADERS = 100
 _TEXT = "text/plain; charset=utf-8"
+
+
+def read_line(rfile) -> bytes:
+    """The next line of *rfile*, b"" at the end of the stream. A line over
+    65536 bytes raises http.client.LineTooLong."""
+    line = rfile.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise http.client.LineTooLong("line")
+    return line
 
 
 def read_header_fields(rfile) -> dict[str, str]:
     """The header fields of an HTTP message by lower-cased name, read from
     *rfile* up to the empty line that ends them (or the end of the
-    stream). A line over MAX_LINE bytes raises http.client.LineTooLong,
+    stream). A line over 65536 bytes raises http.client.LineTooLong,
     more than 100 fields http.client.HTTPException."""
     fields: dict[str, str] = {}
     for _ in range(_MAX_HEADERS + 1):
-        line = rfile.readline(MAX_LINE + 1)
-        if len(line) > MAX_LINE:
-            raise http.client.LineTooLong("header line")
+        line = read_line(rfile)
         if line in (b"\r\n", b"\n", b""):
             return fields
         name, _, value = line.decode("latin-1").partition(":")
@@ -115,9 +122,12 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def handle(self) -> None:
         while True:
-            line = self.rfile.readline(MAX_LINE + 1)
-            if not line:
-                return
+            try:
+                line: bytes | None = read_line(self.rfile)
+            except http.client.LineTooLong:
+                line = None               # answered with 414
+            if line == b"":
+                return                    # the client closed
             started = time.perf_counter()
             method, rows = "-", 0
             try:
@@ -138,10 +148,11 @@ class _Handler(socketserver.StreamRequestHandler):
             if not keep_alive:
                 return
 
-    def _read_head(self, line: bytes) -> tuple[str, str, bool, dict[str, str]]:
+    def _read_head(self, line: bytes | None) -> tuple[str, str, bool, dict[str, str]]:
         """The method, target, whether the connection stays open, and the
-        header fields of the request whose request line is *line*."""
-        if len(line) > MAX_LINE:
+        header fields of the request whose request line is *line* (None if
+        it was too long)."""
+        if line is None:
             raise _Refusal(414, "request line too long")
         words = line.decode("latin-1").split()
         if len(words) != 3 or not words[2].startswith("HTTP/"):

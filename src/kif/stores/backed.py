@@ -59,7 +59,7 @@ from ..lru import Lru
 from ..namespaces import WIKIDATA
 from ..rdf.bgp import match_bgp
 from ..rdf.ntriples import parse_ntriples
-from ..rdf.server import MAX_LINE, keeps_alive, read_header_fields
+from ..rdf.server import keeps_alive, read_header_fields, read_line
 from ..rdf.sparql import SelectQuery, serialize_query
 from ..rdf.terms import Graph, IriTerm, Literal, Term, Triple, term_key
 from .base import Store, StoreOptions, TransportError
@@ -184,20 +184,13 @@ class _Connection:
         peer closed or reset the connection before one arrived."""
         try:
             self.opened.sock.sendall(request)
-            return _read_line(self.rfile)
+            return read_line(self.rfile)
         except ConnectionError:           # a timeout is not a ConnectionError
             return b""
 
     def close(self) -> None:
         self.rfile.close()
         self.opened.close()
-
-
-def _read_line(rfile) -> bytes:
-    line = rfile.readline(MAX_LINE + 1)
-    if len(line) > MAX_LINE:
-        raise http.client.LineTooLong("status or chunk line")
-    return line
 
 
 def _read_response(rfile, status_line: bytes) -> tuple[int, bytes, bool]:
@@ -211,7 +204,7 @@ def _read_response(rfile, status_line: bytes) -> tuple[int, bytes, bool]:
         fields = read_header_fields(rfile)
         if words[1] >= "200":
             break
-        status_line = _read_line(rfile)   # after an interim 1xx response
+        status_line = read_line(rfile)   # after an interim 1xx response
     status, keep_alive = int(words[1]), keeps_alive(words[0], fields)
     if "chunked" in fields.get("transfer-encoding", "").lower():
         return status, _read_chunked(rfile), keep_alive
@@ -229,7 +222,7 @@ def _read_response(rfile, status_line: bytes) -> tuple[int, bytes, bool]:
 def _read_chunked(rfile) -> bytes:
     chunks = []
     while True:
-        line = _read_line(rfile)
+        line = read_line(rfile)
         try:
             size = int(line.split(b";", 1)[0], 16)
             if size < 0:
@@ -242,7 +235,7 @@ def _read_chunked(rfile) -> bytes:
         if len(chunk) < size + 2:
             raise http.client.IncompleteRead(b"".join(chunks) + chunk, size + 2 - len(chunk))
         chunks.append(chunk[:size])
-    while _read_line(rfile) not in (b"\r\n", b"\n", b""):
+    while read_line(rfile) not in (b"\r\n", b"\n", b""):
         pass                              # trailer fields
     return b"".join(chunks)
 

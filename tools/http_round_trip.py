@@ -1,10 +1,10 @@
 """Time one-row SPARQL round trips to an in-process endpoint.
 
-    PYTHONPATH=src python3 tools/http_round_trip.py [--requests 2000] [--repeats 5]
+    PYTHONPATH=src python3 tools/http_round_trip.py
 
 Serves a one-triple graph with ``kif.rdf.server.serve`` and sends the same
-one-row query *requests* times through ``HttpBackend.select``, over one
-kept-alive connection. The process is pinned to one CPU, as
+one-row query REQUESTS times in each of REPEATS repeats through
+``HttpBackend.select``, over one kept-alive connection. The process is pinned to one CPU, as
 ``benchmark/run.py`` pins its threads, so the client and the endpoint's
 handler thread take turns on it. Prints one JSON line: the microseconds per
 round trip of each repeat, their best and their median.
@@ -12,7 +12,6 @@ round trip of each repeat, their best and their median.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import statistics
@@ -23,12 +22,11 @@ from kif.rdf.sparql import parse_query
 from kif.rdf.terms import Graph, IriTerm, Literal, Triple
 from kif.stores.backed import HttpBackend
 
+REQUESTS = 2000
+REPEATS = 5
+
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--requests", type=int, default=2000)
-    parser.add_argument("--repeats", type=int, default=5)
-    args = parser.parse_args()
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     graph = Graph()
@@ -40,14 +38,14 @@ def main() -> None:
         try:
             assert len(backend.select(query)) == 1
             per_trip = []
-            for _ in range(args.repeats):
+            for _ in range(REPEATS):
                 started = time.perf_counter()
-                for _ in range(args.requests):
+                for _ in range(REQUESTS):
                     backend.select(query)
-                per_trip.append((time.perf_counter() - started) / args.requests * 1e6)
+                per_trip.append((time.perf_counter() - started) / REQUESTS * 1e6)
         finally:
             backend.close()
-    print(json.dumps({"requests": args.requests, "us_per_round_trip": per_trip,
+    print(json.dumps({"requests": REQUESTS, "us_per_round_trip": per_trip,
                       "best_us": min(per_trip), "median_us": statistics.median(per_trip)}))
 
 
