@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import model as m
 from . import namespaces as ns
@@ -248,6 +248,10 @@ def _encode_snak_at(subject: IriTerm, snak: m.Snak, simple_base: str,
 
 def encode(es: EncodedStatement) -> set:
     """Encode one statement (with its annotation) into RDF triples."""
+    return set(_statement_triples(es))
+
+
+def _statement_triples(es: EncodedStatement) -> list:
     from .rdf.terms import Triple
 
     stmt, ann = es.statement, es.annotation
@@ -295,7 +299,7 @@ def encode(es: EncodedStatement) -> set:
         if ann.rank is m.Rank.DEPRECATED:
             raise CodecError("a deprecated statement cannot carry the best-rank marker")
         triples.append(Triple(wds, IriTerm(ns.RDF_TYPE), IriTerm(ns.WIKIBASE_BEST_RANK)))
-    return set(triples)
+    return triples
 
 
 Pair = tuple[m.Statement, m.AnnotationRecord]
@@ -320,34 +324,31 @@ def best_flags(pairs: Iterable[Pair]) -> list[EncodedStatement]:
 def encode_statements(pairs: Iterable[Pair]) -> Graph:
     graph = Graph()
     for es in best_flags(pairs):
-        graph.update(encode(es))
+        graph.update(_statement_triples(es))
     return graph
 
 
-def encode_descriptors(descriptors: Mapping[m.Entity, m.Descriptor]) -> Graph:
+def _descriptor_triples(descriptors: Mapping[m.Entity, m.Descriptor]) -> Iterator:
     from .rdf.terms import Triple
 
-    graph = Graph()
+    label, description, alt_label = (IriTerm(ns.RDFS_LABEL), IriTerm(ns.SCHEMA_DESCRIPTION),
+                                     IriTerm(ns.SKOS_ALT_LABEL))
     for entity, desc in descriptors.items():
         subj = IriTerm(entity.iri.value)
         if desc.label is not None:
-            graph.add(Triple(subj, IriTerm(ns.RDFS_LABEL),
-                             Literal(desc.label.content, language=desc.label.language)))
+            yield Triple(subj, label, Literal(desc.label.content, language=desc.label.language))
         if desc.description is not None:
-            graph.add(Triple(subj, IriTerm(ns.SCHEMA_DESCRIPTION),
-                             Literal(desc.description.content,
-                                     language=desc.description.language)))
+            yield Triple(subj, description, Literal(desc.description.content,
+                                                    language=desc.description.language))
         for alias in desc.aliases:
-            graph.add(Triple(subj, IriTerm(ns.SKOS_ALT_LABEL),
-                             Literal(alias.content, language=alias.language)))
-    return graph
+            yield Triple(subj, alt_label, Literal(alias.content, language=alias.language))
 
 
 def encode_dataset(pairs: Iterable[Pair],
                    descriptors: Mapping[m.Entity, m.Descriptor] | None = None) -> Graph:
     graph = encode_statements(pairs)
     if descriptors:
-        graph.update(encode_descriptors(descriptors))
+        graph.update(_descriptor_triples(descriptors))
     return graph
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 from ..namespaces import RDF_LANG_STRING, XSD_STRING
 from .terms import Graph, IriTerm, Literal, Term, Triple, triple_key
@@ -54,11 +54,13 @@ def unescape(text: str) -> str:
 
 
 class _LineParser:
-    def __init__(self, text: str, line_no: int, skolem_base: str) -> None:
+    def __init__(self, text: str, line_no: int, skolem_base: str,
+                 iris: dict[str, IriTerm]) -> None:
         self.text = text
         self.pos = 0
         self.line_no = line_no
         self.skolem_base = skolem_base
+        self.iris = iris
 
     def fail(self, message: str) -> NTriplesError:
         return NTriplesError(message, self.line_no)
@@ -70,16 +72,19 @@ class _LineParser:
     def resource(self) -> IriTerm:
         m = _IRI_RE.match(self.text, self.pos)
         if m:
-            self.pos = m.end()
             iri = m.group(1)
             if not iri or ":" not in iri:
                 raise self.fail(f"invalid IRI <{iri}>")
-            return IriTerm(iri)
-        m = _BNODE_RE.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-            return IriTerm(f"{self.skolem_base}{m.group(1)}")
-        raise self.fail(f"expected IRI or blank node at column {self.pos + 1}")
+        else:
+            m = _BNODE_RE.match(self.text, self.pos)
+            if not m:
+                raise self.fail(f"expected IRI or blank node at column {self.pos + 1}")
+            iri = f"{self.skolem_base}{m.group(1)}"
+        self.pos = m.end()
+        term = self.iris.get(iri)
+        if term is None:
+            term = self.iris[iri] = IriTerm(iri)
+        return term
 
     def obj(self) -> Term:
         if self.text[self.pos:self.pos + 1] != '"':
@@ -116,16 +121,20 @@ class _LineParser:
 
 
 def parse_ntriples(source: str | IO[str]) -> Graph:
-    """Parse N-Triples text (or a text stream) into a graph."""
+    """Parse N-Triples text (or a text stream) into a graph. Every
+    occurrence of one IRI in the text becomes the same IriTerm object."""
     text = source if isinstance(source, str) else source.read()
     doc_digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:32]
-    skolem_base = f"{SKOLEM_PREFIX}{doc_digest}:"
-    graph = Graph()
+    return Graph(_parse_lines(text, f"{SKOLEM_PREFIX}{doc_digest}:"))
+
+
+def _parse_lines(text: str, skolem_base: str) -> Iterator[Triple]:
+    iris: dict[str, IriTerm] = {}
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        lp = _LineParser(line, line_no, skolem_base)
+        lp = _LineParser(line, line_no, skolem_base, iris)
         s = lp.resource()
         lp.skip_ws()
         p = lp.resource()
@@ -134,8 +143,7 @@ def parse_ntriples(source: str | IO[str]) -> Graph:
         lp.skip_ws()
         o = lp.obj()
         lp.end()
-        graph.add(Triple(s, p, o))
-    return graph
+        yield Triple(s, p, o)
 
 
 _ESCAPE_TABLE = str.maketrans({

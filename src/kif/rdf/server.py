@@ -212,6 +212,10 @@ class _HttpServer(socketserver.ThreadingTCPServer):
 
     daemon_threads = True
     allow_reuse_address = True
+    # socketserver's backlog of 5 drops the connects of a larger client
+    # pool that arrive together, and each dropped one is retried a second
+    # later.
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(self, address, graph: Graph) -> None:
         super().__init__(address, _Handler)

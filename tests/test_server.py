@@ -180,6 +180,21 @@ def test_shutdown_of_a_server_never_started_returns():
     assert not stopper.is_alive()
 
 
+def test_a_server_not_yet_serving_queues_many_connects():
+    server = EndpointServer(Graph())
+    clients = []
+    try:
+        for _ in range(32):
+            clients.append(socket.create_connection((server.host, server.port), timeout=0.5))
+    finally:
+        for client in clients:
+            client.close()
+        server.shutdown()
+    assert len(clients) == 32
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection((server.host, server.port), timeout=0.5).close()
+
+
 # -- the HTTP subset, spoken over raw sockets -----------------------------------
 
 QUERY = b"SELECT ?x WHERE { ?x wdt:P166 wd:Q38104 }"

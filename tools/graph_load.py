@@ -1,0 +1,50 @@
+"""Time the three set-up layers of the benchmark's ``lookup`` workload.
+
+    PYTHONPATH=src:benchmark python3 tools/graph_load.py
+
+Generates the seed-1 ``lookup`` dataset (1600 statements) with the
+benchmark's own generator, then times, in this process, encoding it into a
+graph (``codec.encode_dataset``), writing the graph as N-Triples
+(``serialize_ntriples``) and parsing the text back (``parse_ntriples``),
+REPEATS times each, with a garbage collection before every repeat. Prints
+one JSON line: the best and the median seconds of each layer, the triple
+count and the text size.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import statistics
+import time
+
+import gen
+from kif import codec
+from kif.rdf.ntriples import parse_ntriples, serialize_ntriples
+
+REPEATS = 5
+
+
+def _timed(fn) -> tuple[object, dict[str, float]]:
+    times = []
+    for _ in range(REPEATS):
+        gc.collect()
+        start = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - start)
+    return out, {"best_s": round(min(times), 4),
+                 "median_s": round(statistics.median(times), 4)}
+
+
+def main() -> None:
+    ds = gen.wikidata_dataset(1, 1600, 300)
+    graph, encode = _timed(lambda: codec.encode_dataset(ds.pairs, ds.descriptors))
+    text, write = _timed(lambda: serialize_ntriples(graph))
+    parsed, parse = _timed(lambda: parse_ntriples(text))
+    assert len(parsed) == len(graph)
+    print(json.dumps({"encode": encode, "write": write, "parse": parse,
+                      "triples": len(graph), "bytes": len(text.encode("utf-8"))}))
+
+
+if __name__ == "__main__":
+    main()
