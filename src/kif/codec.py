@@ -13,14 +13,12 @@ by Wikidata-compatible endpoints.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Iterable, Iterator, Mapping
 
 from . import model as m
 from . import namespaces as ns
-from . import sexpr
 from .namespaces import WIKIDATA
 from .rdf.sparql import SelectQuery, TriplePattern, ValuesBlock, Var
 from .rdf.terms import Graph, IriTerm, Literal, Term, term_key
@@ -107,30 +105,25 @@ def canonical_object_term(term: Term) -> Term:
     return term
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def statement_genid(stmt: m.Statement) -> IriTerm:
     """Deterministic unknown-value node for a statement's main snak."""
-    return IriTerm(ns.WDGENID + _digest(sexpr.dumps(stmt)))
+    return IriTerm(ns.WDGENID + m.content_digest(stmt))
 
 
 def _snak_genid(snak: m.Snak) -> IriTerm:
-    return IriTerm(ns.WDGENID + _digest(sexpr.dumps(snak)))
+    return IriTerm(ns.WDGENID + m.content_digest(snak))
 
 
 def statement_node(stmt: m.Statement, ann: m.AnnotationRecord) -> IriTerm:
-    combined = sexpr.dumps(m.AnnotatedStatement(stmt, (ann,)))
-    return IriTerm(ns.WDS + _digest(combined))
+    return IriTerm(ns.WDS + m.content_digest(m.AnnotatedStatement(stmt, (ann,))))
 
 
 def value_node(value: m.Value) -> IriTerm:
-    return IriTerm(ns.WDV + _digest(sexpr.dumps(value)))
+    return IriTerm(ns.WDV + m.content_digest(value))
 
 
 def reference_node(ref: m.ReferenceRecord) -> IriTerm:
-    return IriTerm(ns.WDREF + _digest(sexpr.dumps(ref)))
+    return IriTerm(ns.WDREF + m.content_digest(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -308,17 +301,14 @@ Pair = tuple[m.Statement, m.AnnotationRecord]
 def best_flags(pairs: Iterable[Pair]) -> list[EncodedStatement]:
     """Attach best-rank flags: a statement is best when it is not deprecated
     and no co-(subject, property) statement in the batch outranks it."""
-    pairs = list(pairs)
+    keyed = [((m.canonical_key(stmt.subject), m.canonical_key(stmt.snak.property)),
+              stmt, ann) for stmt, ann in pairs]
     top: dict[tuple, int] = {}
-    for stmt, ann in pairs:
-        key = (m.canonical_key(stmt.subject), m.canonical_key(stmt.snak.property))
+    for key, _, ann in keyed:
         top[key] = max(top.get(key, -1), ann.rank.priority)
-    out = []
-    for stmt, ann in pairs:
-        key = (m.canonical_key(stmt.subject), m.canonical_key(stmt.snak.property))
-        best = ann.rank is not m.Rank.DEPRECATED and ann.rank.priority >= top[key]
-        out.append(EncodedStatement(stmt, ann, best))
-    return out
+    return [EncodedStatement(stmt, ann, ann.rank is not m.Rank.DEPRECATED
+                             and ann.rank.priority >= top[key])
+            for key, stmt, ann in keyed]
 
 
 def encode_statements(pairs: Iterable[Pair]) -> Graph:
@@ -642,7 +632,7 @@ def _property_local_of(pattern: m.FilterPattern) -> str | None:
 
 
 def _finish(patterns: list[TriplePattern], projected: list[Var],
-            subject_const: IriTerm | None, limit, offset) -> SelectQuery:
+            subject_const: IriTerm | None) -> SelectQuery:
     names = []
     seen = set()
     for var in projected:
@@ -655,12 +645,11 @@ def _finish(patterns: list[TriplePattern], projected: list[Var],
         # projection is non-empty and the row count signals presence.
         values = (ValuesBlock("s", (subject_const,)),)
         names = ["s"]
-    return SelectQuery(tuple(names), tuple(patterns), distinct=False,
-                       values=values, limit=limit, offset=offset)
+    return SelectQuery(tuple(names), tuple(patterns), values=values)
 
 
-def compile_truthy_plan(pattern: m.FilterPattern, object_term: Term | None = None,
-                        limit: int | None = None, offset: int | None = None) -> FilterPlan:
+def compile_truthy_plan(pattern: m.FilterPattern,
+                        object_term: Term | None = None) -> FilterPlan:
     patterns: list[TriplePattern] = []
     s_const, s_var = _subject_slot(pattern, patterns)
     o_const, o_var = _value_slot(pattern, patterns, object_term)
@@ -669,12 +658,12 @@ def compile_truthy_plan(pattern: m.FilterPattern, object_term: Term | None = Non
     main = TriplePattern(s_const or s_var, p_slot, o_const if o_const is not None else o_var)
     patterns.insert(0, main)
     p_var = None if plocal else Var("p")
-    query = _finish(patterns, [s_var, p_var, o_var], s_const, limit, offset)
+    query = _finish(patterns, [s_var, p_var, o_var], s_const)
     return FilterPlan("truthy", query, s_const, plocal, o_const)
 
 
-def compile_full_plan(pattern: m.FilterPattern, object_term: Term | None = None,
-                      limit: int | None = None, offset: int | None = None) -> FilterPlan:
+def compile_full_plan(pattern: m.FilterPattern,
+                      object_term: Term | None = None) -> FilterPlan:
     """Query for the statement nodes that may carry statements of *pattern*,
     in one of three forms (S is the subject slot, V the value slot):
 
@@ -722,12 +711,11 @@ def compile_full_plan(pattern: m.FilterPattern, object_term: Term | None = None,
     if folded:
         patterns.append(TriplePattern(wvar, Var("q"), Var("o")))
         projected += [Var("q"), Var("o")]
-    query = _finish(patterns, projected, s_const, limit, offset)
+    query = _finish(patterns, projected, s_const)
     return FilterPlan(shape, query, s_const, plocal, o_const, folded)
 
 
-def compile_novalue_plan(pattern: m.FilterPattern,
-                         limit: int | None = None, offset: int | None = None) -> FilterPlan:
+def compile_novalue_plan(pattern: m.FilterPattern) -> FilterPlan:
     patterns: list[TriplePattern] = []
     s_const, s_var = _subject_slot(pattern, patterns)
     plocal = _property_local_of(pattern)
@@ -738,7 +726,7 @@ def compile_novalue_plan(pattern: m.FilterPattern,
     patterns.insert(0, TriplePattern(s_const or s_var, link, wvar))
     p_var = None if plocal else Var("p")
     n_var = None if plocal else Var("n")
-    query = _finish(patterns, [s_var, p_var, wvar, n_var], s_const, limit, offset)
+    query = _finish(patterns, [s_var, p_var, wvar, n_var], s_const)
     return FilterPlan("novalue", query, s_const, plocal)
 
 

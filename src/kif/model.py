@@ -329,9 +329,6 @@ class Rank(enum.Enum):
     def priority(self) -> int:
         return {Rank.PREFERRED: 2, Rank.NORMAL: 1, Rank.DEPRECATED: 0}[self]
 
-    def outranks(self, other: "Rank") -> bool:
-        return self.priority > other.priority
-
 
 def _canonical_tuple(items: Iterable, what: str, typ: type) -> tuple:
     out = []
@@ -577,24 +574,13 @@ def canonical_key(x: object) -> tuple:
     raise ModelError(f"object has no canonical order: {x!r}")
 
 
-def canonical_compare(a: object, b: object) -> int:
-    """Three-way comparison under the canonical total order."""
-    ka, kb = canonical_key(a), canonical_key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
-def content_digest(x: Statement | AnnotationRecord) -> str:
-    """256-bit hex digest of the canonical serialization of *x*.
+def content_digest(x: object) -> str:
+    """256-bit hex digest of the canonical serialization of *x*, which
+    names the nodes of the RDF encoding (see codec).
 
     Equal content gives equal digests; annotations never leak into a
     statement's digest because they are not part of the statement.
     """
-    from . import sexpr  # deferred: sexpr builds on this module
-
     return hashlib.sha256(sexpr.dumps(x).encode("utf-8")).hexdigest()
 
 
@@ -651,3 +637,8 @@ class EntityDescriptor:
 
     entity: Entity
     descriptor: Descriptor
+
+
+# Imported last: sexpr builds on the classes above, and content_digest
+# prints through it.
+from . import sexpr  # noqa: E402

@@ -124,10 +124,10 @@ def match_bgp(graph: Graph, query: SelectQuery) -> list[Binding]:
 
 
 def solution_rows(bindings: Iterable[Binding], variables: Sequence[str],
-                  distinct: bool = False, offset: int | None = None,
-                  limit: int | None = None) -> list[Binding]:
+                  distinct: bool = False, limit: int | None = None) -> list[Binding]:
     """Apply the solution modifiers: project *bindings* on *variables*,
-    drop repeated rows if *distinct*, order canonically, then slice."""
+    drop repeated rows if *distinct*, order canonically, then keep the
+    first *limit*."""
     def key(row: Binding) -> tuple:
         return tuple(term_key(row[v]) for v in variables)
 
@@ -136,5 +136,4 @@ def solution_rows(bindings: Iterable[Binding], variables: Sequence[str],
     if distinct:
         rows = [row for i, row in enumerate(rows)
                 if i == 0 or key(row) != key(rows[i - 1])]
-    start = offset or 0
-    return rows[start:None if limit is None else start + limit]
+    return rows[:limit]

@@ -3,15 +3,23 @@
 Blank node labels are accepted on input and skolemized into deterministic
 ``urn:skolem:{document-digest}:{label}`` IRIs, so parsing the same document
 twice yields identical graphs and reified nodes stay comparable.
+
+The reader takes one triple a line, in this subset of N-Triples:
+
+- a ``#`` comment only on a line of its own, not after a triple;
+- no escapes inside IRIs, whose characters are any but ``<>"{}|^`\\``,
+  space and the controls; a subject, predicate or object IRI holds a ``:``;
+- language tags matching ``[a-zA-Z]+(-[a-zA-Z0-9]+)*``;
+- blank-node (and ``urn:skolem:``) predicates are refused.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, NoReturn
 
-from ..namespaces import RDF_LANG_STRING, XSD_STRING
+from ..namespaces import XSD_STRING
 from .terms import Graph, IriTerm, Literal, Term, Triple, triple_key
 
 SKOLEM_PREFIX = "urn:skolem:"
@@ -22,11 +30,6 @@ class NTriplesError(ValueError):
         super().__init__(f"line {line}: {message}")
         self.line = line
 
-
-_IRI_RE = re.compile(r"<([^<>\"{}|^`\\\x00-\x20]*)>")
-_BNODE_RE = re.compile(r"_:([A-Za-z0-9][A-Za-z0-9._-]*)")
-_STRING_RE = re.compile(r'"((?:[^"\\\n\r]|\\.)*)"')
-_LANG_RE = re.compile(r"@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)")
 
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
           '"': '"', "'": "'", "\\": "\\"}
@@ -53,71 +56,17 @@ def unescape(text: str) -> str:
     return _ESCAPE_RE.sub(_unescape_one, text)
 
 
-class _LineParser:
-    def __init__(self, text: str, line_no: int, skolem_base: str,
-                 iris: dict[str, IriTerm]) -> None:
-        self.text = text
-        self.pos = 0
-        self.line_no = line_no
-        self.skolem_base = skolem_base
-        self.iris = iris
-
-    def fail(self, message: str) -> NTriplesError:
-        return NTriplesError(message, self.line_no)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def resource(self) -> IriTerm:
-        m = _IRI_RE.match(self.text, self.pos)
-        if m:
-            iri = m.group(1)
-            if not iri or ":" not in iri:
-                raise self.fail(f"invalid IRI <{iri}>")
-        else:
-            m = _BNODE_RE.match(self.text, self.pos)
-            if not m:
-                raise self.fail(f"expected IRI or blank node at column {self.pos + 1}")
-            iri = f"{self.skolem_base}{m.group(1)}"
-        self.pos = m.end()
-        term = self.iris.get(iri)
-        if term is None:
-            term = self.iris[iri] = IriTerm(iri)
-        return term
-
-    def obj(self) -> Term:
-        if self.text[self.pos:self.pos + 1] != '"':
-            return self.resource()
-        m = _STRING_RE.match(self.text, self.pos)
-        if not m:
-            raise self.fail("unterminated literal")
-        self.pos = m.end()
-        try:
-            lexical = unescape(m.group(1))
-        except ValueError as e:
-            raise self.fail(str(e)) from None
-        if self.text[self.pos:self.pos + 2] == "^^":
-            self.pos += 2
-            dt = _IRI_RE.match(self.text, self.pos)
-            if not dt:
-                raise self.fail("expected datatype IRI after ^^")
-            self.pos = dt.end()
-            return Literal(lexical, dt.group(1))
-        lang = _LANG_RE.match(self.text, self.pos)
-        if lang:
-            self.pos = lang.end()
-            return Literal(lexical, RDF_LANG_STRING, lang.group(1))
-        return Literal(lexical, XSD_STRING)
-
-    def end(self) -> None:
-        self.skip_ws()
-        if self.text[self.pos:self.pos + 1] != ".":
-            raise self.fail("expected terminating '.'")
-        self.pos += 1
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.fail("trailing content after '.'")
+# The parts of a line. A resource is an IRI (group 1) or a blank node
+# label (group 2), which runs to the last label character, '.' included.
+# An object is a resource or a literal: its escaped text, then a datatype
+# IRI or a language tag.
+_IRI = r"<([^<>\"{}|^`\\\x00-\x20]*)>"
+_RESOURCE = _IRI + r"|_:([A-Za-z0-9][A-Za-z0-9._-]*)(?![A-Za-z0-9._-])"
+_OBJECT = (_RESOURCE + r'|"([^"\\\n\r]*(?:\\.[^"\\\n\r]*)*)"'
+           r"(?:\^\^" + _IRI + r"|@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*))?")
+_PARTS = (re.compile(_RESOURCE), re.compile(_RESOURCE), re.compile(_OBJECT))
+_SPACE_RE = re.compile(r"[ \t]*")
+_LINE_RE = re.compile(rf"(?:{_RESOURCE})[ \t]*(?:{_RESOURCE})[ \t]*(?:{_OBJECT})[ \t]*\.")
 
 
 def parse_ntriples(source: str | IO[str]) -> Graph:
@@ -130,20 +79,65 @@ def parse_ntriples(source: str | IO[str]) -> Graph:
 
 def _parse_lines(text: str, skolem_base: str) -> Iterator[Triple]:
     iris: dict[str, IriTerm] = {}
+
+    def resource(iri: str | None, label: str | None) -> IriTerm:
+        if label is not None:
+            iri = skolem_base + label
+        elif not iri or ":" not in iri:
+            raise ValueError(f"invalid IRI <{iri}>")
+        term = iris.get(iri)
+        if term is None:
+            term = iris[iri] = IriTerm(iri)
+        return term
+
+    def predicate(iri: str | None, label: str | None) -> IriTerm:
+        term = resource(iri, label)
+        if term.value.startswith(SKOLEM_PREFIX):
+            raise ValueError("predicate must be an IRI")
+        return term
+
+    def obj(iri: str | None, label: str | None, lexical: str | None,
+            datatype: str | None, language: str | None) -> Term:
+        if lexical is None:
+            return resource(iri, label)
+        if datatype is None:
+            return Literal(unescape(lexical), language=language)
+        return Literal(unescape(lexical), datatype)
+
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        lp = _LineParser(line, line_no, skolem_base, iris)
-        s = lp.resource()
-        lp.skip_ws()
-        p = lp.resource()
-        if not isinstance(p, IriTerm) or p.value.startswith(SKOLEM_PREFIX):
-            raise lp.fail("predicate must be an IRI")
-        lp.skip_ws()
-        o = lp.obj()
-        lp.end()
-        yield Triple(s, p, o)
+        m = _LINE_RE.fullmatch(line)
+        try:
+            if m is None:
+                _refuse(line, (resource, predicate, obj))
+            si, sb, pi, pb, *o = m.groups()
+            triple = Triple(resource(si, sb), predicate(pi, pb), obj(*o))
+        except ValueError as e:
+            raise NTriplesError(str(e), line_no) from None
+        yield triple
+
+
+def _refuse(line: str, builders: tuple[Callable, ...]) -> NoReturn:
+    """Raise ValueError saying why _LINE_RE refused *line*: read its parts
+    in order, each built as it is read, and report the first fault."""
+    pos = 0
+    for slot, (part, build) in enumerate(zip(_PARTS, builders)):
+        pos = _SPACE_RE.match(line, pos).end()
+        m = part.match(line, pos)
+        if m is None:
+            if slot == 2 and line.startswith('"', pos):
+                raise ValueError("unterminated literal")
+            raise ValueError(f"expected IRI or blank node at column {pos + 1}")
+        build(*m.groups())
+        pos = m.end()
+    if m.lastindex == 3 and line.startswith("^^", pos):  # a bare literal
+        raise ValueError("expected datatype IRI after ^^")
+    pos = _SPACE_RE.match(line, pos).end()
+    if not line.startswith(".", pos):
+        raise ValueError("expected terminating '.'")
+    raise ValueError("trailing content after '.'")
 
 
 _ESCAPE_TABLE = str.maketrans({

@@ -134,16 +134,19 @@ def serialize_query(q: SelectQuery) -> str:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<iri><[^<>\s]*>)
+# Each match skips whitespace and comments, then reads one token, whose
+# group names its kind: the end of the text is "eof", and a character that
+# starts no token is "error".
+_TOKEN_RE = re.compile(r"""(?:\s|\#[^\n]*(?![^\n]))*(?:
+    (?P<iri><[^<>\s]*>)
   | (?P<var>[?$][A-Za-z_][A-Za-z0-9_]*)
-  | (?P<string>"(?:[^"\\]|\\.)*")
+  | (?P<string>"[^"\\]*(?:\\.[^"\\]*)*")
   | (?P<number>[+-]?[0-9]+(?:\.[0-9]+)?)
   | (?P<punct>\{|\}|\.|\*|\^\^|@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)
   | (?P<name>[A-Za-z_][A-Za-z0-9_-]*(?::[A-Za-z0-9_.-]*)?)
-""", re.VERBOSE)
+  | (?P<eof>\Z)
+  | (?P<error>(?s:.)))""", re.VERBOSE)
+
 
 @dataclass(frozen=True)
 class _Tok:
@@ -155,20 +158,18 @@ class _Tok:
 def _tokenize(text: str) -> list[_Tok]:
     toks = []
     pos = 0
-    while pos < len(text):
+    while True:
         m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise SparqlError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup or ""
-        if kind == "name" and ":" not in m.group(0) \
-                and m.group(0).upper() in _UNSUPPORTED:
-            raise SparqlError(
-                f"{m.group(0).upper()} is unsupported in this subset", pos)
-        if kind not in ("ws", "comment"):
-            toks.append(_Tok(kind, m.group(0), pos))
+        kind = m.lastgroup
+        tok = _Tok(kind, m.group(kind), m.start(kind))
+        if kind == "error":
+            raise SparqlError(f"unexpected character {tok.text!r}", tok.pos)
+        if kind == "name" and ":" not in tok.text and tok.text.upper() in _UNSUPPORTED:
+            raise SparqlError(f"{tok.text.upper()} is unsupported in this subset", tok.pos)
+        toks.append(tok)
+        if kind == "eof":
+            return toks
         pos = m.end()
-    toks.append(_Tok("eof", "", pos))
-    return toks
 
 
 class _QueryParser:
@@ -196,10 +197,6 @@ class _QueryParser:
         if t.kind != "punct" or t.text != punct:
             raise SparqlError(f"expected {punct!r}, got {t.text!r}", t.pos)
         return t
-
-    def _check_supported(self, t: _Tok) -> None:
-        if t.kind == "name" and t.text.upper() in _UNSUPPORTED:
-            raise SparqlError(f"{t.text.upper()} is unsupported in this subset", t.pos)
 
     def _iri(self, t: _Tok) -> IriTerm:
         if t.kind == "iri":
@@ -229,7 +226,6 @@ class _QueryParser:
         return Literal(lexical)
 
     def _term(self, t: _Tok, allow_var: bool = True) -> PatternTerm:
-        self._check_supported(t)
         if t.kind == "var":
             if not allow_var:
                 raise SparqlError("variable not allowed here", t.pos)
@@ -273,7 +269,6 @@ class _QueryParser:
             if t.kind == "name" and t.text.upper() == "VALUES":
                 values.append(self._parse_values())
                 continue
-            self._check_supported(t)
             s = self._term(self._next())
             p = self._term(self._next())
             o = self._term(self._next())
@@ -296,7 +291,6 @@ class _QueryParser:
             elif t.kind == "eof":
                 break
             else:
-                self._check_supported(t)
                 raise SparqlError(f"unexpected trailing {t.text!r}", t.pos)
         try:
             return SelectQuery(tuple(variables), tuple(patterns), distinct,

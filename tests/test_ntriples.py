@@ -1,4 +1,5 @@
 import io
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from kif.rdf.ntriples import (NTriplesError, parse_ntriples,
 from kif.rdf.terms import Graph, IriTerm, Literal, Triple
 
 import paper_fixtures as pf
+from randgen import ModelGen
 
 
 def test_single_triple():
@@ -107,3 +109,22 @@ def test_every_ascii_and_a_non_bmp_character_round_trip():
     written = serialize_ntriples(g)
     assert "\\u001F" in written and "\\t" in written
     assert set(parse_ntriples(written)) == set(g)
+
+
+def test_single_character_corruption_yields_positioned_errors():
+    pairs, descriptors = ModelGen(41).dataset(10)
+    text = serialize_ntriples(codec.encode_dataset(pairs, descriptors))
+    rng = random.Random(5)
+    alphabet = '<>"\\_:.@^# \tx0'
+    for _ in range(300):
+        pos = rng.randrange(len(text))
+        replacement = rng.choice(alphabet)
+        if replacement == text[pos]:
+            continue
+        corrupted = text[:pos] + replacement + text[pos + 1:]
+        try:
+            parse_ntriples(corrupted)
+        except NTriplesError as e:
+            # The other lines are intact, so only the corrupted one can fail.
+            assert e.line == corrupted.count("\n", 0, pos) + 1
+        # A corruption may still parse (e.g. a changed IRI character); that is fine.

@@ -191,3 +191,21 @@ def test_match_bgp_equals_brute_force_on_random_graphs():
             continue
         q = _random_query(rng, g, n_patterns)
         assert match_bgp(g, q) == brute_force_bgp(g, q)
+
+
+def test_single_character_corruption_yields_positioned_errors():
+    rng = random.Random(6)
+    alphabet = '{}.?$<>"\\# \n*^@-+0aS:'
+    for _ in range(300):
+        g = _random_graph(rng, rng.randint(0, 20))
+        text = serialize_query(_random_query(rng, g, rng.choice((1, 2, 3))))
+        pos = rng.randrange(len(text))
+        replacement = rng.choice(alphabet)
+        if replacement == text[pos]:
+            continue
+        corrupted = text[:pos] + replacement + text[pos + 1:]
+        try:
+            parse_query(corrupted)
+        except SparqlError as e:
+            assert 0 <= e.pos <= len(corrupted)
+        # A corruption may still parse (e.g. a changed IRI character); that is fine.
