@@ -632,7 +632,8 @@ def _property_local_of(pattern: m.FilterPattern) -> str | None:
 
 
 def _finish(patterns: list[TriplePattern], projected: list[Var],
-            subject_const: IriTerm | None) -> SelectQuery:
+            subject_const: IriTerm | None,
+            filters: tuple[tuple[str, str], ...] = ()) -> SelectQuery:
     names = []
     seen = set()
     for var in projected:
@@ -645,11 +646,24 @@ def _finish(patterns: list[TriplePattern], projected: list[Var],
         # projection is non-empty and the row count signals presence.
         values = (ValuesBlock("s", (subject_const,)),)
         names = ["s"]
-    return SelectQuery(tuple(names), tuple(patterns), values=values)
+    return SelectQuery(tuple(names), tuple(patterns), values=values, filters=filters)
+
+
+def _scan_filter(pattern: m.FilterPattern, plocal: str | None, var: str,
+                 prefix: str) -> tuple[tuple[str, str], ...]:
+    """A prefix filter on *var* for a scan that leaves the property unbound
+    and the subject absent, where the pattern alone would read every
+    predicate; other plans already start from their subject or property."""
+    if plocal is None and pattern.subject is None:
+        return ((var, prefix),)
+    return ()
 
 
 def compile_truthy_plan(pattern: m.FilterPattern,
                         object_term: Term | None = None) -> FilterPlan:
+    """Query for the truthy triples ``S wdt:X V`` of *pattern*; with the
+    property unbound, ``S ?p V``, and in a scan with no subject the filter
+    ``STRSTARTS(STR(?p), wdt:)`` keeps only the truthy predicates."""
     patterns: list[TriplePattern] = []
     s_const, s_var = _subject_slot(pattern, patterns)
     o_const, o_var = _value_slot(pattern, patterns, object_term)
@@ -658,7 +672,8 @@ def compile_truthy_plan(pattern: m.FilterPattern,
     main = TriplePattern(s_const or s_var, p_slot, o_const if o_const is not None else o_var)
     patterns.insert(0, main)
     p_var = None if plocal else Var("p")
-    query = _finish(patterns, [s_var, p_var, o_var], s_const)
+    query = _finish(patterns, [s_var, p_var, o_var], s_const,
+                    _scan_filter(pattern, plocal, "p", ns.WDT))
     return FilterPlan("truthy", query, s_const, plocal, o_const)
 
 
@@ -716,6 +731,10 @@ def compile_full_plan(pattern: m.FilterPattern,
 
 
 def compile_novalue_plan(pattern: m.FilterPattern) -> FilterPlan:
+    """Query for the no-value statement nodes of *pattern*:
+    ``S p:X ?w . ?w rdf:type wdno:X``; with the property unbound,
+    ``S ?p ?w . ?w rdf:type ?n``, and in a scan with no subject the filter
+    ``STRSTARTS(STR(?n), wdno:)`` keeps only the no-value types."""
     patterns: list[TriplePattern] = []
     s_const, s_var = _subject_slot(pattern, patterns)
     plocal = _property_local_of(pattern)
@@ -726,7 +745,8 @@ def compile_novalue_plan(pattern: m.FilterPattern) -> FilterPlan:
     patterns.insert(0, TriplePattern(s_const or s_var, link, wvar))
     p_var = None if plocal else Var("p")
     n_var = None if plocal else Var("n")
-    query = _finish(patterns, [s_var, p_var, wvar, n_var], s_const)
+    query = _finish(patterns, [s_var, p_var, wvar, n_var], s_const,
+                    _scan_filter(pattern, plocal, "n", ns.WDNO))
     return FilterPlan("novalue", query, s_const, plocal)
 
 

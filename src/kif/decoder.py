@@ -57,6 +57,8 @@ def decode(text: str) -> DecodedQuery:
     query = parse_query(text)
     if query.values:
         raise DecoderError("VALUES is unsupported in filter queries")
+    if query.filters:
+        raise DecoderError("FILTER is unsupported in filter queries")
     if query.offset is not None:
         raise DecoderError("OFFSET is unsupported in filter queries")
     if not query.patterns:

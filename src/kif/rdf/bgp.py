@@ -9,6 +9,14 @@ bound-first heuristics of Stocker et al., "SPARQL Basic Graph Pattern
 Optimization Using Selectivity Estimation" (WWW 2008). The multiset of
 solutions does not depend on the order, only the work does.
 
+Filters. A ``FILTER(STRSTARTS(STR(?v), "prefix"))`` is checked as soon as
+?v is bound: on the VALUES rows, or on each triple that the pattern
+binding ?v first reads, before a binding is built. STR of an IRI is the
+IRI and STR of a literal its lexical form (SPARQL 1.1, section 17.4.2.5).
+A pattern with no bound slot and a filtered predicate variable reads only
+the index buckets of the graph's predicates that pass, each through
+``Graph.match``, rather than the whole graph.
+
 Solution modifiers. Solutions are projected, deterministically ordered by
 canonical term order, then sliced by OFFSET/LIMIT, so paging the same
 query is stable.
@@ -28,13 +36,15 @@ later page is served only to a client that read the pages before it.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Iterable, Sequence
+from itertools import chain, product
+from typing import Iterable, Iterator, Sequence
 
 from .sparql import SelectQuery, TriplePattern, Var
-from .terms import Graph, Term, term_key
+from .terms import Graph, IriTerm, Term, Triple, term_key
 
 Binding = dict[str, Term]
+# (slot index, prefix) of each filter a pattern checks on the triples it reads.
+Tests = tuple[tuple[int, str], ...]
 
 
 def _resolve(slot, binding: Binding):
@@ -43,11 +53,37 @@ def _resolve(slot, binding: Binding):
     return slot
 
 
-def _extend(pattern: TriplePattern, binding: Binding, graph: Graph) -> Iterable[Binding]:
+def _str(t: Term) -> str:
+    """SPARQL's STR: the IRI of an IRI, the lexical form of a literal."""
+    return t.value if isinstance(t, IriTerm) else t.lexical
+
+
+def _passes(t: Triple, tests: Tests) -> bool:
+    terms = (t.subject, t.predicate, t.object)
+    return all(_str(terms[i]).startswith(prefix) for i, prefix in tests)
+
+
+def _filtered_match(graph: Graph, s, p, o, tests: Tests) -> Iterator[Triple]:
+    """graph.match(s, p, o) for a pattern with filters; with no slot bound,
+    it reads only the predicates that pass the predicate filters."""
+    if s is None and p is None and o is None:
+        prefixes = [prefix for i, prefix in tests if i == 1]
+        if prefixes:
+            return chain.from_iterable(
+                graph.match(p=q) for q in graph.predicates()
+                if all(q.value.startswith(prefix) for prefix in prefixes))
+    return graph.match(s, p, o)
+
+
+def _extend(pattern: TriplePattern, tests: Tests, binding: Binding,
+            graph: Graph) -> Iterable[Binding]:
     s = _resolve(pattern.subject, binding)
     p = _resolve(pattern.predicate, binding)
     o = _resolve(pattern.object, binding)
-    for t in graph.match(s, p, o):
+    triples = _filtered_match(graph, s, p, o, tests) if tests else graph.match(s, p, o)
+    for t in triples:
+        if tests and not _passes(t, tests):
+            continue
         new = dict(binding)
         ok = True
         for slot, val in ((pattern.subject, t.subject),
@@ -74,8 +110,12 @@ def _unbound(pattern: TriplePattern, bound: set[str]) -> int:
                if isinstance(slot, Var) and slot.name not in bound)
 
 
-def _join_order(graph: Graph, query: SelectQuery) -> list[TriplePattern]:
-    """The patterns of *query* in the order they are joined."""
+def _join_order(graph: Graph, query: SelectQuery) -> list[tuple[TriplePattern, Tests]]:
+    """The patterns of *query* in the order they are joined, each with the
+    filters on the variables it binds first."""
+    prefixes: dict[str, list[str]] = {}
+    for var, prefix in query.filters:
+        prefixes.setdefault(var, []).append(prefix)
     bound = {block.variable for block in query.values}
     # (textual position, pattern, index bucket of its constants)
     remaining = [(i, p, graph.bucket_size(*_constants(p)))
@@ -84,8 +124,14 @@ def _join_order(graph: Graph, query: SelectQuery) -> list[TriplePattern]:
     while remaining:
         best = min(remaining, key=lambda e: (_unbound(e[1], bound), e[2], e[0]))
         remaining.remove(best)
-        order.append(best[1])
-        bound |= best[1].variables()
+        pattern = best[1]
+        tests = tuple((i, prefix)
+                      for i, slot in enumerate((pattern.subject, pattern.predicate,
+                                                pattern.object))
+                      if isinstance(slot, Var) and slot.name not in bound
+                      for prefix in prefixes.get(slot.name, ()))
+        order.append((pattern, tests))
+        bound |= pattern.variables()
     return order
 
 
@@ -96,12 +142,14 @@ def _solutions(graph: Graph, query: SelectQuery) -> list[Binding]:
     columns = [[(block.variable, t) for t in dict.fromkeys(block.terms)]
                for block in query.values]
     bindings: list[Binding] = [dict(seed) for seed in product(*columns)]
-    for pattern in _join_order(graph, query):
+    for var, prefix in query.filters:
+        bindings = [b for b in bindings if var not in b or _str(b[var]).startswith(prefix)]
+    for pattern, tests in _join_order(graph, query):
         if not bindings:
             break
         next_bindings: list[Binding] = []
         for b in bindings:
-            next_bindings.extend(_extend(pattern, b, graph))
+            next_bindings.extend(_extend(pattern, tests, b, graph))
         bindings = next_bindings
     return bindings
 

@@ -8,7 +8,7 @@ The reader takes one triple a line, in this subset of N-Triples:
 
 - a ``#`` comment only on a line of its own, not after a triple;
 - no escapes inside IRIs, whose characters are any but ``<>"{}|^`\\``,
-  space and the controls; a subject, predicate or object IRI holds a ``:``;
+  space and the controls; every IRI, a datatype's too, holds a ``:``;
 - language tags matching ``[a-zA-Z]+(-[a-zA-Z0-9]+)*``;
 - blank-node (and ``urn:skolem:``) predicates are refused.
 """
@@ -80,11 +80,16 @@ def parse_ntriples(source: str | IO[str]) -> Graph:
 def _parse_lines(text: str, skolem_base: str) -> Iterator[Triple]:
     iris: dict[str, IriTerm] = {}
 
+    def check(iri: str) -> str:
+        if ":" not in iri:
+            raise ValueError(f"invalid IRI <{iri}>")
+        return iri
+
     def resource(iri: str | None, label: str | None) -> IriTerm:
         if label is not None:
             iri = skolem_base + label
-        elif not iri or ":" not in iri:
-            raise ValueError(f"invalid IRI <{iri}>")
+        else:
+            check(iri)
         term = iris.get(iri)
         if term is None:
             term = iris[iri] = IriTerm(iri)
@@ -102,7 +107,7 @@ def _parse_lines(text: str, skolem_base: str) -> Iterator[Triple]:
             return resource(iri, label)
         if datatype is None:
             return Literal(unescape(lexical), language=language)
-        return Literal(unescape(lexical), datatype)
+        return Literal(unescape(lexical), check(datatype))
 
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()

@@ -1,12 +1,17 @@
-"""SELECT query subset: BGP, DISTINCT, VALUES, LIMIT, OFFSET.
+"""SELECT query subset: BGP, DISTINCT, VALUES, prefix FILTERs, LIMIT, OFFSET.
 
 This is exactly the query shape the codec generates; anything outside it is
 rejected loudly rather than mis-evaluated. A group may hold several VALUES
 blocks (SPARQL 1.1, section 10.2), each binding one variable of its own;
-their rows join as a cross product. Prefixed names resolve against
-the built-in namespace table. String literals use the N-Triples escapes
-(``ntriples.unescape``); an invalid one raises SparqlError at the
-literal's offset.
+their rows join as a cross product. The one FILTER form is
+``FILTER(STRSTARTS(STR(?v), "prefix"))`` (SPARQL 1.1, sections 17.4.2.5 and
+17.4.3.9): it keeps the solutions whose ?v, an IRI or a literal's lexical
+form, starts with the prefix; ?v must occur in a triple pattern, and a
+group may hold several such filters. Any other FILTER is rejected.
+Prefixed names resolve against the built-in namespace table; there is no
+BASE, so an ``<IRI>`` must be absolute (hold a ``:``). String literals use
+the N-Triples escapes (``ntriples.unescape``); an invalid one raises
+SparqlError at the literal's offset.
 """
 
 from __future__ import annotations
@@ -77,6 +82,8 @@ class SelectQuery:
     values: tuple[ValuesBlock, ...] = ()
     limit: int | None = None
     offset: int | None = None
+    # (variable, prefix) of each FILTER(STRSTARTS(STR(?variable), "prefix")).
+    filters: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.variables:
@@ -84,6 +91,10 @@ class SelectQuery:
         in_scope: set[str] = set()
         for p in self.patterns:
             in_scope |= p.variables()
+        for var, _ in self.filters:
+            if var not in in_scope:
+                raise SparqlError(
+                    f"filtered variable ?{var} does not occur in a triple pattern")
         bound_by_values: set[str] = set()
         for block in self.values:
             if block.variable in bound_by_values:
@@ -99,7 +110,7 @@ class SelectQuery:
 
     def with_page(self, limit: int | None, offset: int | None) -> "SelectQuery":
         return SelectQuery(self.variables, self.patterns, self.distinct,
-                           self.values, limit, offset)
+                           self.values, limit, offset, self.filters)
 
 
 def _write_pattern_term(t: PatternTerm) -> str:
@@ -119,6 +130,8 @@ def serialize_query(q: SelectQuery) -> str:
         parts.append(" ".join((_write_pattern_term(p.subject),
                                _write_pattern_term(p.predicate),
                                _write_pattern_term(p.object), ".")))
+    for var, prefix in q.filters:
+        parts.append(f"FILTER(STRSTARTS(STR(?{var}), {write_term(Literal(prefix))}))")
     for block in q.values:
         terms = " ".join(write_term(t) for t in block.terms)
         parts.append(f"VALUES ?{block.variable} {{ {terms} }}")
@@ -136,16 +149,27 @@ def serialize_query(q: SelectQuery) -> str:
 
 # Each match skips whitespace and comments, then reads one token, whose
 # group names its kind: the end of the text is "eof", and a character that
-# starts no token is "error".
-_TOKEN_RE = re.compile(r"""(?:\s|\#[^\n]*(?![^\n]))*(?:
+# starts no token is "error". The one supported FILTER form is a single
+# "filter" token, so any other FILTER reads as the unsupported word.
+_SKIP = r"(?:\s|\#[^\n]*(?![^\n]))*"
+_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
+_FILTER = _SKIP.join((
+    r"(?i:FILTER)", r"\(", r"(?i:STRSTARTS)", r"\(", r"(?i:STR)", r"\(",
+    r"[?$](?P<fvar>[A-Za-z_][A-Za-z0-9_]*)", r"\)", ",",
+    r"(?P<fprefix>" + _STRING + ")", r"\)", r"\)"))
+_TOKEN_RE = re.compile(_SKIP + r"""(?:
     (?P<iri><[^<>\s]*>)
   | (?P<var>[?$][A-Za-z_][A-Za-z0-9_]*)
-  | (?P<string>"[^"\\]*(?:\\.[^"\\]*)*")
+  | (?P<string>""" + _STRING + r""")
   | (?P<number>[+-]?[0-9]+(?:\.[0-9]+)?)
   | (?P<punct>\{|\}|\.|\*|\^\^|@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*)
+  | (?P<filter>""" + _FILTER + r""")
   | (?P<name>[A-Za-z_][A-Za-z0-9_-]*(?::[A-Za-z0-9_.-]*)?)
   | (?P<eof>\Z)
   | (?P<error>(?s:.)))""", re.VERBOSE)
+
+
+_FILTER_RE = re.compile(_FILTER, re.VERBOSE)
 
 
 @dataclass(frozen=True)
@@ -200,6 +224,9 @@ class _QueryParser:
 
     def _iri(self, t: _Tok) -> IriTerm:
         if t.kind == "iri":
+            if ":" not in t.text:
+                raise SparqlError(f"invalid IRI {t.text}: this subset has no BASE, "
+                                  f"so an IRI must be absolute", t.pos)
             return IriTerm(t.text[1:-1])
         if t.kind == "name" and ":" in t.text:
             try:
@@ -210,11 +237,15 @@ class _QueryParser:
             return IriTerm("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
         raise SparqlError(f"expected an IRI, got {t.text!r}", t.pos)
 
-    def _string_literal(self, t: _Tok) -> Literal:
+    @staticmethod
+    def _unescape(text: str, pos: int) -> str:
         try:
-            lexical = unescape(t.text[1:-1])
+            return unescape(text[1:-1])
         except ValueError as e:
-            raise SparqlError(f"{e} in literal", t.pos) from None
+            raise SparqlError(f"{e} in literal", pos) from None
+
+    def _string_literal(self, t: _Tok) -> Literal:
+        lexical = self._unescape(t.text, t.pos)
         nxt = self._peek()
         if nxt.kind == "punct" and nxt.text == "^^":
             self._next()
@@ -259,6 +290,7 @@ class _QueryParser:
         self._expect_punct("{")
         patterns: list[TriplePattern] = []
         values: list[ValuesBlock] = []
+        filters: list[tuple[str, str]] = []
         while True:
             t = self._peek()
             if t.kind == "punct" and t.text == "}":
@@ -268,6 +300,12 @@ class _QueryParser:
                 raise SparqlError("missing }", t.pos)
             if t.kind == "name" and t.text.upper() == "VALUES":
                 values.append(self._parse_values())
+                continue
+            if t.kind == "filter":
+                self._next()
+                f = _FILTER_RE.fullmatch(t.text)
+                filters.append((f.group("fvar"),
+                                self._unescape(f.group("fprefix"), t.pos + f.start("fprefix"))))
                 continue
             s = self._term(self._next())
             p = self._term(self._next())
@@ -294,7 +332,7 @@ class _QueryParser:
                 raise SparqlError(f"unexpected trailing {t.text!r}", t.pos)
         try:
             return SelectQuery(tuple(variables), tuple(patterns), distinct,
-                               tuple(values), limit, offset)
+                               tuple(values), limit, offset, tuple(filters))
         except SparqlError as e:
             raise SparqlError(str(e).split(": ", 1)[-1], 0) from None
 

@@ -237,5 +237,9 @@ class Graph:
             return (t for t in bucket if t.object == o)
         return iter(bucket)
 
+    def predicates(self) -> list[IriTerm]:
+        """Every predicate of the graph, once each."""
+        return [bucket[0].predicate for bucket in self._by_p.values()]
+
     def objects(self, s: IriTerm, p: IriTerm) -> list[Term]:
         return [t.object for t in self._bucket(s, p, None)]

@@ -5,11 +5,12 @@ from __future__ import annotations
 import itertools
 
 from kif.rdf.sparql import SelectQuery, Var
-from kif.rdf.terms import Graph, term_key
+from kif.rdf.terms import Graph, IriTerm, term_key
 
 
 def brute_force_bgp(graph: Graph, query: SelectQuery) -> list[dict]:
-    """Try every assignment of graph triples to patterns, no indexes, no joins."""
+    """Try every assignment of graph triples to patterns, no indexes, no
+    joins, then keep the solutions that pass every filter."""
     triples = list(graph)
     seeds = [{}]
     for block in query.values:
@@ -45,6 +46,11 @@ def brute_force_bgp(graph: Graph, query: SelectQuery) -> list[dict]:
                     break
             if ok:
                 solutions.append(binding)
+    for var, prefix in query.filters:
+        # STR: an IRI's string or a literal's lexical form.
+        solutions = [b for b in solutions
+                     if (b[var].value if isinstance(b[var], IriTerm)
+                         else b[var].lexical).startswith(prefix)]
 
     unique = {}
     for binding in solutions:

@@ -240,7 +240,9 @@ def test_compile_filter_fingerprint_joins_on_subject_variable():
 
 def test_compile_filter_wildcard_uses_variable_predicate():
     query = codec.compile_truthy_plan(m.FilterPattern()).query
-    assert serialize_query(query) == "SELECT ?s ?p ?v WHERE { ?s ?p ?v . }"
+    assert serialize_query(query) == (
+        'SELECT ?s ?p ?v WHERE { ?s ?p ?v . '
+        'FILTER(STRSTARTS(STR(?p), "http://www.wikidata.org/prop/direct/")) }')
 
 
 def test_compile_filter_full_level_targets_statement_nodes():

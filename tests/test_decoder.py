@@ -89,6 +89,13 @@ def test_several_values_blocks_are_rejected_too():
         decode(text)
 
 
+def test_a_prefix_filter_is_rejected():
+    text = 'SELECT ?v WHERE { ?s ?p ?v FILTER(STRSTARTS(STR(?p), "a:")) }'
+    assert parse_query(text).filters == (("p", "a:"),)
+    with pytest.raises(DecoderError, match="FILTER"):
+        decode(text)
+
+
 def test_answer_benzene_solubility():
     payload = answer(pf.wikidata_store(),
                      "SELECT ?v WHERE { wd:Q2270 wdt:P2177 ?v } LIMIT 10")

@@ -92,6 +92,16 @@ def test_errors_carry_line_numbers():
         parse_ntriples("<relative> <http://x.org/p> <http://x.org/o> .")
 
 
+@pytest.mark.parametrize("datatype", ["", "rel"])
+def test_datatype_iris_are_checked_like_other_iris(datatype):
+    text = ('<http://x.org/s> <http://x.org/p> "ok" .\n'
+            f'<http://x.org/s> <http://x.org/p> "x"^^<{datatype}> .')
+    with pytest.raises(NTriplesError) as err:
+        parse_ntriples(text)
+    assert err.value.line == 2
+    assert f"invalid IRI <{datatype}>" in str(err.value)
+
+
 @pytest.mark.parametrize("literal", [r'"a\u00"', r'"\uZZZZ"'])
 def test_invalid_escapes_raise_with_the_line(literal):
     text = ('<http://x.org/s> <http://x.org/p> "ok" .\n'

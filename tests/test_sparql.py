@@ -120,6 +120,43 @@ def test_rejections_name_the_construct_with_position():
         assert needle in str(err.value), text
 
 
+@pytest.mark.parametrize("iri", ["<rel>", "<>"])
+@pytest.mark.parametrize("template", ["SELECT ?x WHERE {{ ?x {} <a:o> }}",
+                                      'SELECT ?x WHERE {{ ?x <a:p> "1"^^{} }}'])
+def test_iris_without_a_scheme_are_rejected_at_their_offset(iri, template):
+    text = template.format(iri)
+    with pytest.raises(SparqlError) as err:
+        parse_query(text)
+    assert err.value.pos == text.index(iri)
+    assert f"invalid IRI {iri}" in str(err.value)
+
+
+def test_prefix_filters_round_trip_and_other_filters_stay_unsupported():
+    q = SelectQuery(
+        ("s", "p"),
+        (TriplePattern(Var("s"), Var("p"), Var("v")),),
+        filters=(("p", WDT), ("v", 'say "hi"\n')), limit=4, offset=8)
+    text = serialize_query(q)
+    assert text == ('SELECT ?s ?p WHERE { ?s ?p ?v . '
+                    f'FILTER(STRSTARTS(STR(?p), "{WDT}")) '
+                    'FILTER(STRSTARTS(STR(?v), "say \\"hi\\"\\n")) } LIMIT 4 OFFSET 8')
+    assert parse_query(text) == q
+    assert q.with_page(None, None).filters == q.filters
+    spaced = parse_query('SELECT ?s WHERE { ?s ?p ?v # a comment\n'
+                         ' filter ( StrStarts ( str ( $p ) , "a:" ) ) }')
+    assert spaced.filters == (("p", "a:"),)
+    for text, needle in {
+            'SELECT ?s WHERE { ?s ?p ?v FILTER(STRSTARTS(?p, "a")) }': "FILTER",
+            'SELECT ?s WHERE { ?s ?p ?v FILTER(STRSTARTS(STR(?p), ?v)) }': "FILTER",
+            'SELECT ?s WHERE { ?s ?p ?v FILTER(REGEX(STR(?p), "a")) }': "FILTER",
+            'SELECT ?s WHERE { ?s ?p ?v FILTER(STRSTARTS(STR(?x), "a")) }': "?x",
+            'SELECT ?s WHERE { ?s ?p ?v FILTER(STRSTARTS(STR(?p), "\\q")) }':
+                "invalid escape"}.items():
+        with pytest.raises(SparqlError) as err:
+            parse_query(text)
+        assert needle in str(err.value), text
+
+
 def test_string_literals_decode_every_n_triples_escape():
     q = parse_query(r"""SELECT ?s WHERE { ?s ?p "\b\f\'\U0001F600" }""")
     assert q.patterns[0].object == Literal("\b\f'\U0001F600")
