@@ -390,9 +390,9 @@ def cmd_gen_queries(args) -> int:
 
 def _options(args, cache: bool | None = None) -> StoreOptions:
     kwargs = {}
-    if getattr(args, "page_size", None):
+    if getattr(args, "page_size", None) is not None:
         kwargs["page_size"] = args.page_size
-    if getattr(args, "timeout", None):
+    if getattr(args, "timeout", None) is not None:
         kwargs["request_timeout"] = args.timeout
     if cache is not None:
         kwargs["cache_enabled"] = cache

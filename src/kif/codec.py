@@ -21,7 +21,7 @@ from . import model as m
 from . import namespaces as ns
 from .namespaces import WIKIDATA
 from .rdf.sparql import SelectQuery, TriplePattern, ValuesBlock, Var
-from .rdf.terms import Graph, IriTerm, Literal, Term, term_key
+from .rdf.terms import Graph, IriTerm, Literal, Term, Triple, term_key
 
 
 class CodecError(ValueError):
@@ -32,32 +32,28 @@ class CodecError(ValueError):
 # IRI helpers
 # ---------------------------------------------------------------------------
 
+_WD_KINDS = {"Q": m.Item, "P": m.Property}
+
+
+def wd_kind(iri: str) -> type[m.Entity] | None:
+    """Item for a ``wd:Q…`` IRI, Property for a ``wd:P…`` IRI, None for any
+    other IRI."""
+    local = WIKIDATA.local(iri, "wd")
+    return _WD_KINDS.get(local[0]) if local else None
+
+
 def property_local(prop: m.Property) -> str:
     """Local name of a property under the entity namespace (e.g. 'P166')."""
-    local = WIKIDATA.local(prop.iri.value, "wd")
-    if not local or not local.startswith("P"):
+    if wd_kind(prop.iri.value) is not m.Property:
         raise CodecError(
             f"property {prop.iri.value!r} cannot be encoded: property IRIs must "
             f"live in the wd: namespace with a local name starting with 'P'")
-    return local
+    return prop.iri.value[len(ns.WD):]
 
 
 def entity_from_iri(iri: str) -> m.Entity:
     """Entity for an IRI occurring in subject position."""
-    local = WIKIDATA.local(iri, "wd")
-    if local and local.startswith("P"):
-        return m.Property(iri)
-    return m.Item(iri)
-
-
-def _lift_iri_value(iri: str) -> m.Value:
-    local = WIKIDATA.local(iri, "wd")
-    if local:
-        if local.startswith("Q"):
-            return m.Item(iri)
-        if local.startswith("P"):
-            return m.Property(iri)
-    return m.Iri(iri)
+    return m.Property(iri) if wd_kind(iri) is m.Property else m.Item(iri)
 
 
 def lift_value(term: Term) -> m.Value:
@@ -69,7 +65,7 @@ def lift_value(term: Term) -> m.Value:
     become texts; anything else becomes a string.
     """
     if isinstance(term, IriTerm):
-        return _lift_iri_value(term.value)
+        return (wd_kind(term.value) or m.Iri)(term.value)
     if term.language:
         return m.TextValue(term.lexical, term.language)
     if term.datatype in (ns.XSD_DECIMAL, ns.XSD_INTEGER):
@@ -105,9 +101,21 @@ def canonical_object_term(term: Term) -> Term:
     return term
 
 
-def statement_genid(stmt: m.Statement) -> IriTerm:
-    """Deterministic unknown-value node for a statement's main snak."""
-    return IriTerm(ns.WDGENID + m.content_digest(stmt))
+def statement_object(stmt: m.Statement) -> Term | None:
+    """Object of the ``ps:`` and ``wdt:`` triples of *stmt*: the simple value
+    of a value snak, a deterministic unknown-value node for a some-value
+    snak, and None for a no-value snak."""
+    if isinstance(stmt.snak, m.ValueSnak):
+        return m.simple_value(stmt.snak.value)
+    if isinstance(stmt.snak, m.SomeValueSnak):
+        return IriTerm(ns.WDGENID + m.content_digest(stmt))
+    return None
+
+
+def claim_key(subject_iri: str, plocal: str, obj: Term) -> tuple:
+    """Key of the claim ``subject wdt:plocal obj``, equal for equivalent
+    lexical forms of *obj*."""
+    return subject_iri, plocal, term_key(canonical_object_term(obj))
 
 
 def _snak_genid(snak: m.Snak) -> IriTerm:
@@ -144,9 +152,8 @@ _RESERVED_VALUE_BASES = (ns.WDGENID, ns.WDNO)
 
 def _check_value_encodable(v: m.Value) -> None:
     if isinstance(v, m.Entity):
-        local = WIKIDATA.local(v.iri.value, "wd")
-        want = "Q" if isinstance(v, m.Item) else "P"
-        if not local or not local.startswith(want):
+        if wd_kind(v.iri.value) is not type(v):
+            want = "Q" if isinstance(v, m.Item) else "P"
             raise CodecError(
                 f"entity value {v.iri.value!r} cannot be encoded: entity values "
                 f"must live in the wd: namespace with a local name starting "
@@ -155,18 +162,16 @@ def _check_value_encodable(v: m.Value) -> None:
         for base in _RESERVED_VALUE_BASES:
             if v.value.startswith(base):
                 raise CodecError(f"IRI value {v.value!r} is in a reserved namespace")
-        local = WIKIDATA.local(v.value, "wd")
-        if local and local[:1] in ("Q", "P"):
+        if wd_kind(v.value) is not None:
             raise CodecError(
                 f"IRI value {v.value!r} is ambiguous with an entity; use an "
                 f"Item or Property value instead")
 
 
 def _check_subject_encodable(e: m.Entity) -> None:
-    local = WIKIDATA.local(e.iri.value, "wd")
-    if local:
-        want = "Q" if isinstance(e, m.Item) else "P"
-        if not local.startswith(want):
+    if WIKIDATA.local(e.iri.value, "wd"):
+        if wd_kind(e.iri.value) is not type(e):
+            want = "Q" if isinstance(e, m.Item) else "P"
             raise CodecError(
                 f"subject {e.iri.value!r} conflicts with its entity kind; "
                 f"wd-namespace locals must start with {want!r}")
@@ -182,8 +187,6 @@ def _check_snak_encodable(snak: m.Snak) -> None:
 
 
 def _deep_value_triples(node: IriTerm, v: m.Value) -> list:
-    from .rdf.terms import Triple
-
     out = []
     if isinstance(v, m.Quantity):
         out.append(Triple(node, IriTerm(ns.WIKIBASE_QUANTITY_AMOUNT),
@@ -223,8 +226,6 @@ _IRI_RANK = {v: k for k, v in _RANK_IRI.items()}
 def _encode_snak_at(subject: IriTerm, snak: m.Snak, simple_base: str,
                     deep_base: str, triples: list) -> None:
     """Emit *snak* on *subject* using a qualifier/reference predicate family."""
-    from .rdf.terms import Triple
-
     local = property_local(snak.property)
     pred = IriTerm(simple_base + local)
     if isinstance(snak, m.ValueSnak):
@@ -245,8 +246,6 @@ def encode(es: EncodedStatement) -> set:
 
 
 def _statement_triples(es: EncodedStatement) -> list:
-    from .rdf.terms import Triple
-
     stmt, ann = es.statement, es.annotation
     _check_subject_encodable(stmt.subject)
     _check_snak_encodable(stmt.snak)
@@ -261,23 +260,17 @@ def _statement_triples(es: EncodedStatement) -> list:
     wds = statement_node(stmt, ann)
     triples: list = [Triple(subj, IriTerm(ns.P + local), wds)]
 
-    truthy = ann.rank is not m.Rank.DEPRECATED
-    if isinstance(stmt.snak, m.ValueSnak):
-        sv = m.simple_value(stmt.snak.value)
-        triples.append(Triple(wds, IriTerm(ns.PS + local), sv))
-        if truthy:
-            triples.append(Triple(subj, IriTerm(ns.WDT + local), sv))
-        if m.is_deep(stmt.snak.value):
+    obj = statement_object(stmt)
+    if obj is None:
+        triples.append(Triple(wds, IriTerm(ns.RDF_TYPE), IriTerm(ns.WDNO + local)))
+    else:
+        triples.append(Triple(wds, IriTerm(ns.PS + local), obj))
+        if ann.rank is not m.Rank.DEPRECATED:
+            triples.append(Triple(subj, IriTerm(ns.WDT + local), obj))
+        if isinstance(stmt.snak, m.ValueSnak) and m.is_deep(stmt.snak.value):
             node = value_node(stmt.snak.value)
             triples.append(Triple(wds, IriTerm(ns.PSV + local), node))
             triples.extend(_deep_value_triples(node, stmt.snak.value))
-    elif isinstance(stmt.snak, m.SomeValueSnak):
-        genid = statement_genid(stmt)
-        triples.append(Triple(wds, IriTerm(ns.PS + local), genid))
-        if truthy:
-            triples.append(Triple(subj, IriTerm(ns.WDT + local), genid))
-    else:
-        triples.append(Triple(wds, IriTerm(ns.RDF_TYPE), IriTerm(ns.WDNO + local)))
 
     for q in ann.qualifiers:
         _encode_snak_at(wds, q, ns.PQ, ns.PQV, triples)
@@ -319,8 +312,6 @@ def encode_statements(pairs: Iterable[Pair]) -> Graph:
 
 
 def _descriptor_triples(descriptors: Mapping[m.Entity, m.Descriptor]) -> Iterator:
-    from .rdf.terms import Triple
-
     label, description, alt_label = (IriTerm(ns.RDFS_LABEL), IriTerm(ns.SCHEMA_DESCRIPTION),
                                      IriTerm(ns.SKOS_ALT_LABEL))
     for entity, desc in descriptors.items():
@@ -344,18 +335,14 @@ def encode_dataset(pairs: Iterable[Pair],
 
 def truthy_graph(pairs: Iterable[Pair]) -> Graph:
     """Only the shallow level: one direct-property triple per visible claim."""
-    from .rdf.terms import Triple
-
     graph = Graph()
     for stmt, ann in pairs:
         if ann.rank is m.Rank.DEPRECATED:
             continue
         local = property_local(stmt.snak.property)
-        subj = IriTerm(stmt.subject.iri.value)
-        if isinstance(stmt.snak, m.ValueSnak):
-            graph.add(Triple(subj, IriTerm(ns.WDT + local), m.simple_value(stmt.snak.value)))
-        elif isinstance(stmt.snak, m.SomeValueSnak):
-            graph.add(Triple(subj, IriTerm(ns.WDT + local), statement_genid(stmt)))
+        obj = statement_object(stmt)
+        if obj is not None:
+            graph.add(Triple(IriTerm(stmt.subject.iri.value), IriTerm(ns.WDT + local), obj))
     return graph
 
 
@@ -525,15 +512,13 @@ def decode(g: Graph) -> DecodeResult:
         ann = assemble_annotation(g, wds, diagnostics)
         statements.append(EncodedStatement(stmt, ann, is_best(g, wds)))
         for obj in g.objects(wds, IriTerm(ns.PS + plocal)):
-            covered_truthy.add((t.subject.value, plocal,
-                                term_key(canonical_object_term(obj))))
+            covered_truthy.add(claim_key(t.subject.value, plocal, obj))
 
     for t in g:
         plocal = WIKIDATA.local(t.predicate.value, "wdt")
         if plocal is None:
             continue
-        key = (t.subject.value, plocal, term_key(canonical_object_term(t.object)))
-        if key in covered_truthy:
+        if claim_key(t.subject.value, plocal, t.object) in covered_truthy:
             continue
         snak = truthy_snak(m.Property(ns.WD + plocal), t.object)
         stmt = m.Statement(entity_from_iri(t.subject.value), snak)
@@ -542,14 +527,7 @@ def decode(g: Graph) -> DecodeResult:
     statements.sort(key=lambda es: (m.canonical_key(es.statement),
                                     m.canonical_key(es.annotation)))
 
-    texts: dict[str, dict[str, list[m.TextValue]]] = {}
-    for t in g:
-        which = DESCRIPTOR_KINDS.get(t.predicate.value)
-        if which is None or not isinstance(t.object, Literal):
-            continue
-        text = m.TextValue(t.object.lexical, t.object.language or "en")
-        texts.setdefault(t.subject.value, {}).setdefault(which, []).append(text)
-
+    texts = descriptor_texts((t.subject, t.predicate, t.object) for t in g)
     descriptors = {entity_from_iri(iri): descriptor_from_texts(texts[iri])
                    for iri in sorted(texts)}
     return DecodeResult(statements, descriptors, diagnostics)
@@ -559,18 +537,10 @@ def decode(g: Graph) -> DecodeResult:
 # Query compilation
 # ---------------------------------------------------------------------------
 
-def _fp_snaks(fp: m.Fingerprint) -> tuple[m.Snak, ...]:
-    if isinstance(fp, m.SnakFp):
-        return (fp.snak,)
-    if isinstance(fp, m.SnakSetFp):
-        return fp.snaks
-    raise m.FingerprintError(f"unsupported fingerprint: {fp!r}")
-
-
-def _aux_patterns(fp: m.Fingerprint, var: Var) -> list[TriplePattern]:
+def _aux_patterns(fp: m.SnakFp | m.SnakSetFp, var: Var) -> list[TriplePattern]:
     """Fingerprint snaks become truthy-level auxiliary patterns on *var*."""
     patterns = []
-    for snak in _fp_snaks(fp):
+    for snak in fp.snaks:
         if not isinstance(snak, m.ValueSnak):
             raise m.FingerprintError(
                 "fingerprint snaks must be value snaks; cannot compile "
@@ -631,16 +601,18 @@ def _property_local_of(pattern: m.FilterPattern) -> str | None:
     return property_local(entity)
 
 
-def _finish(patterns: list[TriplePattern], projected: list[Var],
-            subject_const: IriTerm | None,
-            filters: tuple[tuple[str, str], ...] = ()) -> SelectQuery:
+def select_query(patterns: list[TriplePattern], projected: list[Var | None],
+                 subject_const: IriTerm | None,
+                 filters: tuple[tuple[str, str], ...] = (),
+                 values: tuple[ValuesBlock, ...] = ()) -> SelectQuery:
+    """SELECT of the distinct variables in *projected* (None entries are
+    constant slots) over *patterns*."""
     names = []
     seen = set()
     for var in projected:
         if var is not None and var.name not in seen:
             names.append(var.name)
             seen.add(var.name)
-    values = ()
     if not names:
         # All slots constant: bind the subject through VALUES so the
         # projection is non-empty and the row count signals presence.
@@ -672,8 +644,8 @@ def compile_truthy_plan(pattern: m.FilterPattern,
     main = TriplePattern(s_const or s_var, p_slot, o_const if o_const is not None else o_var)
     patterns.insert(0, main)
     p_var = None if plocal else Var("p")
-    query = _finish(patterns, [s_var, p_var, o_var], s_const,
-                    _scan_filter(pattern, plocal, "p", ns.WDT))
+    query = select_query(patterns, [s_var, p_var, o_var], s_const,
+                         _scan_filter(pattern, plocal, "p", ns.WDT))
     return FilterPlan("truthy", query, s_const, plocal, o_const)
 
 
@@ -726,7 +698,7 @@ def compile_full_plan(pattern: m.FilterPattern,
     if folded:
         patterns.append(TriplePattern(wvar, Var("q"), Var("o")))
         projected += [Var("q"), Var("o")]
-    query = _finish(patterns, projected, s_const)
+    query = select_query(patterns, projected, s_const)
     return FilterPlan(shape, query, s_const, plocal, o_const, folded)
 
 
@@ -745,8 +717,8 @@ def compile_novalue_plan(pattern: m.FilterPattern) -> FilterPlan:
     patterns.insert(0, TriplePattern(s_const or s_var, link, wvar))
     p_var = None if plocal else Var("p")
     n_var = None if plocal else Var("n")
-    query = _finish(patterns, [s_var, p_var, wvar, n_var], s_const,
-                    _scan_filter(pattern, plocal, "n", ns.WDNO))
+    query = select_query(patterns, [s_var, p_var, wvar, n_var], s_const,
+                         _scan_filter(pattern, plocal, "n", ns.WDNO))
     return FilterPlan("novalue", query, s_const, plocal)
 
 
@@ -777,6 +749,21 @@ def descriptor_query(entities: Iterable[m.Entity]) -> SelectQuery:
         ("e", "d", "x"),
         (TriplePattern(Var("e"), Var("d"), Var("x")),),
         values=(ValuesBlock("e", terms), ValuesBlock("d", predicates)))
+
+
+def descriptor_texts(rows: Iterable[tuple[Term | None, Term | None, Term | None]]
+                     ) -> dict[str, dict[str, list[m.TextValue]]]:
+    """Texts of (entity, descriptor predicate, text) rows, by entity IRI and
+    by the kind DESCRIPTOR_KINDS gives the predicate; an untagged text
+    counts as English. Rows of any other shape are skipped."""
+    texts: dict[str, dict[str, list[m.TextValue]]] = {}
+    for e, d, x in rows:
+        which = DESCRIPTOR_KINDS.get(d.value) if isinstance(d, IriTerm) else None
+        if which is None or not isinstance(e, IriTerm) or not isinstance(x, Literal):
+            continue
+        text = m.TextValue(x.lexical, x.language or "en")
+        texts.setdefault(e.value, {}).setdefault(which, []).append(text)
+    return texts
 
 
 def descriptor_from_texts(texts: Mapping[str, Iterable[m.TextValue]]) -> m.Descriptor:

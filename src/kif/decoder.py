@@ -44,8 +44,7 @@ class DecodedQuery:
 
 
 def _entity_constant(term: IriTerm, slot: str) -> m.Entity:
-    local = WIKIDATA.local(term.value, "wd")
-    if slot == "value" and not (local and local[:1] in ("Q", "P")):
+    if slot == "value" and codec.wd_kind(term.value) is None:
         raise DecoderError(
             f"object constant <{term.value}> is not an entity; literal and "
             f"plain-IRI value constraints are unsupported")
@@ -166,10 +165,7 @@ def _statement_row(stmt: m.Statement, decoded: DecodedQuery) -> dict[str, Term]:
         elif role == "property":
             row[var] = IriTerm(ns.WDT + local)
         elif role == "value":
-            if isinstance(stmt.snak, m.ValueSnak):
-                row[var] = m.simple_value(stmt.snak.value)
-            else:
-                row[var] = codec.statement_genid(stmt)
+            row[var] = codec.statement_object(stmt)
     return row
 
 

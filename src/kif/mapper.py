@@ -17,10 +17,11 @@ import logging
 import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from . import model as m
-from .codec import descriptor_from_texts, property_local
+from .codec import descriptor_from_texts, property_local, select_query
 from .rdf.sparql import SelectQuery, TriplePattern, ValuesBlock, Var
 from .rdf.terms import Graph, IriTerm, Literal, Term
 from .stores.backed import PagedStore, Row
@@ -56,17 +57,28 @@ class EntityRule:
         head, tail = tpl.split(_CAPTURE)
         return re.compile(re.escape(head) + "(.+)" + re.escape(tail) + "$")
 
-    def _rewrite(self, iri: str, src: str, dst: str) -> str | None:
-        match = self._compile(src).match(iri)
+    # Compiled once per rule: the results of every source query are
+    # rewritten through them, one row at a time.
+    @cached_property
+    def _source_re(self) -> re.Pattern:
+        return self._compile(self.source_template)
+
+    @cached_property
+    def _target_re(self) -> re.Pattern:
+        return self._compile(self.target_template)
+
+    @staticmethod
+    def _rewrite(iri: str, src: re.Pattern, dst: str) -> str | None:
+        match = src.match(iri)
         if not match:
             return None
         return dst.replace(_CAPTURE, match.group(1))
 
     def to_source(self, iri: str) -> str | None:
-        return self._rewrite(iri, self.target_template, self.source_template)
+        return self._rewrite(iri, self._target_re, self.source_template)
 
     def to_target(self, iri: str) -> str | None:
-        return self._rewrite(iri, self.source_template, self.target_template)
+        return self._rewrite(iri, self._source_re, self.target_template)
 
 
 class ValueCodec:
@@ -276,8 +288,7 @@ def _source_entity_term(spec: MappingSpec, entity: m.Entity) -> IriTerm | None:
 def _fingerprint_patterns(spec: MappingSpec, fp: m.Fingerprint, var: Var,
                           patterns: list[TriplePattern]) -> bool:
     """Append source patterns expressing *fp* on *var*; False if unmappable."""
-    snaks = (fp.snak,) if isinstance(fp, m.SnakFp) else fp.snaks
-    for snak in snaks:
+    for snak in fp.snaks:
         if not isinstance(snak, m.ValueSnak):
             return False
         rule = spec.rule_for(snak.property)
@@ -343,17 +354,9 @@ def translate_pattern(spec: MappingSpec,
                 return None
 
     patterns.insert(0, TriplePattern(subject_slot, predicate_slot, object_slot))
-    projected = []
-    for slot, name in ((subject_slot, "s"), (predicate_slot, "p"), (object_slot, "v")):
-        if isinstance(slot, Var):
-            projected.append(slot.name)
-    if not projected:
-        # All constants: project the subject through VALUES so row count
-        # signals presence.
-        assert isinstance(subject_slot, IriTerm)
-        return SelectQuery(("s",), tuple(patterns),
-                           values=(ValuesBlock("s", (subject_slot,)),))
-    return SelectQuery(tuple(projected), tuple(patterns), values=values)
+    slots = (subject_slot, predicate_slot, object_slot)
+    return select_query(patterns, [slot if isinstance(slot, Var) else None for slot in slots],
+                        subject_slot, values=values)
 
 
 _UNMAPPED = IriTerm("urn:x-unmapped:sentinel")

@@ -439,6 +439,11 @@ class SnakFp(Fingerprint):
         if not isinstance(self.snak, Snak):
             raise ModelError(f"snak fingerprint needs a snak, got {self.snak!r}")
 
+    @property
+    def snaks(self) -> tuple[Snak, ...]:
+        """The fingerprint's one snak, read the way SnakSetFp.snaks is."""
+        return (self.snak,)
+
 
 @dataclass(frozen=True, slots=True)
 class SnakSetFp(Fingerprint):
@@ -454,13 +459,9 @@ class SnakSetFp(Fingerprint):
 def _check_entity_side_fp(fp: Fingerprint | None, slot: str) -> None:
     if fp is None or isinstance(fp, EntityFp):
         return
-    if isinstance(fp, SnakFp):
-        snaks: tuple[Snak, ...] = (fp.snak,)
-    elif isinstance(fp, SnakSetFp):
-        snaks = fp.snaks
-    else:
+    if not isinstance(fp, (SnakFp, SnakSetFp)):
         raise FingerprintError(f"{slot} fingerprint has unsupported type {type(fp).__name__}")
-    for s in snaks:
+    for s in fp.snaks:
         if not isinstance(s, ValueSnak):
             raise FingerprintError(
                 f"{slot} fingerprint snaks must be value snaks "

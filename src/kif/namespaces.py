@@ -1,8 +1,8 @@
 """Prefix table for the Wikidata RDF dialect.
 
-The default table below matches Wikidata's public namespace bases bit for
-bit; the codec, the S-expression reader, and the SPARQL subset all resolve
-prefixed names against it.
+The table below matches Wikidata's public namespace bases bit for bit. It
+is fixed: the codec, the S-expression reader, and the SPARQL subset all
+resolve prefixed names against it and take no other.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ class NamespaceError(ValueError):
 
 @dataclass(frozen=True)
 class NamespaceTable:
-    """Immutable prefix -> IRI base mapping with expand/compact helpers."""
+    """Immutable prefix -> IRI base mapping with expand and local-name helpers."""
 
     bases: dict[str, str] = field(default_factory=dict)
 
@@ -40,22 +40,6 @@ class NamespaceTable:
         if not sep:
             raise NamespaceError(f"not a prefixed name: {name!r}")
         return self.base(prefix) + local
-
-    def split(self, iri: str) -> tuple[str, str] | None:
-        """Return (prefix, local) for the longest matching base, or None.
-
-        The local part must not contain '/' or '#', otherwise nested bases
-        (p: is a prefix of ps:, pq:, pr:) would compact wrongly.
-        """
-        best: tuple[str, str] | None = None
-        best_len = -1
-        for prefix, base in self.bases.items():
-            if iri.startswith(base) and len(base) > best_len:
-                local = iri[len(base):]
-                if local and "/" not in local and "#" not in local:
-                    best = (prefix, local)
-                    best_len = len(base)
-        return best
 
     def local(self, iri: str, prefix: str) -> str | None:
         """Local name of *iri* under *prefix*'s base, or None if it is not

@@ -197,10 +197,9 @@ def _tokenize(text: str) -> list[_Tok]:
 
 
 class _QueryParser:
-    def __init__(self, text: str, namespaces=WIKIDATA) -> None:
+    def __init__(self, text: str) -> None:
         self._toks = _tokenize(text)
         self._i = 0
-        self._ns = namespaces
 
     def _peek(self) -> _Tok:
         return self._toks[self._i]
@@ -230,7 +229,7 @@ class _QueryParser:
             return IriTerm(t.text[1:-1])
         if t.kind == "name" and ":" in t.text:
             try:
-                return IriTerm(self._ns.expand(t.text))
+                return IriTerm(WIKIDATA.expand(t.text))
             except NamespaceError as e:
                 raise SparqlError(str(e), t.pos) from None
         if t.kind == "name" and t.text == "a":
@@ -362,5 +361,5 @@ class _QueryParser:
         return int(t.text)
 
 
-def parse_query(text: str, namespaces=WIKIDATA) -> SelectQuery:
-    return _QueryParser(text, namespaces).parse()
+def parse_query(text: str) -> SelectQuery:
+    return _QueryParser(text).parse()

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterator
 
+from . import codec
 from . import model as m
 from .namespaces import WIKIDATA, NamespaceError
 
@@ -114,10 +115,9 @@ _KIND_SYMBOLS = {
 
 
 class _Parser:
-    def __init__(self, text: str, namespaces=WIKIDATA) -> None:
+    def __init__(self, text: str) -> None:
         self._tokens = list(tokenize(text))
         self._pos = 0
-        self._ns = namespaces
 
     def _peek(self) -> SexprToken:
         return self._tokens[self._pos]
@@ -148,7 +148,7 @@ class _Parser:
             return tok.lexeme
         if ":" in tok.lexeme:
             try:
-                iri = self._ns.expand(tok.lexeme)
+                iri = WIKIDATA.expand(tok.lexeme)
             except NamespaceError as e:
                 raise self._fail(str(e), tok) from None
             local = tok.lexeme.split(":", 1)[1]
@@ -215,6 +215,10 @@ class _Parser:
         if not isinstance(val, typ):
             raise self._fail(f"expected {what}, got {val!r}", tok)
         return val
+
+    def _all(self, typ, args: list, what: str) -> tuple:
+        """The values of *args*, each of which must be a *typ*."""
+        return tuple(self._want(typ, val, tok, what) for val, tok in args)
 
     def _want_int(self, val, tok: SexprToken, what: str) -> int:
         d = self._want(Decimal, val, tok, what)
@@ -348,28 +352,15 @@ class _Parser:
             raise self._fail(f"expected a snak, got {snak!r}", ktok)
         return m.Statement(subj, snak)
 
-    def _snaks(self, args, what) -> list[m.Snak]:
-        out = []
-        for val, tok in args:
-            if not isinstance(val, m.Snak):
-                raise self._fail(f"expected a snak in {what}, got {val!r}", tok)
-            out.append(val)
-        return out
-
     def _build_ReferenceRecord(self, head, args):
         self._arity(head, args, 1, None)
-        return m.ReferenceRecord(self._snaks(args, "(ReferenceRecord ...)"))
+        return m.ReferenceRecord(self._all(m.Snak, args, "a snak in (ReferenceRecord ...)"))
 
     def _build_SnakSet(self, head, args):
-        return _SnakSetForm(tuple(self._snaks(args, "(SnakSet ...)")))
+        return _SnakSetForm(self._all(m.Snak, args, "a snak in (SnakSet ...)"))
 
     def _build_ReferenceRecordSet(self, head, args):
-        out = []
-        for val, tok in args:
-            if not isinstance(val, m.ReferenceRecord):
-                raise self._fail(f"expected a reference record, got {val!r}", tok)
-            out.append(val)
-        return _ReferenceRecordSetForm(tuple(out))
+        return _ReferenceRecordSetForm(self._all(m.ReferenceRecord, args, "a reference record"))
 
     def _build_AnnotationRecord(self, head, args):
         self._arity(head, args, 3, 3)
@@ -385,12 +376,8 @@ class _Parser:
         return m.AnnotationRecord(snakset.snaks, refset.records, rank)
 
     def _build_AnnotationRecordSet(self, head, args):
-        out = []
-        for val, tok in args:
-            if not isinstance(val, m.AnnotationRecord):
-                raise self._fail(f"expected an annotation record, got {val!r}", tok)
-            out.append(val)
-        return _AnnotationRecordSetForm(tuple(out))
+        return _AnnotationRecordSetForm(self._all(m.AnnotationRecord, args,
+                                                  "an annotation record"))
 
     def _build_AnnotatedStatement(self, head, args):
         self._arity(head, args, 1, None)
@@ -418,12 +405,8 @@ class _Parser:
         self._arity(head, args, 2, None)
         label = self._opt_text(*args[0])
         description = self._opt_text(*args[1])
-        aliases = []
-        for val, tok in args[2:]:
-            if not isinstance(val, m.TextValue):
-                raise self._fail(f"expected a (Text ...) alias, got {val!r}", tok)
-            aliases.append(val)
-        return m.Descriptor(label, description, tuple(aliases))
+        aliases = self._all(m.TextValue, args[2:], "a (Text ...) alias")
+        return m.Descriptor(label, description, aliases)
 
     def _build_EntityDescriptor(self, head, args):
         self._arity(head, args, 2, 2)
@@ -447,13 +430,8 @@ class _Parser:
         raise self._fail(f"expected a fingerprint or *, got {val!r}", tok)
 
     def _build_SnakMask(self, head, args):
-        kinds = set()
-        for val, tok in args:
-            if isinstance(val, _KindSymbol):
-                kinds.add(val.kind)
-            else:
-                raise self._fail(f"expected a snak kind symbol, got {val!r}", tok)
-        return _SnakMaskForm(frozenset(kinds))
+        symbols = self._all(_KindSymbol, args, "a snak kind symbol")
+        return _SnakMaskForm(frozenset(symbol.kind for symbol in symbols))
 
     def _build_FilterPattern(self, head, args):
         self._arity(head, args, 3, 4)
@@ -496,9 +474,9 @@ class _AnnotationRecordSetForm:
     records: tuple[m.AnnotationRecord, ...]
 
 
-def parse(text: str, namespaces=WIKIDATA) -> object:
+def parse(text: str) -> object:
     """Parse exactly one object from *text*."""
-    parser = _Parser(text, namespaces)
+    parser = _Parser(text)
     obj = _parse_top(parser)
     if not parser.at_eof():
         tok = parser._peek()
@@ -506,9 +484,9 @@ def parse(text: str, namespaces=WIKIDATA) -> object:
     return obj
 
 
-def parse_many(text: str, namespaces=WIKIDATA) -> list[object]:
+def parse_many(text: str) -> list[object]:
     """Parse a whole stream of objects (fixture files)."""
-    parser = _Parser(text, namespaces)
+    parser = _Parser(text)
     out = []
     while not parser.at_eof():
         out.append(_parse_top(parser))
@@ -516,6 +494,7 @@ def parse_many(text: str, namespaces=WIKIDATA) -> list[object]:
 
 
 def _parse_top(parser: _Parser) -> object:
+    tok = parser._peek()
     obj = parser.parse_object()
     if isinstance(obj, _SnakSetForm):
         return m.SnakSetFp(obj.snaks)
@@ -524,7 +503,7 @@ def _parse_top(parser: _Parser) -> object:
     if isinstance(obj, _AnnotationRecordSetForm):
         return tuple(obj.records)
     if obj is None:
-        raise SexprError("* is not an object", 1, 1)
+        raise SexprError("* is not an object", tok.line, tok.column)
     return obj
 
 
@@ -545,29 +524,24 @@ _COMPACT_LOCAL_OK = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-.")
 
 
-def _compact_entity(e: m.Entity, ns) -> str | None:
-    local = ns.local(e.iri.value, "wd")
-    if local is None or not set(local) <= _COMPACT_LOCAL_OK:
+def _compact_entity(e: m.Entity) -> str | None:
+    if codec.wd_kind(e.iri.value) is not type(e):
         return None
-    want = "Q" if isinstance(e, m.Item) else "P"
-    if not local.startswith(want):
-        return None
-    return f"wd:{local}"
+    local = WIKIDATA.local(e.iri.value, "wd")
+    return f"wd:{local}" if set(local) <= _COMPACT_LOCAL_OK else None
 
 
-def dumps(x: object, compact: bool = False, namespaces=WIKIDATA) -> str:
+def dumps(x: object, compact: bool = False) -> str:
     """Canonical single-line serialization; sets print in canonical order.
 
     Compact mode abbreviates wd-namespace entities to prefixed tokens.
     """
-    ns = namespaces
-
     def go(x: object) -> str:
         if isinstance(x, m.Iri):
             return f'(IRI {_escape(x.value)})'
         if isinstance(x, m.Entity):
             if compact:
-                short = _compact_entity(x, ns)
+                short = _compact_entity(x)
                 if short:
                     return short
             head = "Item" if isinstance(x, m.Item) else "Property"

@@ -62,7 +62,7 @@ from ..rdf.ntriples import parse_ntriples
 from ..rdf.server import keeps_alive, read_header_fields, read_line
 from ..rdf.sparql import SelectQuery, serialize_query
 from ..rdf.terms import Graph, IriTerm, Literal, Term, Triple, term_key
-from .base import Store, StoreOptions, TransportError
+from .base import Store, StoreOptions, TransportError, claim_pattern
 
 logger = logging.getLogger(__name__)
 
@@ -97,10 +97,6 @@ def _record_network_time(elapsed: float) -> None:
 
 def _local(term: Term | None, prefix: str) -> str | None:
     return WIKIDATA.local(term.value, prefix) if isinstance(term, IriTerm) else None
-
-
-def _claim_key(subject: IriTerm, plocal: str, obj: Term) -> tuple:
-    return subject.value, plocal, term_key(codec.canonical_object_term(obj))
 
 
 def _add_triple(into: Graph, s: Term | None, p: Term | None, o: Term | None) -> None:
@@ -543,7 +539,7 @@ class QueryBackedStore(PagedStore):
                 if snak is None:
                     continue
                 for obj in objects:
-                    covered.add(_claim_key(subject, plocal, obj))
+                    covered.add(codec.claim_key(subject.value, plocal, obj))
                 yield m.Statement(codec.entity_from_iri(subject.value), snak)
 
     def _truthy_only(self, pattern: m.FilterPattern, object_term: Term | None,
@@ -555,7 +551,7 @@ class QueryBackedStore(PagedStore):
             obj = plan.object_term if plan.object_term is not None else row.get("v")
             plocal = plan.property_local or _local(row.get("p"), "wdt")
             if (not isinstance(subject, IriTerm) or obj is None or not plocal
-                    or _claim_key(subject, plocal, obj) in covered):
+                    or codec.claim_key(subject.value, plocal, obj) in covered):
                 continue
             yield m.Statement(codec.entity_from_iri(subject.value),
                               codec.truthy_snak(m.Property(ns.WD + plocal), obj))
@@ -568,22 +564,9 @@ class QueryBackedStore(PagedStore):
 
     # -- contains -------------------------------------------------------------------
 
-    @staticmethod
-    def _probe(stmt: m.Statement) -> tuple[m.FilterPattern, Term | None]:
-        """The filter pattern and object term that find *stmt*'s claims."""
-        pattern = m.FilterPattern(
-            subject=m.EntityFp(stmt.subject),
-            property=m.EntityFp(stmt.snak.property),
-            snak_kinds=frozenset({m.snak_kind(stmt.snak)}))
-        object_term: Term | None = None
-        if isinstance(stmt.snak, m.ValueSnak):
-            object_term = m.simple_value(stmt.snak.value)
-        elif isinstance(stmt.snak, m.SomeValueSnak):
-            object_term = codec.statement_genid(stmt)
-        return pattern, object_term
-
     def _contains(self, stmt: m.Statement) -> bool:
-        return any(s == stmt for s in self._candidates(*self._probe(stmt)))
+        return any(s == stmt for s in self._candidates(claim_pattern(stmt),
+                                                         codec.statement_object(stmt)))
 
     # -- annotations -------------------------------------------------------------
 
@@ -592,8 +575,8 @@ class QueryBackedStore(PagedStore):
             yield stmt, self._annotations_of(stmt)
 
     def _annotations_of(self, stmt: m.Statement) -> frozenset[m.AnnotationRecord]:
-        pattern, object_term = self._probe(stmt)
-        plan = codec.compile_full_plan(pattern, object_term)
+        object_term = codec.statement_object(stmt)
+        plan = codec.compile_full_plan(claim_pattern(stmt), object_term)
         node_graph = Graph()
         candidates = list(self._full_candidates(plan, node_graph))
         # Without an object term (a no-value statement) the plan reads every
@@ -620,17 +603,14 @@ class QueryBackedStore(PagedStore):
         texts: dict[str, dict[str, list[m.TextValue]]] = {}
         unique = list({e.iri.value: e for e in entities}.values())
         for i in range(0, len(unique), _NODE_CHUNK):
-            for row in self.select_all(codec.descriptor_query(unique[i:i + _NODE_CHUNK])):
-                e, d, x = row.get("e"), row.get("d"), row.get("x")
-                which = codec.DESCRIPTOR_KINDS.get(d.value) if isinstance(d, IriTerm) else None
-                if not isinstance(e, IriTerm) or which is None or not isinstance(x, Literal):
-                    continue
-                text = m.TextValue(x.lexical, x.language or "en")
-                if text.language != language:
-                    continue
-                texts.setdefault(e.value, {}).setdefault(which, []).append(text)
+            rows = self.select_all(codec.descriptor_query(unique[i:i + _NODE_CHUNK]))
+            texts.update(codec.descriptor_texts(
+                (row.get("e"), row.get("d"), row.get("x")) for row in rows))
         for entity in entities:
-            yield entity, codec.descriptor_from_texts(texts.get(entity.iri.value, {}))
+            kinds = texts.get(entity.iri.value, {})
+            yield entity, codec.descriptor_from_texts(
+                {which: [t for t in found if t.language == language]
+                 for which, found in kinds.items()})
 
 
 class RdfStore(QueryBackedStore):

@@ -59,6 +59,8 @@ class StoreOptions:
     def __post_init__(self) -> None:
         if self.page_size < 1:
             raise ValueError("page_size must be at least 1")
+        if not self.request_timeout > 0:          # NaN too
+            raise ValueError("request_timeout must be positive")
         object.__setattr__(self, "extra_references",
                            tuple(self.extra_references))
 
@@ -123,12 +125,7 @@ class Store:
         raise NotImplementedError
 
     def _contains(self, stmt: m.Statement) -> bool:
-        kind = m.snak_kind(stmt.snak)
-        pattern = m.FilterPattern(
-            subject=m.EntityFp(stmt.subject),
-            property=m.EntityFp(stmt.snak.property),
-            snak_kinds=frozenset({kind}))
-        return any(s == stmt for s in self._filter(pattern, None))
+        return any(s == stmt for s in self._filter(claim_pattern(stmt), None))
 
     def _annotations(
         self, stmts: list[m.Statement],
@@ -138,6 +135,15 @@ class Store:
     def _descriptors(self, entities: list[m.Entity],
                      language: str) -> Iterator[tuple[m.Entity, m.Descriptor]]:
         raise NotImplementedError
+
+
+def claim_pattern(stmt: m.Statement) -> m.FilterPattern:
+    """The pattern of the claims *stmt* can be among: its subject, its
+    property and its snak kind."""
+    return m.FilterPattern(
+        subject=m.EntityFp(stmt.subject),
+        property=m.EntityFp(stmt.snak.property),
+        snak_kinds=frozenset({m.snak_kind(stmt.snak)}))
 
 
 def _first_occurrences(stmts: Iterable[m.Statement]) -> Iterator[m.Statement]:

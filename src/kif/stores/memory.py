@@ -61,11 +61,10 @@ class MemoryStore(Store):
             return True
         if isinstance(fp, m.EntityFp):
             return fp.entity == entity
-        snaks = (fp.snak,) if isinstance(fp, m.SnakFp) else fp.snaks
         return all(
             isinstance(s, m.ValueSnak)
             and entity in self._owners.get(self._snak_key(s), ())
-            for s in snaks)
+            for s in fp.snaks)
 
     def _matches(self, pattern: m.FilterPattern, stmt: m.Statement) -> bool:
         if m.snak_kind(stmt.snak) not in pattern.snak_kinds:
@@ -100,9 +99,8 @@ class MemoryStore(Store):
     def _owned_positions(self, fp: m.SnakFp | m.SnakSetFp) -> list[int]:
         """Positions of the statements of every subject that owns all the
         fingerprint's snaks, in canonical order."""
-        snaks = (fp.snak,) if isinstance(fp, m.SnakFp) else fp.snaks
         owners = set.intersection(
-            *(self._owners.get(self._snak_key(s), set()) for s in snaks))
+            *(self._owners.get(self._snak_key(s), set()) for s in fp.snaks))
         return sorted(i for owner in owners for i in self._by_subject[owner])
 
     def _candidates(self, pattern: m.FilterPattern) -> Sequence[int] | None:

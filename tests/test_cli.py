@@ -166,6 +166,20 @@ def test_transport_error_exits_3(capsys):
     assert "transport error" in err
 
 
+def test_page_size_zero_is_a_usage_error(data_dir, capsys):
+    code, _, err = run(capsys, "count", "--store", f"rdf:{data_dir}/wd.nt",
+                       "--page-size", "0")
+    assert code == 2
+    assert "page_size must be at least 1" in err
+
+
+def test_timeout_zero_is_a_usage_error(data_dir, capsys):
+    code, _, err = run(capsys, "count", "--store", f"rdf:{data_dir}/wd.nt",
+                       "--timeout", "0")
+    assert code == 2
+    assert "request_timeout must be positive" in err
+
+
 def test_load_reports_and_encodes_fixture(data_dir, tmp_path, capsys):
     out_nt = tmp_path / "out.nt"
     code, out, _ = run(capsys, "load", "--fixture", f"{data_dir}/wd.sexp",

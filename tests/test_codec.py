@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
 from kif import codec
 from kif import model as m
 from kif import namespaces as ns
+from kif.rdf.ntriples import serialize_ntriples
 from kif.rdf.sparql import serialize_query
 from kif.rdf.terms import Graph, IriTerm, Literal, Triple
 from kif.stores import RdfStore
@@ -158,6 +161,29 @@ def test_lone_truthy_triple_lifts_to_unitless_quantity():
         es.statement, m.AnnotationRecord()))
         if t.predicate.value.startswith(ns.WDT)]
     assert set(expected_truthy) == set(g)
+
+
+# SHA-256 of the N-Triples of encode_dataset and of truthy_graph over
+# ModelGen(seed).dataset(300), computed before the codec's rules were
+# gathered into one place each. Statement, value and reference node IRIs are
+# digests of the content they encode, so these pin every byte of the output.
+GOLDEN_ENCODING_DIGESTS = {
+    0: ("1612c905d7b46bb24837dfbf6fb9fa2f188e12a5d62eaafb871ab4c8c8628826",
+        "65b0fb49ae92ab2f50b309366dcc24d8e96f77fe2972183285c1b8791bbd6188"),
+    1: ("a1de1243594501a7e0881a104b89f222ea393013c72206865f647c6d153ef458",
+        "0e927c3abcf0ab5a52d42479700e79bc9ef5e5067a2dda60ba977a7df5e10fa1"),
+    2: ("3c7340473749c0669f86e1b5cfba30e5fee9248fd0a412184263e89c4c8db0ba",
+        "f0a36da636373768d726c8dac3d072cec222a97a8c508c0d73510adb47433454"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_ENCODING_DIGESTS))
+def test_encoding_is_byte_identical_to_the_golden_digests(seed):
+    pairs, descriptors = ModelGen(seed).dataset(300)
+    digests = tuple(
+        hashlib.sha256(serialize_ntriples(graph).encode("utf-8")).hexdigest()
+        for graph in (codec.encode_dataset(pairs, descriptors), codec.truthy_graph(pairs)))
+    assert digests == GOLDEN_ENCODING_DIGESTS[seed]
 
 
 def test_simple_value_lifting_is_idempotent():

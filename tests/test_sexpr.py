@@ -160,6 +160,13 @@ def test_unknown_head_position():
     assert "Nonsense" in str(err.value)
 
 
+def test_top_level_star_position():
+    with pytest.raises(sexpr.SexprError) as err:
+        sexpr.parse_many("wd:Q1\n\n  *")
+    assert str(err.value) == "3:3: * is not an object"
+    assert (err.value.line, err.value.column) == (3, 3)
+
+
 def test_unbalanced_and_stray_tokens():
     with pytest.raises(sexpr.SexprError) as err:
         sexpr.parse("(Quantity 1")
