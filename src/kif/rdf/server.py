@@ -28,6 +28,7 @@ from __future__ import annotations
 import http.client
 import json
 import logging
+import re
 import selectors
 import socket
 import socketserver
@@ -92,6 +93,16 @@ def read_header_fields(rfile) -> dict[str, str]:
         name, _, value = line.decode("latin-1").partition(":")
         fields[name.strip().lower()] = value.strip()
     raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+
+
+_NUMBER_RES = {10: re.compile("[0-9]+"), 16: re.compile("[0-9A-Fa-f]+")}
+
+
+def http_number(text: str, base: int = 10) -> int | None:
+    """The value of *text*, a Content-Length (base 10) or a chunk size (base
+    16); None unless it is ASCII digits only, hex digits in base 16. int()
+    alone would also take a sign, underscores, inner blanks or a 0x."""
+    return int(text, base) if _NUMBER_RES[base].fullmatch(text) else None
 
 
 def keeps_alive(version: str, fields: dict[str, str]) -> bool:
@@ -180,13 +191,10 @@ class _Handler(socketserver.StreamRequestHandler):
             # The body is left unread, so the connection cannot be reused.
             raise _Refusal(400, f"unsupported content type {ctype!r}; "
                                 "use application/sparql-query")
-        try:
-            length = int(headers.get("content-length") or 0)
-            if length < 0:
-                raise ValueError
-        except ValueError:
+        length = http_number(headers.get("content-length") or "0")
+        if length is None:
             # The body's end is unknown, so the connection cannot be reused.
-            raise _Refusal(400, "invalid Content-Length") from None
+            raise _Refusal(400, "invalid Content-Length")
         if headers.get("expect", "").lower() == "100-continue":
             self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         try:

@@ -149,8 +149,9 @@ def serialize_query(q: SelectQuery) -> str:
 
 # Each match skips whitespace and comments, then reads one token, whose
 # group names its kind: the end of the text is "eof", and a character that
-# starts no token is "error". The one supported FILTER form is a single
-# "filter" token, so any other FILTER reads as the unsupported word.
+# starts no token is "error". The parser reads the matches themselves. The
+# one supported FILTER form is a single "filter" token, so any other FILTER
+# reads as the unsupported word.
 _SKIP = r"(?:\s|\#[^\n]*(?![^\n]))*"
 _STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
 _FILTER = _SKIP.join((
@@ -169,31 +170,41 @@ _TOKEN_RE = re.compile(_SKIP + r"""(?:
   | (?P<error>(?s:.)))""", re.VERBOSE)
 
 
-_FILTER_RE = re.compile(_FILTER, re.VERBOSE)
-
-
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Tok]:
+def _tokenize(text: str) -> list[re.Match]:
+    """The token matches of *text*, the "eof" one last. A character that
+    starts no token, or an unsupported keyword, raises SparqlError."""
     toks = []
-    pos = 0
-    while True:
-        m = _TOKEN_RE.match(text, pos)
-        kind = m.lastgroup
-        tok = _Tok(kind, m.group(kind), m.start(kind))
+    for t in _TOKEN_RE.finditer(text):
+        kind = t.lastgroup
         if kind == "error":
-            raise SparqlError(f"unexpected character {tok.text!r}", tok.pos)
-        if kind == "name" and ":" not in tok.text and tok.text.upper() in _UNSUPPORTED:
-            raise SparqlError(f"{tok.text.upper()} is unsupported in this subset", tok.pos)
-        toks.append(tok)
+            raise _fail(f"unexpected character {t[kind]!r}", t)
+        if kind == "name" and ":" not in t[kind] and t[kind].upper() in _UNSUPPORTED:
+            raise _fail(f"{t[kind].upper()} is unsupported in this subset", t)
+        toks.append(t)
         if kind == "eof":
-            return toks
-        pos = m.end()
+            break
+    return toks
+
+
+def _text(t: re.Match) -> str:
+    return t[t.lastgroup]
+
+
+def _word(t: re.Match) -> str | None:
+    """The upper-cased text of a name token, None for any other token."""
+    name = t["name"]
+    return name and name.upper()
+
+
+def _fail(message: str, t: re.Match) -> SparqlError:
+    return SparqlError(message, t.start(t.lastgroup))
+
+
+def _unescape(quoted: str, pos: int) -> str:
+    try:
+        return unescape(quoted[1:-1])
+    except ValueError as e:
+        raise SparqlError(f"{e} in literal", pos) from None
 
 
 class _QueryParser:
@@ -201,90 +212,80 @@ class _QueryParser:
         self._toks = _tokenize(text)
         self._i = 0
 
-    def _peek(self) -> _Tok:
+    def _peek(self) -> re.Match:
         return self._toks[self._i]
 
-    def _next(self) -> _Tok:
+    def _next(self) -> re.Match:
         t = self._toks[self._i]
-        if t.kind != "eof":
+        if t.lastgroup != "eof":
             self._i += 1
         return t
 
     def _expect_word(self, word: str) -> None:
         t = self._next()
-        if t.kind != "name" or t.text.upper() != word:
-            raise SparqlError(f"expected {word}, got {t.text!r}", t.pos)
+        if _word(t) != word:
+            raise _fail(f"expected {word}, got {_text(t)!r}", t)
 
-    def _expect_punct(self, punct: str) -> _Tok:
+    def _expect_punct(self, punct: str) -> None:
         t = self._next()
-        if t.kind != "punct" or t.text != punct:
-            raise SparqlError(f"expected {punct!r}, got {t.text!r}", t.pos)
-        return t
+        if t["punct"] != punct:
+            raise _fail(f"expected {punct!r}, got {_text(t)!r}", t)
 
-    def _iri(self, t: _Tok) -> IriTerm:
-        if t.kind == "iri":
-            if ":" not in t.text:
-                raise SparqlError(f"invalid IRI {t.text}: this subset has no BASE, "
-                                  f"so an IRI must be absolute", t.pos)
-            return IriTerm(t.text[1:-1])
-        if t.kind == "name" and ":" in t.text:
+    def _iri(self, t: re.Match) -> IriTerm:
+        iri, name = t["iri"], t["name"]
+        if iri is not None:
+            if ":" not in iri:
+                raise _fail(f"invalid IRI {iri}: this subset has no BASE, "
+                            f"so an IRI must be absolute", t)
+            return IriTerm(iri[1:-1])
+        if name is not None and ":" in name:
             try:
-                return IriTerm(WIKIDATA.expand(t.text))
+                return IriTerm(WIKIDATA.expand(name))
             except NamespaceError as e:
-                raise SparqlError(str(e), t.pos) from None
-        if t.kind == "name" and t.text == "a":
+                raise _fail(str(e), t) from None
+        if name == "a":
             return IriTerm("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
-        raise SparqlError(f"expected an IRI, got {t.text!r}", t.pos)
+        raise _fail(f"expected an IRI, got {_text(t)!r}", t)
 
-    @staticmethod
-    def _unescape(text: str, pos: int) -> str:
-        try:
-            return unescape(text[1:-1])
-        except ValueError as e:
-            raise SparqlError(f"{e} in literal", pos) from None
-
-    def _string_literal(self, t: _Tok) -> Literal:
-        lexical = self._unescape(t.text, t.pos)
-        nxt = self._peek()
-        if nxt.kind == "punct" and nxt.text == "^^":
+    def _string_literal(self, t: re.Match) -> Literal:
+        lexical = _unescape(t["string"], t.start("string"))
+        punct = self._peek()["punct"]
+        if punct == "^^":
             self._next()
-            dt = self._iri(self._next())
-            return Literal(lexical, dt.value)
-        if nxt.kind == "punct" and nxt.text.startswith("@"):
+            return Literal(lexical, self._iri(self._next()).value)
+        if punct and punct[0] == "@":
             self._next()
-            return Literal(lexical, language=nxt.text[1:])
+            return Literal(lexical, language=punct[1:])
         return Literal(lexical)
 
-    def _term(self, t: _Tok, allow_var: bool = True) -> PatternTerm:
-        if t.kind == "var":
+    def _term(self, t: re.Match, allow_var: bool = True) -> PatternTerm:
+        kind = t.lastgroup
+        if kind == "var":
             if not allow_var:
-                raise SparqlError("variable not allowed here", t.pos)
-            return Var(t.text[1:])
-        if t.kind == "string":
+                raise _fail("variable not allowed here", t)
+            return Var(t[kind][1:])
+        if kind == "string":
             return self._string_literal(t)
-        if t.kind == "number":
-            dt = XSD_DECIMAL if "." in t.text else XSD_INTEGER
-            return Literal(t.text, dt)
+        if kind == "number":
+            return Literal(t[kind], XSD_DECIMAL if "." in t[kind] else XSD_INTEGER)
         return self._iri(t)
 
     def parse(self) -> SelectQuery:
         self._expect_word("SELECT")
-        distinct = False
-        t = self._peek()
-        if t.kind == "name" and t.text.upper() == "DISTINCT":
+        distinct = _word(self._peek()) == "DISTINCT"
+        if distinct:
             self._next()
-            distinct = True
         variables: list[str] = []
         while True:
             t = self._peek()
-            if t.kind == "var":
-                variables.append(self._next().text[1:])
-            elif t.kind == "punct" and t.text == "*":
-                raise SparqlError("star projection is unsupported in this subset", t.pos)
+            if t.lastgroup == "var":
+                variables.append(self._next()["var"][1:])
+            elif t["punct"] == "*":
+                raise _fail("star projection is unsupported in this subset", t)
             else:
                 break
         if not variables:
-            raise SparqlError("SELECT needs at least one variable", t.pos)
+            raise _fail("SELECT needs at least one variable", t)
         self._expect_word("WHERE")
         self._expect_punct("{")
         patterns: list[TriplePattern] = []
@@ -292,19 +293,17 @@ class _QueryParser:
         filters: list[tuple[str, str]] = []
         while True:
             t = self._peek()
-            if t.kind == "punct" and t.text == "}":
+            if t["punct"] == "}":
                 self._next()
                 break
-            if t.kind == "eof":
-                raise SparqlError("missing }", t.pos)
-            if t.kind == "name" and t.text.upper() == "VALUES":
+            if t.lastgroup == "eof":
+                raise _fail("missing }", t)
+            if _word(t) == "VALUES":
                 values.append(self._parse_values())
                 continue
-            if t.kind == "filter":
+            if t.lastgroup == "filter":
                 self._next()
-                f = _FILTER_RE.fullmatch(t.text)
-                filters.append((f.group("fvar"),
-                                self._unescape(f.group("fprefix"), t.pos + f.start("fprefix"))))
+                filters.append((t["fvar"], _unescape(t["fprefix"], t.start("fprefix"))))
                 continue
             s = self._term(self._next())
             p = self._term(self._next())
@@ -312,23 +311,23 @@ class _QueryParser:
             try:
                 patterns.append(TriplePattern(s, p, o))
             except SparqlError as e:
-                raise SparqlError(str(e).split(": ", 1)[-1], t.pos) from None
-            nxt = self._peek()
-            if nxt.kind == "punct" and nxt.text == ".":
+                raise _fail(str(e).split(": ", 1)[-1], t) from None
+            if self._peek()["punct"] == ".":
                 self._next()
         limit = offset = None
         while True:
             t = self._peek()
-            if t.kind == "name" and t.text.upper() == "LIMIT":
+            word = _word(t)
+            if word == "LIMIT":
                 self._next()
                 limit = self._int()
-            elif t.kind == "name" and t.text.upper() == "OFFSET":
+            elif word == "OFFSET":
                 self._next()
                 offset = self._int()
-            elif t.kind == "eof":
+            elif t.lastgroup == "eof":
                 break
             else:
-                raise SparqlError(f"unexpected trailing {t.text!r}", t.pos)
+                raise _fail(f"unexpected trailing {_text(t)!r}", t)
         try:
             return SelectQuery(tuple(variables), tuple(patterns), distinct,
                                tuple(values), limit, offset, tuple(filters))
@@ -338,27 +337,27 @@ class _QueryParser:
     def _parse_values(self) -> ValuesBlock:
         self._expect_word("VALUES")
         t = self._next()
-        if t.kind != "var":
-            raise SparqlError("VALUES supports a single variable in this subset", t.pos)
-        var = t.text[1:]
+        if t.lastgroup != "var":
+            raise _fail("VALUES supports a single variable in this subset", t)
+        var = t["var"][1:]
         self._expect_punct("{")
         terms: list[Term] = []
         while True:
             t = self._peek()
-            if t.kind == "punct" and t.text == "}":
+            if t["punct"] == "}":
                 self._next()
                 break
-            if t.kind == "eof":
-                raise SparqlError("missing } in VALUES", t.pos)
-            term = self._term(self._next(), allow_var=False)
-            terms.append(term)  # type: ignore[arg-type]
+            if t.lastgroup == "eof":
+                raise _fail("missing } in VALUES", t)
+            terms.append(self._term(self._next(), allow_var=False))  # type: ignore[arg-type]
         return ValuesBlock(var, tuple(terms))
 
     def _int(self) -> int:
         t = self._next()
-        if t.kind != "number" or "." in t.text or t.text.startswith("-"):
-            raise SparqlError(f"expected a non-negative integer, got {t.text!r}", t.pos)
-        return int(t.text)
+        number = t["number"]
+        if number is None or "." in number or number.startswith("-"):
+            raise _fail(f"expected a non-negative integer, got {_text(t)!r}", t)
+        return int(number)
 
 
 def parse_query(text: str) -> SelectQuery:

@@ -12,18 +12,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterator
 
 from . import codec
 from . import model as m
 from .namespaces import WIKIDATA, NamespaceError
-
-LPAREN = "lparen"
-RPAREN = "rparen"
-SYMBOL = "symbol"
-STRING = "string"
-NUMBER = "number"
-_EOF = "eof"
 
 
 class SexprError(ValueError):
@@ -33,14 +25,6 @@ class SexprError(ValueError):
         super().__init__(f"{line}:{column}: {message}")
         self.line = line
         self.column = column
-
-
-@dataclass(frozen=True, slots=True)
-class SexprToken:
-    kind: str
-    lexeme: str
-    line: int
-    column: int
 
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
@@ -80,25 +64,21 @@ def _string_error(text: str, quote: int) -> SexprError:
     return SexprError(message, *_position(text, stop))
 
 
-def tokenize(text: str) -> Iterator[SexprToken]:
-    # Line and column come from the newlines since the last token's start,
-    # so a string's own newlines count too.
-    line, line_start, last = 1, 0, 0
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) of each token of *text*, a string's text
+    unescaped, then ("eof", "", len(text)). A quote that starts no valid
+    string raises SexprError."""
+    tokens = []
     for tok in _TOKEN_RE.finditer(text):
         kind = tok.lastgroup
-        start = tok.start(kind)
-        if kind == "quote":
-            raise _string_error(text, start)
-        newlines = text.count("\n", last, start)
-        if newlines:
-            line += newlines
-            line_start = text.rfind("\n", last, start) + 1
-        last = start
-        lexeme = tok.group(kind)
-        if kind == STRING:
-            lexeme = _ESCAPE_RE.sub(_unescape, lexeme[1:-1])
-        yield SexprToken(kind, lexeme, line, start - line_start + 1)
-    yield SexprToken(_EOF, "", *_position(text, len(text)))
+        if kind == "string":
+            tokens.append((kind, _ESCAPE_RE.sub(_unescape, tok[kind][1:-1]), tok.start(kind)))
+        elif kind == "quote":
+            raise _string_error(text, tok.start(kind))
+        else:
+            tokens.append((kind, tok[kind], tok.start(kind)))
+    tokens.append(("eof", "", len(text)))
+    return tokens
 
 
 _RANK_SYMBOLS = {
@@ -112,46 +92,52 @@ _KIND_SYMBOLS = {
     "SomeValueSnak": m.SnakKind.SOME_VALUE,
     "NoValueSnak": m.SnakKind.NO_VALUE,
 }
+_KIND_NAMES = {kind: name for name, kind in _KIND_SYMBOLS.items()}
 
 
 class _Parser:
+    """Reads the tokens of one text. Each argument of a form is read as a
+    (value, offset) pair; an error works out its line and column from its
+    offset."""
+
     def __init__(self, text: str) -> None:
-        self._tokens = list(tokenize(text))
+        self._text = text
+        self._tokens = tokenize(text)
         self._pos = 0
 
-    def _peek(self) -> SexprToken:
+    def _peek(self) -> tuple[str, str, int]:
         return self._tokens[self._pos]
 
-    def _next(self) -> SexprToken:
+    def _next(self) -> tuple[str, str, int]:
         tok = self._tokens[self._pos]
-        if tok.kind != _EOF:
+        if tok[0] != "eof":
             self._pos += 1
         return tok
 
-    def _fail(self, message: str, tok: SexprToken) -> SexprError:
-        return SexprError(message, tok.line, tok.column)
+    def _fail(self, message: str, offset: int) -> SexprError:
+        return SexprError(message, *_position(self._text, offset))
 
     def at_eof(self) -> bool:
-        return self._peek().kind == _EOF
+        return self._peek()[0] == "eof"
 
     # A prefixed token is an entity when its local name starts with Q or P;
     # any other prefixed token denotes a plain IRI. Timestamps and the bare
     # snak-kind symbols used inside (SnakMask ...) are resolved here too.
-    def _expand_symbol(self, tok: SexprToken) -> object:
-        if tok.lexeme == "*":
+    def _expand_symbol(self, symbol: str, at: int) -> object:
+        if symbol == "*":
             return None
-        if tok.lexeme in _RANK_SYMBOLS:
-            return _RANK_SYMBOLS[tok.lexeme]
-        if tok.lexeme in _KIND_SYMBOLS:
-            return _KindSymbol(_KIND_SYMBOLS[tok.lexeme])
-        if m._TS_RE.match(tok.lexeme):
-            return tok.lexeme
-        if ":" in tok.lexeme:
+        if symbol in _RANK_SYMBOLS:
+            return _RANK_SYMBOLS[symbol]
+        if symbol in _KIND_SYMBOLS:
+            return _KindSymbol(_KIND_SYMBOLS[symbol])
+        if m._TS_RE.match(symbol):
+            return symbol
+        if ":" in symbol:
             try:
-                iri = WIKIDATA.expand(tok.lexeme)
+                iri = WIKIDATA.expand(symbol)
             except NamespaceError as e:
-                raise self._fail(str(e), tok) from None
-            local = tok.lexeme.split(":", 1)[1]
+                raise self._fail(str(e), at) from None
+            local = symbol.split(":", 1)[1]
             try:
                 if local.startswith("Q"):
                     return m.Item(iri)
@@ -159,95 +145,91 @@ class _Parser:
                     return m.Property(iri)
                 return m.Iri(iri)
             except m.ModelError as e:
-                raise self._fail(str(e), tok) from None
-        raise self._fail(f"unexpected symbol {tok.lexeme!r}", tok)
+                raise self._fail(str(e), at) from None
+        raise self._fail(f"unexpected symbol {symbol!r}", at)
 
     def parse_object(self) -> object:
-        tok = self._next()
-        if tok.kind == SYMBOL:
-            return self._expand_symbol(tok)
-        if tok.kind == LPAREN:
-            return self._parse_form(tok)
-        if tok.kind == _EOF:
-            raise self._fail("unexpected end of input", tok)
-        if tok.kind == RPAREN:
-            raise self._fail("unexpected )", tok)
-        raise self._fail(f"unexpected {tok.kind} {tok.lexeme!r}", tok)
+        kind, lexeme, at = self._next()
+        if kind == "symbol":
+            return self._expand_symbol(lexeme, at)
+        if kind == "lparen":
+            return self._parse_form(at)
+        if kind == "eof":
+            raise self._fail("unexpected end of input", at)
+        if kind == "rparen":
+            raise self._fail("unexpected )", at)
+        raise self._fail(f"unexpected {kind} {lexeme!r}", at)
 
-    def _collect_args(self, open_tok: SexprToken) -> list[tuple[object, SexprToken]]:
+    def _collect_args(self, open_at: int) -> list[tuple[object, int]]:
         args = []
         while True:
-            tok = self._peek()
-            if tok.kind == RPAREN:
-                self._next()
+            kind, lexeme, at = self._peek()
+            if kind == "rparen":
+                self._pos += 1
                 return args
-            if tok.kind == _EOF:
-                raise self._fail("missing ) for form opened here", open_tok)
-            if tok.kind == NUMBER:
-                self._next()
-                args.append((Decimal(tok.lexeme), tok))
-            elif tok.kind == STRING:
-                self._next()
-                args.append((tok.lexeme, tok))
+            if kind == "eof":
+                raise self._fail("missing ) for form opened here", open_at)
+            if kind == "number":
+                self._pos += 1
+                args.append((Decimal(lexeme), at))
+            elif kind == "string":
+                self._pos += 1
+                args.append((lexeme, at))
             else:
-                args.append((self.parse_object(), tok))
-        # not reached
+                args.append((self.parse_object(), at))
 
-    def _parse_form(self, open_tok: SexprToken) -> object:
+    def _parse_form(self, open_at: int) -> object:
         head = self._next()
-        if head.kind != SYMBOL:
-            raise self._fail("form must start with a head symbol", head)
-        args = self._collect_args(open_tok)
+        kind, name, at = head
+        if kind != "symbol":
+            raise self._fail("form must start with a head symbol", at)
+        args = self._collect_args(open_at)
+        build = getattr(self, "_build_" + name, None)
+        if build is None:
+            raise self._fail(f"unknown head symbol {name!r}", at)
         try:
-            return self._build(head, args, open_tok)
+            return build(head, args)
         except m.ModelError as e:
-            raise self._fail(str(e), open_tok) from None
+            raise self._fail(str(e), open_at) from None
 
-    # -- per-head builders --------------------------------------------------
+    # -- per-head builders: each takes the head token and the arguments -----
 
-    def _arity(self, head: SexprToken, args: list, lo: int, hi: int | None) -> None:
+    def _arity(self, head: tuple[str, str, int], args: list, lo: int, hi: int | None) -> None:
         if len(args) < lo or (hi is not None and len(args) > hi):
             want = f"{lo}" if hi == lo else (f"{lo}+" if hi is None else f"{lo}..{hi}")
             raise self._fail(
-                f"({head.lexeme} ...) takes {want} arguments, got {len(args)}", head)
+                f"({head[1]} ...) takes {want} arguments, got {len(args)}", head[2])
 
-    def _want(self, typ, val, tok: SexprToken, what: str):
+    def _want(self, typ, val, at: int, what: str):
         if not isinstance(val, typ):
-            raise self._fail(f"expected {what}, got {val!r}", tok)
+            raise self._fail(f"expected {what}, got {_show(val)}", at)
         return val
 
     def _all(self, typ, args: list, what: str) -> tuple:
         """The values of *args*, each of which must be a *typ*."""
-        return tuple(self._want(typ, val, tok, what) for val, tok in args)
+        return tuple(self._want(typ, val, at, what) for val, at in args)
 
-    def _want_int(self, val, tok: SexprToken, what: str) -> int:
-        d = self._want(Decimal, val, tok, what)
+    def _want_int(self, val, at: int, what: str) -> int:
+        d = self._want(Decimal, val, at, what)
         if d != d.to_integral_value():
-            raise self._fail(f"expected integer {what}, got {d}", tok)
+            raise self._fail(f"expected integer {what}, got {d}", at)
         return int(d)
-
-    def _build(self, head: SexprToken, args: list, open_tok: SexprToken) -> object:
-        name = head.lexeme
-        build = getattr(self, "_build_" + name, None)
-        if build is None:
-            raise self._fail(f"unknown head symbol {name!r}", head)
-        return build(head, args)
 
     def _build_IRI(self, head, args):
         self._arity(head, args, 1, 1)
-        val, tok = args[0]
+        val, at = args[0]
         if isinstance(val, m.Iri):
             return val
-        return m.Iri(self._want(str, val, tok, "an IRI string"))
+        return m.Iri(self._want(str, val, at, "an IRI string"))
 
     def _entity_iri(self, head, args) -> m.Iri:
         self._arity(head, args, 1, 1)
-        val, tok = args[0]
+        val, at = args[0]
         if isinstance(val, m.Iri):
             return val
         if isinstance(val, m.Entity):
             return val.iri
-        raise self._fail("expected an (IRI ...) form or prefixed name", tok)
+        raise self._fail("expected an (IRI ...) form or prefixed name", at)
 
     def _build_Item(self, head, args):
         return m.Item(self._entity_iri(head, args))
@@ -257,82 +239,71 @@ class _Parser:
 
     def _build_Text(self, head, args):
         self._arity(head, args, 1, 2)
-        content = self._want(str, args[0][0], args[0][1], "a string")
+        content = self._want(str, *args[0], "a string")
         if len(args) == 2:
-            lang, tok = args[1]
+            lang, at = args[1]
             if not isinstance(lang, str):
-                raise self._fail("language tag must be a string", tok)
+                raise self._fail("language tag must be a string", at)
             return m.TextValue(content, lang)
         return m.TextValue(content)
 
     def _build_String(self, head, args):
         self._arity(head, args, 1, 1)
-        return m.StringValue(self._want(str, args[0][0], args[0][1], "a string"))
+        return m.StringValue(self._want(str, *args[0], "a string"))
 
     def _build_Quantity(self, head, args):
         self._arity(head, args, 1, 4)
-        amount = self._want(Decimal, args[0][0], args[0][1], "a decimal amount")
+        amount = self._want(Decimal, *args[0], "a decimal amount")
         rest = args[1:]
         unit = None
         if rest and (rest[0][0] is None or isinstance(rest[0][0], m.Item)):
             unit = rest[0][0]
             rest = rest[1:]
-        bounds: list[Decimal | None] = []
-        for val, tok in rest:
-            if val is not None and not isinstance(val, Decimal):
-                raise self._fail(f"expected a decimal bound or *, got {val!r}", tok)
-            bounds.append(val)
+        bounds = [val if val is None else self._want(Decimal, val, at, "a decimal bound or *")
+                  for val, at in rest]
         if len(bounds) > 2:
-            raise self._fail("too many quantity bounds", head)
+            raise self._fail("too many quantity bounds", head[2])
         bounds += [None] * (2 - len(bounds))
         return m.Quantity(amount, unit, bounds[0], bounds[1])
 
     def _build_Time(self, head, args):
         self._arity(head, args, 1, 4)
-        ts_raw, ts_tok = args[0]
+        ts_raw, ts_at = args[0]
         if isinstance(ts_raw, Decimal):
-            raise self._fail("timestamp must be a date like 1903-01-01", ts_tok)
-        if isinstance(ts_raw, str):
-            ts = m.Timestamp.parse(ts_raw)
-        else:
-            raise self._fail(f"expected a timestamp, got {ts_raw!r}", ts_tok)
+            raise self._fail("timestamp must be a date like 1903-01-01", ts_at)
+        ts = m.Timestamp.parse(self._want(str, ts_raw, ts_at, "a timestamp"))
         rest = args[1:]
         ints: list[int | None] = []
         while rest and (rest[0][0] is None or isinstance(rest[0][0], Decimal)):
-            val, tok = rest.pop(0)
-            ints.append(None if val is None else self._want_int(val, tok, "field"))
+            val, at = rest.pop(0)
+            ints.append(None if val is None else self._want_int(val, at, "field"))
             if len(ints) > 2:
-                raise self._fail("too many integer fields in (Time ...)", head)
+                raise self._fail("too many integer fields in (Time ...)", head[2])
         calendar = None
         if rest:
-            val, tok = rest.pop(0)
+            val, at = rest.pop(0)
             if val is not None and not isinstance(val, m.Item):
-                raise self._fail(f"calendar must be an item, got {val!r}", tok)
+                raise self._fail(f"calendar must be an item, got {_show(val)}", at)
             calendar = val
         if rest:
-            raise self._fail("trailing arguments in (Time ...)", head)
+            raise self._fail("trailing arguments in (Time ...)", head[2])
         ints += [None] * (2 - len(ints))
         precision = m.PRECISION_DAY if ints[0] is None else ints[0]
         timezone = 0 if ints[1] is None else ints[1]
         return m.TimeValue(ts, precision, timezone, calendar)
 
-    def _snak_property(self, args, idx=0) -> m.Property:
-        val, tok = args[idx]
-        if not isinstance(val, m.Property):
-            raise self._fail(f"expected a property, got {val!r}", tok)
-        return val
+    def _snak_property(self, args) -> m.Property:
+        return self._want(m.Property, *args[0], "a property")
 
     def _build_ValueSnak(self, head, args):
         self._arity(head, args, 2, 2)
         prop = self._snak_property(args)
-        val, tok = args[1]
+        val, at = args[1]
         if isinstance(val, Decimal):
             val = m.Quantity(val)
         elif isinstance(val, str):
             val = m.StringValue(val)
-        if not isinstance(val, m.Value):
-            raise self._fail(f"expected a value, got {val!r}", tok)
-        return m.ValueSnak(prop, val)
+        return m.ValueSnak(prop, self._want(m.Value, val, at, "a value"))
 
     def _build_SomeValueSnak(self, head, args):
         self._arity(head, args, 1, 1)
@@ -344,13 +315,8 @@ class _Parser:
 
     def _build_Statement(self, head, args):
         self._arity(head, args, 2, 2)
-        subj, stok = args[0]
-        snak, ktok = args[1]
-        if not isinstance(subj, m.Entity):
-            raise self._fail(f"expected an entity subject, got {subj!r}", stok)
-        if not isinstance(snak, m.Snak):
-            raise self._fail(f"expected a snak, got {snak!r}", ktok)
-        return m.Statement(subj, snak)
+        return m.Statement(self._want(m.Entity, *args[0], "an entity subject"),
+                           self._want(m.Snak, *args[1], "a snak"))
 
     def _build_ReferenceRecord(self, head, args):
         self._arity(head, args, 1, None)
@@ -364,15 +330,13 @@ class _Parser:
 
     def _build_AnnotationRecord(self, head, args):
         self._arity(head, args, 3, 3)
-        snakset, stok = args[0]
-        refset, rtok = args[1]
-        rank, ktok = args[2]
+        snakset, s_at = args[0]
+        refset, r_at = args[1]
         if not isinstance(snakset, _SnakSetForm):
-            raise self._fail("expected a (SnakSet ...) of qualifiers", stok)
+            raise self._fail("expected a (SnakSet ...) of qualifiers", s_at)
         if not isinstance(refset, _ReferenceRecordSetForm):
-            raise self._fail("expected a (ReferenceRecordSet ...)", rtok)
-        if not isinstance(rank, m.Rank):
-            raise self._fail(f"expected a rank, got {rank!r}", ktok)
+            raise self._fail("expected a (ReferenceRecordSet ...)", r_at)
+        rank = self._want(m.Rank, *args[2], "a rank")
         return m.AnnotationRecord(snakset.snaks, refset.records, rank)
 
     def _build_AnnotationRecordSet(self, head, args):
@@ -381,25 +345,19 @@ class _Parser:
 
     def _build_AnnotatedStatement(self, head, args):
         self._arity(head, args, 1, None)
-        stmt, stok = args[0]
-        if not isinstance(stmt, m.Statement):
-            raise self._fail(f"expected a statement, got {stmt!r}", stok)
+        stmt = self._want(m.Statement, *args[0], "a statement")
         anns: list[m.AnnotationRecord] = []
-        for val, tok in args[1:]:
+        for val, at in args[1:]:
             if isinstance(val, m.AnnotationRecord):
                 anns.append(val)
             elif isinstance(val, _AnnotationRecordSetForm):
                 anns.extend(val.records)
             else:
-                raise self._fail(f"expected annotation records, got {val!r}", tok)
+                raise self._fail(f"expected annotation records, got {_show(val)}", at)
         return m.AnnotatedStatement(stmt, anns)
 
-    def _opt_text(self, val, tok) -> m.TextValue | None:
-        if val is None:
-            return None
-        if not isinstance(val, m.TextValue):
-            raise self._fail(f"expected (Text ...) or *, got {val!r}", tok)
-        return val
+    def _opt_text(self, val, at) -> m.TextValue | None:
+        return None if val is None else self._want(m.TextValue, val, at, "(Text ...) or *")
 
     def _build_Descriptor(self, head, args):
         self._arity(head, args, 2, None)
@@ -410,15 +368,10 @@ class _Parser:
 
     def _build_EntityDescriptor(self, head, args):
         self._arity(head, args, 2, 2)
-        ent, etok = args[0]
-        desc, dtok = args[1]
-        if not isinstance(ent, m.Entity):
-            raise self._fail(f"expected an entity, got {ent!r}", etok)
-        if not isinstance(desc, m.Descriptor):
-            raise self._fail(f"expected a descriptor, got {desc!r}", dtok)
-        return m.EntityDescriptor(ent, desc)
+        return m.EntityDescriptor(self._want(m.Entity, *args[0], "an entity"),
+                                  self._want(m.Descriptor, *args[1], "a descriptor"))
 
-    def _fingerprint(self, val, tok) -> m.Fingerprint | None:
+    def _fingerprint(self, val, at) -> m.Fingerprint | None:
         if val is None:
             return None
         if isinstance(val, m.Entity):
@@ -427,7 +380,7 @@ class _Parser:
             return m.SnakFp(val)
         if isinstance(val, _SnakSetForm):
             return m.SnakSetFp(val.snaks)
-        raise self._fail(f"expected a fingerprint or *, got {val!r}", tok)
+        raise self._fail(f"expected a fingerprint or *, got {_show(val)}", at)
 
     def _build_SnakMask(self, head, args):
         symbols = self._all(_KindSymbol, args, "a snak kind symbol")
@@ -440,9 +393,9 @@ class _Parser:
         value = self._fingerprint(*args[2])
         kinds = m.ALL_SNAK_KINDS
         if len(args) == 4:
-            mask, tok = args[3]
+            mask, at = args[3]
             if not isinstance(mask, _SnakMaskForm):
-                raise self._fail("expected a (SnakMask ...)", tok)
+                raise self._fail("expected a (SnakMask ...)", at)
             kinds = mask.kinds
         return m.FilterPattern(subject, prop, value, kinds)
 
@@ -474,13 +427,34 @@ class _AnnotationRecordSetForm:
     records: tuple[m.AnnotationRecord, ...]
 
 
+def _show(val: object) -> str:
+    """*val* as an error message shows it: a string, a number or * by its
+    repr, anything else as its S-expression."""
+    if val is None or isinstance(val, (str, Decimal)):
+        return repr(val)
+    if isinstance(val, _KindSymbol):
+        return _KIND_NAMES[val.kind]
+    if isinstance(val, _SnakMaskForm):
+        return _mask(val.kinds)
+    if isinstance(val, _SnakSetForm):
+        return _form("SnakSet", val.snaks)
+    if isinstance(val, _ReferenceRecordSetForm):
+        return _form("ReferenceRecordSet", val.records)
+    if isinstance(val, _AnnotationRecordSetForm):
+        return _form("AnnotationRecordSet", val.records)
+    return dumps(val, compact=True)
+
+
+def _form(head: str, members) -> str:
+    return "(" + " ".join([head, *(dumps(x, compact=True) for x in members)]) + ")"
+
+
 def parse(text: str) -> object:
     """Parse exactly one object from *text*."""
     parser = _Parser(text)
     obj = _parse_top(parser)
     if not parser.at_eof():
-        tok = parser._peek()
-        raise SexprError("trailing content after object", tok.line, tok.column)
+        raise parser._fail("trailing content after object", parser._peek()[2])
     return obj
 
 
@@ -494,7 +468,7 @@ def parse_many(text: str) -> list[object]:
 
 
 def _parse_top(parser: _Parser) -> object:
-    tok = parser._peek()
+    at = parser._peek()[2]
     obj = parser.parse_object()
     if isinstance(obj, _SnakSetForm):
         return m.SnakSetFp(obj.snaks)
@@ -503,7 +477,7 @@ def _parse_top(parser: _Parser) -> object:
     if isinstance(obj, _AnnotationRecordSetForm):
         return tuple(obj.records)
     if obj is None:
-        raise SexprError("* is not an object", tok.line, tok.column)
+        raise parser._fail("* is not an object", at)
     return obj
 
 
@@ -518,6 +492,12 @@ _ESCAPE_TABLE = str.maketrans({
 
 def _escape(s: str) -> str:
     return '"' + s.translate(_ESCAPE_TABLE) + '"'
+
+
+def _mask(kinds) -> str:
+    """The (SnakMask ...) of *kinds*, ordered by their values."""
+    return "(" + " ".join(["SnakMask", *(_KIND_NAMES[k] for k in
+                                         sorted(kinds, key=lambda k: k.value))]) + ")"
 
 
 _COMPACT_LOCAL_OK = frozenset(
@@ -609,15 +589,11 @@ def dumps(x: object, compact: bool = False) -> str:
         if isinstance(x, m.SnakSetFp):
             return "(SnakSet " + " ".join(go(s) for s in x.snaks) + ")"
         if isinstance(x, m.FilterPattern):
-            kinds = sorted(x.snak_kinds, key=lambda k: k.value)
-            names = {m.SnakKind.VALUE: "ValueSnak", m.SnakKind.SOME_VALUE: "SomeValueSnak",
-                     m.SnakKind.NO_VALUE: "NoValueSnak"}
-            mask = "(SnakMask " + " ".join(names[k] for k in kinds) + ")"
             return ("(FilterPattern "
                     + (go(x.subject) if x.subject else "*") + " "
                     + (go(x.property) if x.property else "*") + " "
                     + (go(x.value) if x.value else "*") + " "
-                    + mask + ")")
+                    + _mask(x.snak_kinds) + ")")
         raise m.ModelError(f"cannot serialize {x!r}")
 
     return go(x)

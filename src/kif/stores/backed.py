@@ -59,7 +59,7 @@ from ..lru import Lru
 from ..namespaces import WIKIDATA
 from ..rdf.bgp import match_bgp
 from ..rdf.ntriples import parse_ntriples
-from ..rdf.server import keeps_alive, read_header_fields, read_line
+from ..rdf.server import http_number, keeps_alive, read_header_fields, read_line
 from ..rdf.sparql import SelectQuery, serialize_query
 from ..rdf.terms import Graph, IriTerm, Literal, Term, Triple, term_key
 from .base import Store, StoreOptions, TransportError, claim_pattern
@@ -207,24 +207,21 @@ def _read_response(rfile, status_line: bytes) -> tuple[int, bytes, bool]:
     length = fields.get("content-length")
     if length is None:
         return status, rfile.read(), False
-    if not length.isdecimal():
+    size = http_number(length)
+    if size is None:
         raise http.client.HTTPException(f"invalid Content-Length {length[:100]!r}")
-    body = rfile.read(int(length))
-    if len(body) < int(length):
-        raise http.client.IncompleteRead(body, int(length) - len(body))
+    body = rfile.read(size)
+    if len(body) < size:
+        raise http.client.IncompleteRead(body, size - len(body))
     return status, body, keep_alive
 
 
 def _read_chunked(rfile) -> bytes:
     chunks = []
     while True:
-        line = read_line(rfile)
-        try:
-            size = int(line.split(b";", 1)[0], 16)
-            if size < 0:
-                raise ValueError
-        except ValueError:
-            raise http.client.IncompleteRead(b"".join(chunks)) from None
+        size = http_number(read_line(rfile).split(b";", 1)[0].strip().decode("latin-1"), 16)
+        if size is None:
+            raise http.client.IncompleteRead(b"".join(chunks))
         if size == 0:
             break
         chunk = rfile.read(size + 2)      # the chunk and its CRLF

@@ -137,7 +137,9 @@ def test_an_idle_connection_closed_by_the_server_is_reopened_once():
     HEAD_11 + b"Content-Length: %d\r\n\r\n" % (len(PAYLOAD) + 10) + PAYLOAD,
     b"HTTP/1.1 20 OK\r\nContent-Length: 0\r\n\r\n",
     b"ICY 200 OK\r\n\r\n",
-], ids=["short body", "short status code", "not HTTP"])
+    HEAD_11 + b"Transfer-Encoding: chunked\r\n\r\n0x%x\r\n" % len(PAYLOAD) + PAYLOAD
+    + b"\r\n0\r\n\r\n",
+], ids=["short body", "short status code", "not HTTP", "0x chunk size"])
 def test_a_short_body_or_a_malformed_status_line_is_a_transport_error(reply):
     with RawServer([(reply, True)]) as server:
         backend = HttpBackend(server.url, timeout=5)

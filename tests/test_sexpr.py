@@ -190,6 +190,27 @@ def test_unterminated_string_points_at_opening_quote():
     assert err.value.line == 1 and err.value.column == 9
 
 
+def test_a_newline_inside_a_string_counts_for_later_positions():
+    with pytest.raises(sexpr.SexprError) as err:
+        sexpr.parse_many('(String "one\ntwo") bad:Q1')
+    assert (err.value.line, err.value.column) == (2, 7)
+    assert "prefix" in str(err.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(FilterPattern (SnakMask ValueSnak NoValueSnak) * *)",
+     "1:16: expected a fingerprint or *, got (SnakMask NoValueSnak ValueSnak)"),
+    ("(Statement wd:Q1 (Item (IRI \"http://example.org/x\")))",
+     '1:18: expected a snak, got (Item (IRI "http://example.org/x"))'),
+], ids=["mask", "statement"])
+def test_a_wrong_argument_is_shown_as_its_s_expression(text, message):
+    # The same text under every string hash seed: a mask prints its kinds
+    # in the printer's order, not in the order of a set.
+    with pytest.raises(sexpr.SexprError) as err:
+        sexpr.parse(text)
+    assert str(err.value) == message
+
+
 def _offset_of(text: str, line: int, column: int) -> int:
     lines = text.split("\n")
     assert 1 <= line <= len(lines)
