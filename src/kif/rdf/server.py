@@ -95,13 +95,16 @@ def read_header_fields(rfile) -> dict[str, str]:
     raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
 
 
-_NUMBER_RES = {10: re.compile("[0-9]+"), 16: re.compile("[0-9A-Fa-f]+")}
+# At most 18 decimal or 15 hex digits: below 2**63, so int() never meets its
+# digit limit and a read of the size plus a chunk's CRLF still fits an index.
+_NUMBER_RES = {10: re.compile("[0-9]{1,18}"), 16: re.compile("[0-9A-Fa-f]{1,15}")}
 
 
 def http_number(text: str, base: int = 10) -> int | None:
     """The value of *text*, a Content-Length (base 10) or a chunk size (base
-    16); None unless it is ASCII digits only, hex digits in base 16. int()
-    alone would also take a sign, underscores, inner blanks or a 0x."""
+    16); None unless it is ASCII digits only, hex digits in base 16, and at
+    most 18 (15 in base 16) of them. int() alone would also take a sign,
+    underscores, inner blanks or a 0x."""
     return int(text, base) if _NUMBER_RES[base].fullmatch(text) else None
 
 

@@ -139,7 +139,10 @@ def test_an_idle_connection_closed_by_the_server_is_reopened_once():
     b"ICY 200 OK\r\n\r\n",
     HEAD_11 + b"Transfer-Encoding: chunked\r\n\r\n0x%x\r\n" % len(PAYLOAD) + PAYLOAD
     + b"\r\n0\r\n\r\n",
-], ids=["short body", "short status code", "not HTTP", "0x chunk size"])
+    HEAD_11 + b"Transfer-Encoding: chunked\r\n\r\n" + b"f" * 16 + b"\r\n" + PAYLOAD
+    + b"\r\n0\r\n\r\n",
+], ids=["short body", "short status code", "not HTTP", "0x chunk size",
+        "over-long chunk size"])
 def test_a_short_body_or_a_malformed_status_line_is_a_transport_error(reply):
     with RawServer([(reply, True)]) as server:
         backend = HttpBackend(server.url, timeout=5)

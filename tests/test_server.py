@@ -124,7 +124,8 @@ def test_bad_query_text_answers_400_and_keeps_the_connection(endpoint):
         conn.close()
 
 
-@pytest.mark.parametrize("length", ["abc", "-1", "+5", "1_0"])
+@pytest.mark.parametrize("length", ["abc", "-1", "+5", "1_0",
+                                    pytest.param("9" * 5000, id="5000 digits")])
 def test_invalid_content_length_answers_400(endpoint, length):
     parts = urllib.parse.urlsplit(endpoint.url)
     conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
