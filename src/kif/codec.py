@@ -428,15 +428,10 @@ def _assemble_snak_family(g: Graph, node: IriTerm, simple_base: str, deep_base: 
     return snaks
 
 
-def is_no_value(g: Graph, wds: IriTerm, plocal: str) -> bool:
-    """Whether statement node *wds* is typed as a no-value statement of *plocal*."""
-    return IriTerm(ns.WDNO + plocal) in g.objects(wds, IriTerm(ns.RDF_TYPE))
-
-
 def assemble_main_snak(g: Graph, wds: IriTerm, plocal: str,
                        diagnostics: list[str]) -> m.Snak | None:
     prop = m.Property(ns.WD + plocal)
-    if is_no_value(g, wds, plocal):
+    if IriTerm(ns.WDNO + plocal) in g.objects(wds, IriTerm(ns.RDF_TYPE)):
         return m.NoValueSnak(prop)
     ps_objects = sorted(g.objects(wds, IriTerm(ns.PS + plocal)), key=term_key)
     if not ps_objects:
@@ -667,7 +662,9 @@ def compile_full_plan(pattern: m.FilterPattern,
     also project the triples of each statement node (``?w ?q ?o``), so the
     reader needs no query to fetch them. The folded property-bound form
     keeps ``?w ps:X V`` only where the value is constrained; without it,
-    the plan reads every node the ``p:X`` links reach, no-value nodes too.
+    the plan reads every node the ``p:X`` links reach, no-value nodes too,
+    unless the mask is no-value only: then ``?w rdf:type wdno:X`` keeps
+    just the no-value nodes (the annotation query of a no-value statement).
     Scans (any other subject) keep the plain forms, where the node triples
     would cost more pages than the node fetches they save.
     """
@@ -686,6 +683,9 @@ def compile_full_plan(pattern: m.FilterPattern,
     elif plocal and s_const is not None and value_free:
         shape = "full"
         patterns.insert(0, link)
+        if pattern.snak_kinds == {m.SnakKind.NO_VALUE}:
+            patterns.insert(1, TriplePattern(wvar, IriTerm(ns.RDF_TYPE),
+                                             IriTerm(ns.WDNO + plocal)))
         projected = [wvar]
     else:
         shape = "full"

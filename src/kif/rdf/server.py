@@ -11,8 +11,9 @@ few lines of code and writing each response in one write:
   ``Connection: close``, or an HTTP/1.0 request without
   ``Connection: keep-alive``, is answered and the connection closed.
 - A POST body is delimited by its ``Content-Length``; an invalid one is
-  answered with 400 and the connection closed. ``Expect: 100-continue`` is
-  answered with an interim 100 before the body is read.
+  answered with 400, one over 1 MiB with 413, and the connection closed.
+  ``Expect: 100-continue`` is answered with an interim 100 before the body
+  is read.
 - A request line over 65536 bytes gets 414; a header line over 65536 bytes,
   or more than 100 header lines, gets 431; a malformed request line gets
   400, a version other than HTTP/1.x 505, a method other than GET and
@@ -68,6 +69,7 @@ def results_to_json(variables: tuple[str, ...], rows: list[Binding]) -> dict:
 
 _MAX_LINE = 65536         # bytes in a request, status or header line
 _MAX_HEADERS = 100
+_MAX_BODY = 1 << 20       # bytes in a query body: 200 times the largest the stores send
 _TEXT = "text/plain; charset=utf-8"
 
 
@@ -198,6 +200,8 @@ class _Handler(socketserver.StreamRequestHandler):
         if length is None:
             # The body's end is unknown, so the connection cannot be reused.
             raise _Refusal(400, "invalid Content-Length")
+        if length > _MAX_BODY:
+            raise _Refusal(413, f"query body over {_MAX_BODY} bytes")
         if headers.get("expect", "").lower() == "100-continue":
             self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         try:

@@ -75,8 +75,10 @@ class Literal(_Hashed):
         if self.language is not None:
             object.__setattr__(self, "language", self.language.lower())
             object.__setattr__(self, "datatype", RDF_LANG_STRING)
+        # A missing language hashes as "": hash(None) follows the address
+        # of None, and a graph's order would change from run to run.
         object.__setattr__(self, "_hash",
-                           hash((self.lexical, self.datatype, self.language)))
+                           hash((self.lexical, self.datatype, self.language or "")))
 
     def __hash__(self) -> int:
         return self._hash

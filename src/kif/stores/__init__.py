@@ -1,7 +1,7 @@
 """Store composition surface: memory, embedded-graph, and endpoint stores."""
 
 from .backed import (GraphBackend, HttpBackend, QueryBackedStore, RdfStore,
-                     SparqlStore, decode_results_json, network_timer)
+                     SparqlStore, decode_results_json)
 from .base import (DEFAULT_PAGE_SIZE, PAGE_SIZE_ENV, Store, StoreError,
                    StoreOptions, TransportError)
 from .memory import MemoryStore
@@ -10,5 +10,4 @@ __all__ = [
     "DEFAULT_PAGE_SIZE", "PAGE_SIZE_ENV", "GraphBackend", "HttpBackend",
     "MemoryStore", "QueryBackedStore", "RdfStore", "SparqlStore", "Store",
     "StoreError", "StoreOptions", "TransportError", "decode_results_json",
-    "network_timer",
 ]

@@ -30,12 +30,20 @@ nodes for filter, count and contains; for get_annotations, the deep value,
 qualifier value and reference nodes, then the reference value nodes. A
 scan (no subject, or a snak fingerprint), and a filter on an entity that
 constrains the value but not the property, keep the plain candidate query
-and fetch their statement nodes in batches of 50.
+and fetch their statement nodes in batches of 50. The candidate query of
+a no-value statement's annotations reads only the nodes typed as its
+no-value statements.
+
+One generator, QueryBackedStore._statements, turns candidate statement
+nodes into statements for every operation that reads them; it logs the
+codec's diagnostics at WARNING, a link to a node with no value of the
+link's property included.
 
 Every query, here and in the mapper store, runs through one path:
 PagedStore.select_all pages it with LIMIT/OFFSET windows and caches the
 pages per handle in a bounded LRU, so results are identical with the cache
-on or off except for request counts.
+on or off except for request counts. A handle counts its requests
+(request_count) and the wall time they spent in HTTP (request_seconds).
 """
 
 from __future__ import annotations
@@ -48,7 +56,6 @@ import threading
 import time
 import urllib.parse
 import weakref
-from contextlib import contextmanager
 from itertools import chain, islice
 from typing import Iterable, Iterator
 
@@ -70,30 +77,7 @@ Row = dict[str, Term]
 
 _NODE_CHUNK = 50
 _PAGE_CACHE_SIZE = 1024
-
-# Wall time spent inside HTTP requests, accumulated into every registered
-# timer; the benchmark uses this to split API time from endpoint time.
-_net_timers: list[list[float]] = []
-_net_lock = threading.Lock()
-
-
-@contextmanager
-def network_timer():
-    acc = [0.0]
-    with _net_lock:
-        _net_timers.append(acc)
-    try:
-        yield acc
-    finally:
-        with _net_lock:
-            _net_timers.remove(acc)
-
-
-def _record_network_time(elapsed: float) -> None:
-    with _net_lock:
-        for acc in _net_timers:
-            acc[0] += elapsed
-
+_READ_PIECE = 1 << 20     # bytes read from a response body at once
 
 def _local(term: Term | None, prefix: str) -> str | None:
     return WIKIDATA.local(term.value, prefix) if isinstance(term, IriTerm) else None
@@ -116,6 +100,8 @@ def _links_context(predicate: str, deep_only: bool) -> bool:
 
 class GraphBackend:
     """Evaluates queries over an embedded graph."""
+
+    request_seconds = 0.0                 # no time on a network
 
     def __init__(self, graph: Graph) -> None:
         self.graph = graph
@@ -210,10 +196,21 @@ def _read_response(rfile, status_line: bytes) -> tuple[int, bytes, bool]:
     size = http_number(length)
     if size is None:
         raise http.client.HTTPException(f"invalid Content-Length {length[:100]!r}")
-    body = rfile.read(size)
-    if len(body) < size:
-        raise http.client.IncompleteRead(body, size - len(body))
-    return status, body, keep_alive
+    return status, _read_exactly(rfile, size), keep_alive
+
+
+def _read_exactly(rfile, size: int) -> bytes:
+    """*size* bytes of *rfile*, read in pieces of at most _READ_PIECE, so
+    memory grows with what arrives, not with what the peer announced; an
+    end of stream first raises IncompleteRead."""
+    pieces = []
+    while size:
+        piece = rfile.read(min(size, _READ_PIECE))
+        if not piece:
+            raise http.client.IncompleteRead(b"".join(pieces), size)
+        pieces.append(piece)
+        size -= len(piece)
+    return b"".join(pieces)
 
 
 def _read_chunked(rfile) -> bytes:
@@ -224,10 +221,7 @@ def _read_chunked(rfile) -> bytes:
             raise http.client.IncompleteRead(b"".join(chunks))
         if size == 0:
             break
-        chunk = rfile.read(size + 2)      # the chunk and its CRLF
-        if len(chunk) < size + 2:
-            raise http.client.IncompleteRead(b"".join(chunks) + chunk, size + 2 - len(chunk))
-        chunks.append(chunk[:size])
+        chunks.append(_read_exactly(rfile, size + 2)[:size])   # and its CRLF
     while read_line(rfile) not in (b"\r\n", b"\n", b""):
         pass                              # trailer fields
     return b"".join(chunks)
@@ -250,9 +244,11 @@ class HttpBackend:
     ``Connection: keep-alive``, and when a response cannot be read.
     Interim 1xx responses are skipped. A status line or header line over
     65536 bytes, more than 100 headers, a malformed status line or a short
-    body is a TransportError. A query is sent again, once and on a new connection,
-    only when a kept-alive connection that has answered before is closed
-    or reset before a status line arrives; a timeout is never retried.
+    body is a TransportError. A body is read in pieces of at most 1 MiB, so
+    a size the peer announces but never sends ends as a short body. A
+    query is sent again, once and on a new connection, only when a
+    kept-alive connection that has answered before is closed or reset
+    before a status line arrives; a timeout is never retried.
     """
 
     def __init__(self, url: str, timeout: float = 30.0) -> None:
@@ -261,7 +257,10 @@ class HttpBackend:
             raise ValueError(f"not an endpoint URL: {url!r}")
         self.url = url
         self.timeout = timeout
+        # The requests select sent and their wall time; exact while one
+        # thread at a time queries the handle.
         self.request_count = 0
+        self.request_seconds = 0.0
         self._scheme = split.scheme
         self._netloc = split.netloc
         path = split.path or "/"
@@ -342,7 +341,7 @@ class HttpBackend:
         except http.client.HTTPException as e:
             raise TransportError(self.url, f"{type(e).__name__}: {e}") from None
         finally:
-            _record_network_time(time.perf_counter() - started)
+            self.request_seconds += time.perf_counter() - started
         if status != 200:
             snippet = payload[:500].decode("utf-8", "replace")
             raise TransportError(self.url, f"HTTP {status}: {snippet}")
@@ -373,6 +372,11 @@ class PagedStore(Store):
     @property
     def request_count(self) -> int:
         return self._backend.request_count
+
+    @property
+    def request_seconds(self) -> float:
+        """Wall time spent in HTTP requests to the endpoint; 0 over a graph."""
+        return self._backend.request_seconds
 
     def close(self) -> None:
         self._backend.close()
@@ -448,7 +452,7 @@ class QueryBackedStore(PagedStore):
             if plocal is None:
                 # The link and the value (or no-value marker) predicates must
                 # name the same property; a 'node' row has no value predicate,
-                # and _reified checks the value on the node's triples.
+                # and _statements checks the value on the node's triples.
                 plocal = _local(row.get("p"), "p")
                 other = (_local(row.get("n"), "wdno") if plan.shape == "novalue"
                          else _local(row.get("q"), "ps") if plan.shape == "full"
@@ -460,28 +464,34 @@ class QueryBackedStore(PagedStore):
                 seen.add(key)
                 yield subject, wds, plocal
 
-    def _statement_nodes(self, plan: codec.FilterPlan, deep_only: bool
-                         ) -> Iterator[tuple[list[tuple[IriTerm, IriTerm, str]], Graph]]:
-        """The candidates of *plan* in batches, each with a graph of their
-        statement nodes and the nodes these link to. A folded plan is one
-        batch, read to its last page before anything is assembled, so its
-        answer cannot depend on how its rows fall into pages; a scan streams
+    def _statements(self, plan: codec.FilterPlan, deep_only: bool
+                    ) -> Iterator[tuple[m.Statement, IriTerm, str, Graph]]:
+        """The statements the candidate nodes of *plan* carry, each with its
+        statement node, property local and the graph of its batch's nodes
+        (the statement nodes and the nodes these link to); the codec's
+        diagnostics are logged as they arise. A folded plan is one batch,
+        read to its last page before anything is assembled, so its answer
+        cannot depend on how its rows fall into pages; a scan streams
         batches of _NODE_CHUNK candidates and fetches their nodes."""
         if plan.folded:
             node_graph = Graph()
-            batch = list(self._full_candidates(plan, node_graph))
-            if batch:
-                self._fetch_statement_context(node_graph, [wds for _, wds, _ in batch],
-                                              deep_only)
-                yield batch, node_graph
-            return
-        candidates = self._full_candidates(plan)
-        while batch := list(islice(candidates, _NODE_CHUNK)):
-            node_graph = Graph()
+            batches = [list(self._full_candidates(plan, node_graph))]
+        else:
+            candidates = self._full_candidates(plan)
+            batches = iter(lambda: list(islice(candidates, _NODE_CHUNK)), [])
+        diagnostics: list[str] = []
+        for batch in batches:
             wds_nodes = [wds for _, wds, _ in batch]
-            self._fetch_nodes(wds_nodes, node_graph)
+            if not plan.folded:
+                node_graph = Graph()
+                self._fetch_nodes(wds_nodes, node_graph)
             self._fetch_statement_context(node_graph, wds_nodes, deep_only)
-            yield batch, node_graph
+            for subject, wds, plocal in batch:
+                snak = codec.assemble_main_snak(node_graph, wds, plocal, diagnostics)
+                self._warn(diagnostics)
+                if snak is not None:
+                    yield (m.Statement(codec.entity_from_iri(subject.value), snak),
+                           wds, plocal, node_graph)
 
     def _filter(self, pattern: m.FilterPattern,
                 limit: int | None) -> Iterator[m.Statement]:
@@ -518,26 +528,15 @@ class QueryBackedStore(PagedStore):
         """Statements assembled from their statement nodes; adds the claims
         they carry to *covered* and, if *no_values* is a list, the no-value
         statements among the nodes to it."""
-        diagnostics: list[str] = []
         plan = codec.compile_full_plan(pattern, object_term)
-        for batch, node_graph in self._statement_nodes(plan, deep_only=True):
-            for subject, wds, plocal in batch:
-                objects = node_graph.objects(wds, IriTerm(ns.PS + plocal))
-                if not objects:
-                    # No value of the link's property: a no-value statement,
-                    # yielded by the last stage, or a dangling link.
-                    if no_values is not None and codec.is_no_value(node_graph, wds, plocal):
-                        no_values.append(m.Statement(
-                            codec.entity_from_iri(subject.value),
-                            m.NoValueSnak(m.Property(ns.WD + plocal))))
-                    continue
-                snak = codec.assemble_main_snak(node_graph, wds, plocal, diagnostics)
-                self._warn(diagnostics)
-                if snak is None:
-                    continue
-                for obj in objects:
-                    covered.add(codec.claim_key(subject.value, plocal, obj))
-                yield m.Statement(codec.entity_from_iri(subject.value), snak)
+        for stmt, wds, plocal, node_graph in self._statements(plan, deep_only=True):
+            if isinstance(stmt.snak, m.NoValueSnak):
+                if no_values is not None:     # else the last stage yields it
+                    no_values.append(stmt)
+                continue
+            for obj in node_graph.objects(wds, IriTerm(ns.PS + plocal)):
+                covered.add(codec.claim_key(stmt.subject.iri.value, plocal, obj))
+            yield stmt
 
     def _truthy_only(self, pattern: m.FilterPattern, object_term: Term | None,
                      covered: set[tuple]) -> Iterator[m.Statement]:
@@ -568,31 +567,15 @@ class QueryBackedStore(PagedStore):
     # -- annotations -------------------------------------------------------------
 
     def _annotations(self, stmts):
-        for stmt in stmts:
-            yield stmt, self._annotations_of(stmt)
-
-    def _annotations_of(self, stmt: m.Statement) -> frozenset[m.AnnotationRecord]:
-        object_term = codec.statement_object(stmt)
-        plan = codec.compile_full_plan(claim_pattern(stmt), object_term)
-        node_graph = Graph()
-        candidates = list(self._full_candidates(plan, node_graph))
-        # Without an object term (a no-value statement) the plan reads every
-        # node of the property; only the no-value ones can carry the statement.
-        wds_nodes = sorted({wds for _, wds, plocal in candidates
-                            if object_term is not None
-                            or codec.is_no_value(node_graph, wds, plocal)}, key=term_key)
-        if not wds_nodes:
-            return frozenset()
-        self._fetch_statement_context(node_graph, wds_nodes, deep_only=False)
         diagnostics: list[str] = []
-        records = set()
-        for wds in wds_nodes:
-            snak = codec.assemble_main_snak(node_graph, wds, plan.property_local,
-                                            diagnostics)
-            if snak == stmt.snak:
-                records.add(codec.assemble_annotation(node_graph, wds, diagnostics))
-            self._warn(diagnostics)
-        return frozenset(records)
+        for stmt in stmts:
+            plan = codec.compile_full_plan(claim_pattern(stmt), codec.statement_object(stmt))
+            records = set()
+            for found, wds, _, node_graph in self._statements(plan, deep_only=False):
+                if found.snak == stmt.snak:
+                    records.add(codec.assemble_annotation(node_graph, wds, diagnostics))
+                    self._warn(diagnostics)
+            yield stmt, frozenset(records)
 
     # -- descriptors -----------------------------------------------------------
 

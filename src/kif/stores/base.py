@@ -14,6 +14,7 @@ only to pass it on to stores it delegates to.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Iterator
@@ -59,8 +60,10 @@ class StoreOptions:
     def __post_init__(self) -> None:
         if self.page_size < 1:
             raise ValueError("page_size must be at least 1")
-        if not self.request_timeout > 0:          # NaN too
-            raise ValueError("request_timeout must be positive")
+        # NaN fails both tests; a socket takes no timeout over TIMEOUT_MAX.
+        if not 0 < self.request_timeout <= threading.TIMEOUT_MAX:
+            raise ValueError("request_timeout must be positive and at most "
+                             f"{threading.TIMEOUT_MAX:g} s")
         object.__setattr__(self, "extra_references",
                            tuple(self.extra_references))
 

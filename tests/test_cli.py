@@ -180,6 +180,14 @@ def test_timeout_zero_is_a_usage_error(data_dir, capsys):
     assert "request_timeout must be positive" in err
 
 
+@pytest.mark.parametrize("timeout", ["inf", "1e300"])
+def test_a_timeout_a_socket_cannot_take_is_a_usage_error(capsys, timeout):
+    code, _, err = run(capsys, "count", "--store", "sparql:http://127.0.0.1:9/sparql",
+                       "--timeout", timeout)
+    assert code == 2
+    assert "request_timeout must be positive" in err
+
+
 def test_load_reports_and_encodes_fixture(data_dir, tmp_path, capsys):
     out_nt = tmp_path / "out.nt"
     code, out, _ = run(capsys, "load", "--fixture", f"{data_dir}/wd.sexp",
@@ -213,6 +221,28 @@ def test_bench_on_memory_store_has_overhead_fraction_one(data_dir, tmp_path,
     for row in rows:
         assert row["overhead_fraction"] == "1.0000"
         assert float(row["api_ms"]) <= float(row["total_ms"]) + 1e-6
+
+
+def test_bench_over_a_mixer_of_endpoints_subtracts_each_childs_requests(tmp_path, capsys):
+    queries = tmp_path / "queries.txt"
+    queries.write_text(
+        "--subject wd:Q2270 --property wd:P2177 --limit 10\n"
+        "--subject wd:Q7286\n"
+        "--property wd:P166\n", encoding="utf-8")
+    pairs = pf.wikidata_pairs()
+    halves = [pairs[::2], pairs[1::2]]
+    with serve(codec.encode_dataset(halves[0])) as first, \
+            serve(codec.encode_dataset(halves[1])) as second:
+        code, out, _ = run(capsys, "bench", "--store", f"sparql:{first.url}",
+                           "--store", f"sparql:{second.url}",
+                           "--queries", str(queries), "--runs", "5")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 3
+    for row in rows:
+        assert float(row["api_ms"]) <= float(row["total_ms"])
+        # Both children send requests, and their time is taken off.
+        assert 0.0 < float(row["overhead_fraction"]) < 1.0, row
 
 
 def test_bad_store_spec_and_parse_errors_exit_2(data_dir, capsys):

@@ -128,3 +128,50 @@ def test_a_malformed_deep_value_drops_its_statement_and_is_logged(caplog):
     messages = [r.getMessage() for r in caplog.records if r.name == "kif.stores.backed"]
     assert len(messages) == 2
     assert all("quantity amount is not a literal" in msg for msg in messages)
+
+
+def test_a_link_to_a_node_without_a_value_is_reported_once_per_reading(caplog):
+    # A p: link to a ranked node that has neither a ps: value nor a wdno: type.
+    pairs = pf.wikidata_pairs()
+    graph = codec.encode_dataset(pairs)
+    dangling = IriTerm(ns.WDS + "dangling")
+    graph.add(Triple(IriTerm(pf.marie.iri.value), IriTerm(ns.P + "P166"), dangling))
+    graph.add(Triple(dangling, IriTerm(ns.WIKIBASE_RANK), IriTerm(ns.WIKIBASE_NORMAL_RANK)))
+    store, expected = RdfStore(graph), MemoryStore(pairs)
+    message = f"statement node {dangling.value} has a p:P166 link but no ps:P166 value"
+
+    def logged():
+        return [r.getMessage() for r in caplog.records if r.name == "kif.stores.backed"]
+
+    with caplog.at_level(logging.WARNING, logger="kif.stores.backed"):
+        for pattern in (m.FilterPattern(m.EntityFp(pf.marie), m.EntityFp(pf.award)),
+                        m.FilterPattern(m.EntityFp(pf.marie))):
+            caplog.clear()
+            assert set(store.filter(pattern)) == set(expected.filter(pattern))
+            assert len(logged()) == 1 and message in logged()[0]
+            assert store.count(pattern) == expected.count(pattern)
+            assert len(logged()) == 2 and message in logged()[1]
+        # The annotation queries read only nodes that carry their statement:
+        # a ps: value, or the wdno: type of a no-value statement.
+        caplog.clear()
+        probes = [pf.nobel_statement, pf.gibbs_statement,
+                  m.Statement(pf.marie, m.NoValueSnak(pf.award))]
+        assert dict(store.get_annotations(probes)) == dict(expected.get_annotations(probes))
+        assert logged() == []
+
+
+def test_the_annotations_of_a_no_value_statement_read_only_its_nodes(dataset, graph):
+    pairs, descriptors, subject = dataset
+    stmt = m.Statement(subject, pairs[-1][0].snak)
+    plocal = codec.property_local(stmt.snak.property)
+    linked = [t.object for t in graph.match(IriTerm(subject.iri.value), IriTerm(ns.P + plocal))]
+    no_value = [node for node in linked
+                if IriTerm(ns.WDNO + plocal) in graph.objects(node, IriTerm(ns.RDF_TYPE))]
+    assert len(no_value) < len(linked)    # the subject has values of the property too
+    store = RdfStore(graph, StoreOptions(page_size=1, cache_enabled=False))
+    assert dict(store.get_annotations([stmt])) == \
+        dict(MemoryStore(pairs, descriptors).get_annotations([stmt]))
+    # One page per triple of the no-value nodes, then the empty last page;
+    # they link to no qualifier or reference nodes.
+    rows = sum(1 for node in no_value for _ in graph.match(node))
+    assert store.request_count == rows + 1

@@ -154,6 +154,23 @@ def test_a_short_body_or_a_malformed_status_line_is_a_transport_error(reply):
     assert server.accepted == 1
 
 
+@pytest.mark.parametrize("framing", [
+    b"Content-Length: 100000000000000000\r\n\r\n",
+    b"Transfer-Encoding: chunked\r\n\r\n%x\r\n" % 10**17,
+], ids=["sized", "chunked"])
+def test_a_body_size_the_peer_never_sends_is_a_transport_error(framing):
+    # Both sizes are within the digit caps; reading one at once would need
+    # 100 PB of memory.
+    with RawServer([(HEAD_11 + framing + PAYLOAD, True)]) as server:
+        backend = HttpBackend(server.url, timeout=5)
+        try:
+            with pytest.raises(TransportError, match="IncompleteRead"):
+                backend.select(QUERY)
+        finally:
+            backend.close()
+    assert server.accepted == 1
+
+
 def test_a_timed_out_query_is_not_sent_again():
     with RawServer([(None, False), (None, False)]) as server:
         backend = HttpBackend(server.url, timeout=0.5)

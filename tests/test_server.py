@@ -268,6 +268,18 @@ def test_refused_requests_get_their_status_then_eof(endpoint, request_bytes, sta
         assert rfile.read() == b""
 
 
+def test_a_body_over_the_bound_answers_413_and_closes(endpoint):
+    # The size is within the digit cap; reading it at once would need 100 PB.
+    head = (b"POST /sparql HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/sparql-query\r\n"
+            b"Content-Length: 100000000000000000\r\n\r\n")
+    with _connect(endpoint) as sock, sock.makefile("rb") as rfile:
+        sock.sendall(head)
+        status, headers, _ = _read_reply(rfile)
+        assert status == 413 and headers["connection"] == "close"
+        assert rfile.read() == b""
+
+
 def test_each_request_is_logged_at_debug_with_its_row_count(endpoint, caplog):
     with caplog.at_level(logging.DEBUG, logger="kif.rdf.server"):
         _get(endpoint, "SELECT ?y WHERE { wd:Q7286 wdt:P166 ?y }")

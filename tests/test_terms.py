@@ -4,11 +4,15 @@ added, and match and bucket_size agree with brute force over the triples."""
 
 import copy
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
+import kif
 from kif import codec
 from kif.rdf.ntriples import parse_ntriples, serialize_ntriples
 from kif.rdf.terms import Graph, IriTerm, Literal, Triple, triple_key
@@ -100,3 +104,23 @@ def test_parse_builds_one_object_per_iri():
             if isinstance(term, IriTerm):
                 assert iris.setdefault(term.value, term) is term
     assert len(iris) > 50
+
+
+_LIST_GRAPH = ("import sys; from kif.rdf.ntriples import parse_ntriples; "
+               "print(list(parse_ntriples(sys.stdin.read())))")
+
+
+def test_a_graphs_order_repeats_under_a_pinned_hash_seed():
+    # Plain, typed and tagged literals: a literal with no language once
+    # hashed None, whose hash follows its address in each process.
+    text = "".join(f'<http://x.org/s{i}> <http://x.org/p> {obj} .\n' for i, obj in enumerate(
+        ['"a"', '"b"', '"7"^^<http://www.w3.org/2001/XMLSchema#integer>', '"c"@en',
+         '"d"', '"e"^^<http://x.org/t>', '"f"@fr', '"g"']))
+    src = os.path.dirname(os.path.dirname(kif.__file__))
+    env = {**os.environ, "PYTHONHASHSEED": "0",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    listings = {subprocess.run([sys.executable, "-c", _LIST_GRAPH], input=text, env=env,
+                               capture_output=True, text=True, check=True).stdout
+                for _ in range(3)}
+    assert len(listings) == 1
+    assert listings.pop().count("Triple(") == 8
