@@ -350,6 +350,12 @@ def truthy_graph(pairs: Iterable[Pair]) -> Graph:
 # Decoding (assembly shared by decode() and the query-backed stores)
 # ---------------------------------------------------------------------------
 
+def _least_object(g: Graph, node: IriTerm, predicate: str) -> Term | None:
+    """The canonically least object of *node*'s *predicate* triples, so a
+    repeated component reads the same whatever the triple order."""
+    return min(g.objects(node, IriTerm(predicate)), key=term_key, default=None)
+
+
 def read_deep_value(g: Graph, node: IriTerm, diagnostics: list[str]) -> m.Value | None:
     amounts = g.objects(node, IriTerm(ns.WIKIBASE_QUANTITY_AMOUNT))
     times = g.objects(node, IriTerm(ns.WIKIBASE_TIME_VALUE))
@@ -359,9 +365,9 @@ def read_deep_value(g: Graph, node: IriTerm, diagnostics: list[str]) -> m.Value 
                       key=term_key, default=None)
             if lex is None:
                 raise m.ModelError("quantity amount is not a literal")
-            unit_t = next(iter(g.objects(node, IriTerm(ns.WIKIBASE_QUANTITY_UNIT))), None)
-            lower_t = next(iter(g.objects(node, IriTerm(ns.WIKIBASE_QUANTITY_LOWER))), None)
-            upper_t = next(iter(g.objects(node, IriTerm(ns.WIKIBASE_QUANTITY_UPPER))), None)
+            unit_t = _least_object(g, node, ns.WIKIBASE_QUANTITY_UNIT)
+            lower_t = _least_object(g, node, ns.WIKIBASE_QUANTITY_LOWER)
+            upper_t = _least_object(g, node, ns.WIKIBASE_QUANTITY_UPPER)
             return m.Quantity(
                 Decimal(lex.lexical),
                 m.Item(unit_t.value) if isinstance(unit_t, IriTerm) else None,
@@ -372,9 +378,9 @@ def read_deep_value(g: Graph, node: IriTerm, diagnostics: list[str]) -> m.Value 
                       key=term_key, default=None)
             if lex is None:
                 raise m.ModelError("time value is not a literal")
-            prec_t = next(iter(g.objects(node, IriTerm(ns.WIKIBASE_TIME_PRECISION))), None)
-            tz_t = next(iter(g.objects(node, IriTerm(ns.WIKIBASE_TIME_TIMEZONE))), None)
-            cal_t = next(iter(g.objects(node, IriTerm(ns.WIKIBASE_TIME_CALENDAR))), None)
+            prec_t = _least_object(g, node, ns.WIKIBASE_TIME_PRECISION)
+            tz_t = _least_object(g, node, ns.WIKIBASE_TIME_TIMEZONE)
+            cal_t = _least_object(g, node, ns.WIKIBASE_TIME_CALENDAR)
             return m.TimeValue(
                 m.Timestamp.parse(lex.lexical),
                 int(prec_t.lexical) if isinstance(prec_t, Literal) else m.PRECISION_DAY,
@@ -463,12 +469,10 @@ def assemble_annotation(g: Graph, wds: IriTerm,
             diagnostics.append(f"reference node {obj.value} is empty; skipped")
             continue
         references.append(m.ReferenceRecord(snaks))
-    rank = m.Rank.NORMAL
-    for obj in g.objects(wds, IriTerm(ns.WIKIBASE_RANK)):
-        if isinstance(obj, IriTerm) and obj.value in _IRI_RANK:
-            rank = _IRI_RANK[obj.value]
-            break
-    return m.AnnotationRecord(qualifiers, references, rank)
+    # The least known rank; a node with none reads as Normal.
+    rank = min((obj.value for obj in g.objects(wds, IriTerm(ns.WIKIBASE_RANK))
+                if isinstance(obj, IriTerm) and obj.value in _IRI_RANK), default=None)
+    return m.AnnotationRecord(qualifiers, references, _IRI_RANK.get(rank, m.Rank.NORMAL))
 
 
 def is_best(g: Graph, wds: IriTerm) -> bool:
@@ -550,9 +554,9 @@ def _aux_patterns(fp: m.SnakFp | m.SnakSetFp, var: Var) -> list[TriplePattern]:
 class FilterPlan:
     """One compiled query plus how to read its rows.
 
-    shape: 'full' rows carry statement nodes; 'node' rows carry links to
-    statement nodes whose value is not yet checked; 'novalue' rows carry
-    no-value statement nodes; 'truthy' rows carry direct triples.
+    shape: 'full' rows carry statement nodes whose value matches; 'node'
+    rows carry links to statement nodes, value and no-value nodes alike,
+    whose value is not yet checked; 'truthy' rows carry direct triples.
 
     folded: the rows also carry the triples of their statement nodes, one
     per row, as ``?w ?q ?o``.
@@ -616,16 +620,6 @@ def select_query(patterns: list[TriplePattern], projected: list[Var | None],
     return SelectQuery(tuple(names), tuple(patterns), values=values, filters=filters)
 
 
-def _scan_filter(pattern: m.FilterPattern, plocal: str | None, var: str,
-                 prefix: str) -> tuple[tuple[str, str], ...]:
-    """A prefix filter on *var* for a scan that leaves the property unbound
-    and the subject absent, where the pattern alone would read every
-    predicate; other plans already start from their subject or property."""
-    if plocal is None and pattern.subject is None:
-        return ((var, prefix),)
-    return ()
-
-
 def compile_truthy_plan(pattern: m.FilterPattern,
                         object_term: Term | None = None) -> FilterPlan:
     """Query for the truthy triples ``S wdt:X V`` of *pattern*; with the
@@ -640,53 +634,65 @@ def compile_truthy_plan(pattern: m.FilterPattern,
     patterns.insert(0, main)
     p_var = None if plocal else Var("p")
     query = select_query(patterns, [s_var, p_var, o_var], s_const,
-                         _scan_filter(pattern, plocal, "p", ns.WDT))
+                         (("p", ns.WDT),) if plocal is None and pattern.subject is None else ())
     return FilterPlan("truthy", query, s_const, plocal, o_const)
 
 
 def compile_full_plan(pattern: m.FilterPattern,
                       object_term: Term | None = None) -> FilterPlan:
     """Query for the statement nodes that may carry statements of *pattern*,
-    in one of three forms (S is the subject slot, V the value slot):
+    in one of two forms (S is the subject slot, V the value slot):
 
-    - property bound: ``S p:X ?w . ?w ps:X V``;
-    - property unbound, value constrained or subject a snak fingerprint:
-      ``S ?p ?w . ?w ?q V``, whose rows count only where ``?p`` and ``?q``
-      name the same property (that rejects a qualifier holding the value);
-    - property unbound, value unconstrained, subject absent or an entity:
-      ``S ?p ?w . ?w wikibase:rank ?r`` ('node' shape). Every statement node
-      carries one rank, so this is one row per link to a statement node;
-      the reader checks that the node has a value of the link's property.
+    - value free ('node' shape): ``S p:X ?w``, one row per link to a
+      statement node, value and no-value nodes alike. With the property
+      unbound it is ``S ?p ?w`` and the filter ``STRSTARTS(STR(?p), p:P)``,
+      which keeps exactly the ``p:`` links: ``wdt:``, ``ps:`` and the other
+      property namespaces continue ``prop/`` with a lowercase word. The
+      reader checks that the node has a value or the no-value type of the
+      link's property. A no-value-only mask gives compile_novalue_plan's
+      query;
+    - value constrained ('full' shape): ``S p:X ?w . ?w ps:X V``; with the
+      property unbound, ``S ?p ?w . ?w ?q V``, whose rows count only where
+      ``?p`` and ``?q`` name the same property (that rejects a qualifier
+      holding the value).
 
-    With an entity subject, the first and the last form are folded: they
-    also project the triples of each statement node (``?w ?q ?o``), so the
-    reader needs no query to fetch them. The folded property-bound form
-    keeps ``?w ps:X V`` only where the value is constrained; without it,
-    the plan reads every node the ``p:X`` links reach, no-value nodes too,
-    unless the mask is no-value only: then ``?w rdf:type wdno:X`` keeps
-    just the no-value nodes (the annotation query of a no-value statement).
-    Scans (any other subject) keep the plain forms, where the node triples
-    would cost more pages than the node fetches they save.
+    With an entity subject, the node shape and the property-bound full
+    shape are folded: they also project the triples of each statement node
+    (``?w ?q ?o``), so the reader needs no query to fetch them. Scans (any
+    other subject) keep the plain forms, where the node triples would cost
+    more pages than the node fetches they save.
     """
+    return _statement_plan(pattern, object_term,
+                           pattern.snak_kinds == {m.SnakKind.NO_VALUE})
+
+
+def compile_novalue_plan(pattern: m.FilterPattern) -> FilterPlan:
+    """compile_full_plan's node shape for the no-value statements of
+    *pattern*: ``S p:X ?w . ?w rdf:type wdno:X``; with the property unbound,
+    ``S ?p ?w . ?w rdf:type ?n`` and, besides the ``p:P`` filter on ``?p``,
+    ``STRSTARTS(STR(?n), wdno:)``."""
+    return _statement_plan(pattern, None, True)
+
+
+def _statement_plan(pattern: m.FilterPattern, object_term: Term | None,
+                    no_value: bool) -> FilterPlan:
     patterns: list[TriplePattern] = []
     s_const, s_var = _subject_slot(pattern, patterns)
     plocal = _property_local_of(pattern)
     wvar = Var("w")
     p_var = None if plocal else Var("p")
     link = TriplePattern(s_const or s_var, IriTerm(ns.P + plocal) if plocal else p_var, wvar)
-    value_free = object_term is None and pattern.value is None
+    filters: tuple[tuple[str, str], ...] = ()
     o_const = None
-    if plocal is None and value_free and (pattern.subject is None or s_const is not None):
+    if object_term is None and pattern.value is None:
         shape = "node"
-        patterns[:0] = [link, TriplePattern(wvar, IriTerm(ns.WIKIBASE_RANK), Var("r"))]
-        projected = [s_var, p_var, wvar]
-    elif plocal and s_const is not None and value_free:
-        shape = "full"
         patterns.insert(0, link)
-        if pattern.snak_kinds == {m.SnakKind.NO_VALUE}:
+        if no_value:
             patterns.insert(1, TriplePattern(wvar, IriTerm(ns.RDF_TYPE),
-                                             IriTerm(ns.WDNO + plocal)))
-        projected = [wvar]
+                                             IriTerm(ns.WDNO + plocal) if plocal else Var("n")))
+        if not plocal:
+            filters = (("p", ns.P + "P"), ("n", ns.WDNO)) if no_value else (("p", ns.P + "P"),)
+        projected = [s_var, p_var, wvar]
     else:
         shape = "full"
         o_const, o_var = _value_slot(pattern, patterns, object_term)
@@ -698,28 +704,8 @@ def compile_full_plan(pattern: m.FilterPattern,
     if folded:
         patterns.append(TriplePattern(wvar, Var("q"), Var("o")))
         projected += [Var("q"), Var("o")]
-    query = select_query(patterns, projected, s_const)
+    query = select_query(patterns, projected, s_const, filters)
     return FilterPlan(shape, query, s_const, plocal, o_const, folded)
-
-
-def compile_novalue_plan(pattern: m.FilterPattern) -> FilterPlan:
-    """Query for the no-value statement nodes of *pattern*:
-    ``S p:X ?w . ?w rdf:type wdno:X``; with the property unbound,
-    ``S ?p ?w . ?w rdf:type ?n``, and in a scan with no subject the filter
-    ``STRSTARTS(STR(?n), wdno:)`` keeps only the no-value types."""
-    patterns: list[TriplePattern] = []
-    s_const, s_var = _subject_slot(pattern, patterns)
-    plocal = _property_local_of(pattern)
-    wvar = Var("w")
-    link = IriTerm(ns.P + plocal) if plocal else Var("p")
-    marker = IriTerm(ns.WDNO + plocal) if plocal else Var("n")
-    patterns.insert(0, TriplePattern(wvar, IriTerm(ns.RDF_TYPE), marker))
-    patterns.insert(0, TriplePattern(s_const or s_var, link, wvar))
-    p_var = None if plocal else Var("p")
-    n_var = None if plocal else Var("n")
-    query = select_query(patterns, [s_var, p_var, wvar, n_var], s_const,
-                         _scan_filter(pattern, plocal, "n", ns.WDNO))
-    return FilterPlan("novalue", query, s_const, plocal)
 
 
 def node_fetch_query(nodes: Iterable[IriTerm]) -> SelectQuery:

@@ -13,14 +13,11 @@ its statement nodes (a folded plan, codec.compile_full_plan), so only the
 nodes these link to are fetched. Read in one page each, the operations on
 an entity send these queries:
 
-- filter or count, property bound: the candidate query, then the truthy
-  query; the no-value statements come from the candidate rows (2);
-- filter or count, property unbound: the candidate query, the truthy query
-  and the no-value query, which also finds no-value nodes without a rank
-  (3);
+- filter or count, property bound or not: the candidate query, then the
+  truthy query; the no-value statements come from the candidate rows (2);
 - contains: the candidate query for the statement's value, then the truthy
   query unless the first found it (1 or 2); for a no-value statement, the
-  no-value query (1);
+  candidate query of its no-value nodes (1);
 - get_annotations: per statement, the candidate query (1);
 - get_descriptor: one query per 50 entities for labels, descriptions and
   aliases together (1).
@@ -35,9 +32,11 @@ a no-value statement's annotations reads only the nodes typed as its
 no-value statements.
 
 One generator, QueryBackedStore._statements, turns candidate statement
-nodes into statements for every operation that reads them; it logs the
-codec's diagnostics at WARNING, a link to a node with no value of the
-link's property included.
+nodes into statements for every operation that reads them, a read of
+no-value statements only included; it logs the codec's diagnostics at
+WARNING, a link to a node with no value of the link's property included.
+A filter reads its statement nodes once: the no-value statements among
+them are yielded last, after the claims only a truthy triple carries.
 
 Every query, here and in the mapper store, runs through one path:
 PagedStore.select_all pages it with LIMIT/OFFSET windows and caches the
@@ -450,14 +449,12 @@ class QueryBackedStore(PagedStore):
                 _add_triple(node_graph, wds, row.get("q"), row.get("o"))
             plocal = plan.property_local
             if plocal is None:
-                # The link and the value (or no-value marker) predicates must
-                # name the same property; a 'node' row has no value predicate,
-                # and _statements checks the value on the node's triples.
+                # The link and the value predicates must name the same
+                # property; a 'node' row has no value predicate, and
+                # _statements checks the value on the node's triples.
                 plocal = _local(row.get("p"), "p")
-                other = (_local(row.get("n"), "wdno") if plan.shape == "novalue"
-                         else _local(row.get("q"), "ps") if plan.shape == "full"
-                         else plocal)
-                if not plocal or plocal != other:
+                if not plocal or (plan.shape == "full"
+                                  and plocal != _local(row.get("q"), "ps")):
                     continue
             key = (subject.value, wds.value, plocal)
             if key not in seen:
@@ -499,40 +496,30 @@ class QueryBackedStore(PagedStore):
 
     def _candidates(self, pattern: m.FilterPattern,
                     object_term: Term | None) -> Iterator[m.Statement]:
-        """Candidate statements of *pattern*, from three lazily chained
-        stages; each stage compiles its plan only when it starts."""
+        """Candidate statements of *pattern*, from lazily chained stages: the
+        statements of the candidate nodes, the claims only a truthy triple
+        carries, then the no-value statements the first stage found. Each
+        stage compiles its plan only when it starts."""
         kinds = pattern.snak_kinds
         covered: set[tuple] = set()
-        no_value = (m.SnakKind.NO_VALUE in kinds and object_term is None
-                    and pattern.value is None)
-        # With an entity subject and the property bound, the statement-node
-        # plan reads every node its links reach (compile_full_plan), so the
-        # reified stage collects the no-value statements for the last stage.
-        no_values: list[m.Statement] | None = None
-        stages = []
+        no_values: list[m.Statement] = []
+        stages = [self._reified(pattern, object_term, covered, no_values)]
         if m.SnakKind.VALUE in kinds or m.SnakKind.SOME_VALUE in kinds:
-            if (no_value and pattern.property is not None
-                    and isinstance(pattern.subject, m.EntityFp)):
-                no_values = []
-            stages += [self._reified(pattern, object_term, covered, no_values),
-                       self._truthy_only(pattern, object_term, covered)]
-        if no_value:
-            # A list iterator reads the list as it is when the stage starts.
-            stages.append(self._no_value(pattern) if no_values is None else iter(no_values))
+            stages.append(self._truthy_only(pattern, object_term, covered))
+        # A list iterator reads the list as it is when the stage starts.
+        stages.append(iter(no_values))
         return (stmt for stmt in chain.from_iterable(stages)
                 if m.snak_kind(stmt.snak) in kinds)
 
     def _reified(self, pattern: m.FilterPattern, object_term: Term | None,
-                 covered: set[tuple],
-                 no_values: list[m.Statement] | None) -> Iterator[m.Statement]:
-        """Statements assembled from their statement nodes; adds the claims
-        they carry to *covered* and, if *no_values* is a list, the no-value
-        statements among the nodes to it."""
+                 covered: set[tuple], no_values: list[m.Statement]) -> Iterator[m.Statement]:
+        """Statements assembled from their statement nodes, the no-value
+        ones excepted: those go to *no_values*. Adds the claims the others
+        carry to *covered*."""
         plan = codec.compile_full_plan(pattern, object_term)
         for stmt, wds, plocal, node_graph in self._statements(plan, deep_only=True):
             if isinstance(stmt.snak, m.NoValueSnak):
-                if no_values is not None:     # else the last stage yields it
-                    no_values.append(stmt)
+                no_values.append(stmt)
                 continue
             for obj in node_graph.objects(wds, IriTerm(ns.PS + plocal)):
                 covered.add(codec.claim_key(stmt.subject.iri.value, plocal, obj))
@@ -551,12 +538,6 @@ class QueryBackedStore(PagedStore):
                 continue
             yield m.Statement(codec.entity_from_iri(subject.value),
                               codec.truthy_snak(m.Property(ns.WD + plocal), obj))
-
-    def _no_value(self, pattern: m.FilterPattern) -> Iterator[m.Statement]:
-        plan = codec.compile_novalue_plan(pattern)
-        for subject, _, plocal in self._full_candidates(plan):
-            yield m.Statement(codec.entity_from_iri(subject.value),
-                              m.NoValueSnak(m.Property(ns.WD + plocal)))
 
     # -- contains -------------------------------------------------------------------
 

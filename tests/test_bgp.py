@@ -243,9 +243,9 @@ def test_a_paged_wildcard_filter_evaluates_each_join_once(monkeypatch):
     store = RdfStore(graph, StoreOptions(page_size=7, cache_enabled=False))
     counter = _ScanCounter(monkeypatch)
     statements = set(store.filter())
-    # No query starts from every triple: the truthy ?s ?p ?v reads only the
-    # buckets of the predicates its wdt: prefix filter keeps; the candidate
-    # join ?s ?p ?w . ?w wikibase:rank ?r starts from the rank triples.
+    # No query starts from every triple: the truthy ?s ?p ?v and the
+    # candidate ?s ?p ?w read only the buckets of the predicates their wdt:
+    # and p: prefix filters keep.
     assert counter.whole_graph_scans == 0
     assert store.request_count > 20
     assert statements == set(MemoryStore(pairs, descriptors).filter())
@@ -285,5 +285,5 @@ def test_the_property_unbound_candidate_query_reads_one_row_per_statement_link(m
             expected = {(*link, t.predicate, t.object)
                         for link in expected for t in graph.match(s=link[2])}
         assert len(got) == len(set(got)) and set(got) == expected, pattern
-        # A rank bucket or a subject bucket, then one index probe per row.
+        # The p: link buckets or a subject bucket, then one index probe per row.
         assert counter.triples - before <= 3 * len(rows), pattern

@@ -1,0 +1,176 @@
+"""One reading of a graph: the stores' operations and codec.decode read
+statement nodes by the same rules.
+
+- A node that a ``p:X`` link reaches is a statement node; with no
+  ``wikibase:rank`` it reads as Normal, in every operation.
+- A repeated component of a deep value, or a repeated rank, reads as its
+  canonically least object, whatever order the triples came in.
+- The no-value statements of a filter come from its candidate nodes: no
+  second query looks for them, and they come last.
+"""
+
+from decimal import Decimal
+
+import pytest
+
+from kif import codec
+from kif import model as m
+from kif import namespaces as ns
+from kif.rdf.ntriples import parse_ntriples, serialize_ntriples
+from kif.rdf.server import serve
+from kif.rdf.sparql import TriplePattern, Var
+from kif.rdf.terms import Graph, IriTerm, Literal, Triple, triple_key
+from kif.stores import RdfStore, SparqlStore, StoreOptions
+
+from randgen import WD, ModelGen
+
+SEEDS = range(10)             # 7 of them disagree with decode when rankless nodes are skipped
+STATEMENTS = 12
+
+
+def _rankless_graph(seed: int) -> Graph:
+    """An encoded ModelGen graph without every third of its rank triples,
+    chosen from the sorted triples so that the damage does not depend on
+    the hash seed."""
+    pairs, descriptors = ModelGen(seed).dataset(STATEMENTS)
+    graph = codec.encode_dataset(pairs, descriptors)
+    ranks = [t for t in sorted(graph, key=triple_key) if t.predicate.value == ns.WIKIBASE_RANK]
+    dropped = set(ranks[::3])
+    return Graph(t for t in graph if t not in dropped)
+
+
+def _disagreements(store, graph: Graph) -> list:
+    """The operations of *store* that read *graph* otherwise than
+    codec.decode does."""
+    decoded = codec.decode(graph).statements
+    records: dict[m.Statement, set] = {}
+    for es in decoded:
+        records.setdefault(es.statement, set()).add(es.annotation)
+    stmts = set(records)
+    found = []
+    if set(store.filter()) != stmts:
+        found.append("filter")
+    if store.count(m.FilterPattern()) != len(stmts):
+        found.append("count")
+    subjects = {stmt.subject for stmt in stmts}
+    if set().union(*(store.filter(m.FilterPattern(m.EntityFp(s))) for s in subjects)) != stmts:
+        found.append("subject filters")
+    for subject, prop in {(s.subject, s.snak.property) for s in stmts}:
+        pattern = m.FilterPattern(m.EntityFp(subject), m.EntityFp(prop))
+        if set(store.filter(pattern)) != {s for s in stmts
+                                          if (s.subject, s.snak.property) == (subject, prop)}:
+            found.append(("subject+property filter", subject, prop))
+    found += [("contains", s) for s in sorted(stmts, key=m.canonical_key)
+              if not store.contains(s)]
+    annotations = dict(store.get_annotations(stmts))
+    found += [("get_annotations", s) for s in stmts if annotations[s] != records[s]]
+    return found
+
+
+def test_a_rankless_node_reads_the_same_in_every_operation():
+    graphs = [_rankless_graph(seed) for seed in SEEDS]
+    assert all(any(t.predicate.value == ns.WIKIBASE_RANK for t in g) for g in graphs)
+    failures = []
+    for seed, graph in zip(SEEDS, graphs):
+        with serve(graph) as server:
+            for size in (1, 3):
+                options = StoreOptions(page_size=size)
+                with RdfStore(graph, options) as rdf, SparqlStore(server.url, options) as sparql:
+                    for store in (rdf, sparql):
+                        found = _disagreements(store, graph)
+                        if found:
+                            failures.append((seed, type(store).__name__, size, found[:3]))
+    assert failures == []
+
+
+def _unit_statement() -> tuple[m.Statement, IriTerm]:
+    stmt = m.Statement(m.Item(WD + "Q1"), m.ValueSnak(
+        m.Property(WD + "P1"), m.Quantity(Decimal(5), m.Item(WD + "Q10"))))
+    return stmt, codec.value_node(stmt.snak.value)
+
+
+@pytest.mark.parametrize("extra, read", [
+    # A second unit, two lower bounds, a second rank: each reads as its
+    # least object.
+    ("unit", lambda es: es.statement.snak.value.unit),
+    ("lower", lambda es: es.statement.snak.value.lower),
+    ("rank", lambda es: es.annotation.rank),
+])
+def test_repeated_quantity_components_read_the_same_in_any_triple_order(extra, read):
+    stmt, node = _unit_statement()
+    graph = codec.encode_dataset([(stmt, m.AnnotationRecord())])
+    wds = next(t.subject for t in graph if t.predicate.value == ns.WIKIBASE_RANK)
+    graph.update({
+        "unit": [Triple(node, IriTerm(ns.WIKIBASE_QUANTITY_UNIT), IriTerm(WD + "Q11"))],
+        "lower": [Triple(node, IriTerm(ns.WIKIBASE_QUANTITY_LOWER), Literal(v, ns.XSD_DECIMAL))
+                  for v in ("3", "2")],
+        "rank": [Triple(wds, IriTerm(ns.WIKIBASE_RANK), IriTerm(ns.WIKIBASE_PREFERRED_RANK))],
+    }[extra])
+    _assert_order_free(graph, read)
+
+
+def test_repeated_time_components_read_the_same_in_any_triple_order():
+    stmt = m.Statement(m.Item(WD + "Q1"), m.ValueSnak(m.Property(WD + "P1"), m.TimeValue(
+        m.Timestamp.parse("2001-02-03T00:00:00Z"), m.PRECISION_DAY, 0, m.Item(WD + "Q20"))))
+    graph = codec.encode_dataset([(stmt, m.AnnotationRecord())])
+    node = codec.value_node(stmt.snak.value)
+    # A second precision, time zone and calendar, each greater than the
+    # encoded one: "11" (day) < "9" and "0" < "60" as lexical forms.
+    graph.update([
+        Triple(node, IriTerm(ns.WIKIBASE_TIME_PRECISION), Literal("9", ns.XSD_INTEGER)),
+        Triple(node, IriTerm(ns.WIKIBASE_TIME_TIMEZONE), Literal("60", ns.XSD_INTEGER)),
+        Triple(node, IriTerm(ns.WIKIBASE_TIME_CALENDAR), IriTerm(WD + "Q21")),
+    ])
+    assert _assert_order_free(graph, lambda es: es.statement) == stmt
+
+
+def _assert_order_free(graph: Graph, read):
+    """What *read* takes from the one statement of *graph*, the same when
+    the graph is parsed from its N-Triples lines in either order, and the
+    same through RdfStore; returns it."""
+    lines = serialize_ntriples(graph).splitlines(keepends=True)
+    assert len(lines) > 2
+    readings = []
+    for ordered in (lines, lines[::-1]):
+        parsed = parse_ntriples("".join(ordered))
+        (es,) = codec.decode(parsed).statements
+        readings.append(read(es))
+        store = RdfStore(parsed)
+        assert list(store.filter()) == [es.statement]
+        assert dict(store.get_annotations([es.statement])) == {
+            es.statement: frozenset({es.annotation})}
+    assert readings[0] == readings[1]
+    return readings[0]
+
+
+def test_the_least_unit_and_rank_are_read():
+    stmt, node = _unit_statement()
+    graph = codec.encode_dataset([(stmt, m.AnnotationRecord(rank=m.Rank.PREFERRED))])
+    wds = next(t.subject for t in graph if t.predicate.value == ns.WIKIBASE_RANK)
+    graph.update([Triple(node, IriTerm(ns.WIKIBASE_QUANTITY_UNIT), IriTerm(WD + "Q11")),
+                  Triple(wds, IriTerm(ns.WIKIBASE_RANK), IriTerm(ns.WIKIBASE_NORMAL_RANK))])
+    (es,) = codec.decode(graph).statements
+    assert es.statement == stmt
+    # NormalRank sorts before PreferredRank.
+    assert es.annotation.rank is m.Rank.NORMAL
+
+
+def test_no_value_statements_come_from_the_candidate_nodes(monkeypatch):
+    pairs, descriptors = ModelGen(4).dataset(40)
+    no_values = {stmt for stmt, _ in pairs if isinstance(stmt.snak, m.NoValueSnak)}
+    assert no_values
+    subject = next(iter(sorted({s.subject for s in no_values}, key=m.canonical_key)))
+    store = RdfStore(codec.encode_dataset(pairs, descriptors), StoreOptions(page_size=3))
+    sent = []
+    select = store._backend.select
+    monkeypatch.setattr(store._backend, "select", lambda q: sent.append(q) or select(q))
+    old_no_value_read = TriplePattern(Var("w"), IriTerm(ns.RDF_TYPE), Var("n"))
+    for pattern, expected in ((m.FilterPattern(m.EntityFp(subject)),
+                               {s for s in no_values if s.subject == subject}),
+                              (m.FilterPattern(), no_values)):
+        sent.clear()
+        got = list(store.filter(pattern))
+        assert sent and not any(old_no_value_read in q.patterns for q in sent), pattern
+        tail = got[len(got) - len(expected):]
+        assert sorted(tail, key=m.canonical_key) == sorted(expected, key=m.canonical_key)
+        assert not expected & set(got[:len(got) - len(expected)])

@@ -1,6 +1,7 @@
 """Digest the ordered answers of the query-backed stores and mixers.
 
     PYTHONPATH=src:tests python3 tools/answers_digest.py [--seeds N] [--statements N]
+        [--budget FILE]
 
 For each of N seeded ``ModelGen`` datasets (the test suite's random model
 generator; default seeds 0-2, 120 statements each), encodes the dataset
@@ -21,6 +22,15 @@ Answers do not depend on page size or cache, so one store's lines all carry
 the same answer digest, and two versions of the stores that print the same
 last line answer every operation the same. Request counts are comparable
 between versions setting by setting.
+
+With ``--budget FILE``, the run is checked against a committed budget: a
+JSON object with the run's ``seeds`` and ``statements``, its overall
+``sha256``, and the ``requests`` of each setting (keyed like
+``"rdf page_size=1 cache=on"``). The script exits with status 1 if the
+digest differs or any setting sends more requests than its budget, and
+names the settings that sent fewer; then it prints the budget of this run,
+for the file. ``tools/answers_budget.json`` is the budget of
+``--seeds 1 --statements 40``.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import sys
 from contextlib import ExitStack
 
 from kif import codec, sexpr
@@ -84,12 +95,40 @@ def _requests(store) -> int:
     return store.request_count
 
 
+def _check_budget(path: str, budget: dict) -> bool:
+    """Compare *budget*, this run's, with the one in *path*; print what
+    differs and whether the run stays within it."""
+    with open(path, encoding="utf-8") as fh:
+        committed = json.load(fh)
+    if (committed["seeds"], committed["statements"]) != (budget["seeds"], budget["statements"]):
+        sys.exit(f"{path} is the budget of --seeds {committed['seeds']} "
+                 f"--statements {committed['statements']}")
+    ok = committed["sha256"] == budget["sha256"]
+    if not ok:
+        print(f"answers differ: sha256 {budget['sha256']}, budget {committed['sha256']}")
+    fell = []
+    for setting, count in budget["requests"].items():
+        limit = committed["requests"].get(setting)
+        if limit is None or count > limit:
+            print(f"{setting}: {count} requests, budget {limit}")
+            ok = False
+        elif count < limit:
+            fell.append(f"{setting}: {limit} -> {count}")
+    if fell:
+        print("requests fell:", "; ".join(fell))
+    if fell or not ok:
+        print("budget of this run:", json.dumps(budget, indent=1))
+    return ok
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, default=3,
                         help="datasets, ModelGen seeds 0 to N-1 (default 3)")
     parser.add_argument("--statements", type=int, default=120,
                         help="statements per dataset (default 120)")
+    parser.add_argument("--budget", metavar="FILE",
+                        help="fail if the answers or any request count exceed FILE's")
     args = parser.parse_args()
     settings = [(name, size, cache) for name in STORES
                 for size in PAGE_SIZES for cache in (True, False)]
@@ -130,6 +169,14 @@ def main() -> None:
                           "requests": requests[setting], "sha256": digest}), flush=True)
     print(json.dumps({"seeds": args.seeds, "statements": args.statements,
                       "sha256": overall.hexdigest()}), flush=True)
+    if args.budget:
+        budget = {"seeds": args.seeds, "statements": args.statements,
+                  "sha256": overall.hexdigest(),
+                  "requests": {f"{name} page_size={size} cache={'on' if cache else 'off'}":
+                               requests[(name, size, cache)]
+                               for name, size, cache in settings}}
+        if not _check_budget(args.budget, budget):
+            sys.exit(1)
 
 
 if __name__ == "__main__":
