@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from . import model as m
 from . import namespaces as ns
@@ -404,6 +404,17 @@ def truthy_snak(prop: m.Property, obj: Term) -> m.Snak:
     return m.ValueSnak(prop, lift_value(obj))
 
 
+def _claim_snak(prop: m.Property, obj: Term, owner: str,
+                diagnostics: list[str]) -> m.Snak | None:
+    """truthy_snak of the ``ps:`` or ``wdt:`` object of a claim of *owner*, a
+    statement node or a subject; but None for a ``wdno:`` object, since a
+    no-value claim is the ``wdno:`` type of its node."""
+    if isinstance(obj, IriTerm) and obj.value.startswith(ns.WDNO):
+        diagnostics.append(f"a claim of {owner} has the object {obj.value}; skipped")
+        return None
+    return truthy_snak(prop, obj)
+
+
 def _assemble_snak_family(g: Graph, node: IriTerm, simple_base: str, deep_base: str,
                           diagnostics: list[str]) -> list[m.Snak]:
     simple: dict[str, list[Term]] = {}
@@ -436,6 +447,8 @@ def _assemble_snak_family(g: Graph, node: IriTerm, simple_base: str, deep_base: 
 
 def assemble_main_snak(g: Graph, wds: IriTerm, plocal: str,
                        diagnostics: list[str]) -> m.Snak | None:
+    """Main snak of *wds*, or None for a malformed node. A ``psv:`` deep
+    value must agree with the least ``ps:`` object, which the plans match."""
     prop = m.Property(ns.WD + plocal)
     if IriTerm(ns.WDNO + plocal) in g.objects(wds, IriTerm(ns.RDF_TYPE)):
         return m.NoValueSnak(prop)
@@ -451,9 +464,15 @@ def assemble_main_snak(g: Graph, wds: IriTerm, plocal: str,
                   if isinstance(o, IriTerm)]
     if not deep_nodes or (isinstance(obj, IriTerm)
                           and obj.value.startswith((ns.WDGENID, ns.WDNO))):
-        return truthy_snak(prop, obj)
+        return _claim_snak(prop, obj, wds.value, diagnostics)
     value = read_deep_value(g, min(deep_nodes, key=term_key), diagnostics)
-    return None if value is None else m.ValueSnak(prop, value)
+    if value is None:
+        return None
+    if m.simple_value(value) != canonical_object_term(obj):
+        diagnostics.append(f"statement node {wds.value}: its ps:{plocal} value and "
+                           f"its psv:{plocal} value disagree; skipped")
+        return None
+    return m.ValueSnak(prop, value)
 
 
 def assemble_annotation(g: Graph, wds: IriTerm,
@@ -480,6 +499,39 @@ def is_best(g: Graph, wds: IriTerm) -> bool:
                for o in g.objects(wds, IriTerm(ns.RDF_TYPE)))
 
 
+def read_statements(batches: Iterable[tuple[Graph, Iterable[tuple[IriTerm, IriTerm, str]]]],
+                    truthy: Callable[[set[tuple]], Iterable[tuple[IriTerm, str, Term]]],
+                    diagnostics: list[str]
+                    ) -> Iterator[tuple[m.Statement, Graph | None, IriTerm | None]]:
+    """Every statement that *batches* and *truthy* carry, as (statement,
+    graph, statement node): first those of the nodes that each batch's
+    (subject, statement node, property local) links reach on its graph;
+    then, with graph and node None, each (subject, property local, object)
+    of ``truthy(covered)`` that no node covers, that is, has as a ``ps:``
+    value (*covered* holds their claim_key); then the nodes' no-value
+    statements."""
+    covered: set[tuple] = set()
+    no_values = []
+    for g, links in batches:
+        for subject, wds, plocal in links:
+            snak = assemble_main_snak(g, wds, plocal, diagnostics)
+            if snak is None:
+                continue
+            stmt = m.Statement(entity_from_iri(subject.value), snak)
+            if isinstance(snak, m.NoValueSnak):
+                no_values.append((stmt, g, wds))
+                continue
+            for obj in g.objects(wds, IriTerm(ns.PS + plocal)):
+                covered.add(claim_key(subject.value, plocal, obj))
+            yield stmt, g, wds
+    for subject, plocal, obj in truthy(covered):
+        if claim_key(subject.value, plocal, obj) not in covered:
+            snak = _claim_snak(m.Property(ns.WD + plocal), obj, subject.value, diagnostics)
+            if snak is not None:
+                yield m.Statement(entity_from_iri(subject.value), snak), None, None
+    yield from no_values
+
+
 @dataclass
 class DecodeResult:
     statements: list[EncodedStatement]
@@ -495,34 +547,15 @@ def decode(g: Graph) -> DecodeResult:
     the diagnostics.
     """
     diagnostics: list[str] = []
-    statements: list[EncodedStatement] = []
-    covered_truthy: set[tuple] = set()
-
-    for t in g:
-        plocal = WIKIDATA.local(t.predicate.value, "p")
-        if plocal is None or not isinstance(t.object, IriTerm):
-            continue
-        wds = t.object
-        snak = assemble_main_snak(g, wds, plocal, diagnostics)
-        if snak is None:
-            continue
-        subject = entity_from_iri(t.subject.value)
-        stmt = m.Statement(subject, snak)
-        ann = assemble_annotation(g, wds, diagnostics)
-        statements.append(EncodedStatement(stmt, ann, is_best(g, wds)))
-        for obj in g.objects(wds, IriTerm(ns.PS + plocal)):
-            covered_truthy.add(claim_key(t.subject.value, plocal, obj))
-
-    for t in g:
-        plocal = WIKIDATA.local(t.predicate.value, "wdt")
-        if plocal is None:
-            continue
-        if claim_key(t.subject.value, plocal, t.object) in covered_truthy:
-            continue
-        snak = truthy_snak(m.Property(ns.WD + plocal), t.object)
-        stmt = m.Statement(entity_from_iri(t.subject.value), snak)
-        statements.append(EncodedStatement(stmt, m.AnnotationRecord(), True))
-
+    links = [(t.subject, t.object, plocal) for t in g
+             if (plocal := WIKIDATA.local(t.predicate.value, "p"))
+             and isinstance(t.object, IriTerm)]
+    direct = [(t.subject, plocal, t.object) for t in g
+              if (plocal := WIKIDATA.local(t.predicate.value, "wdt"))]
+    statements = [
+        EncodedStatement(stmt) if wds is None
+        else EncodedStatement(stmt, assemble_annotation(g, wds, diagnostics), is_best(g, wds))
+        for stmt, _, wds in read_statements([(g, links)], lambda covered: direct, diagnostics)]
     statements.sort(key=lambda es: (m.canonical_key(es.statement),
                                     m.canonical_key(es.annotation)))
 
@@ -624,7 +657,8 @@ def compile_truthy_plan(pattern: m.FilterPattern,
                         object_term: Term | None = None) -> FilterPlan:
     """Query for the truthy triples ``S wdt:X V`` of *pattern*; with the
     property unbound, ``S ?p V``, and in a scan with no subject the filter
-    ``STRSTARTS(STR(?p), wdt:)`` keeps only the truthy predicates."""
+    ``STRSTARTS(STR(?p), wdt:)`` keeps only the truthy predicates. A
+    some-value-only mask keeps the ``wdgenid:`` objects of ``?v``."""
     patterns: list[TriplePattern] = []
     s_const, s_var = _subject_slot(pattern, patterns)
     o_const, o_var = _value_slot(pattern, patterns, object_term)
@@ -633,8 +667,10 @@ def compile_truthy_plan(pattern: m.FilterPattern,
     main = TriplePattern(s_const or s_var, p_slot, o_const if o_const is not None else o_var)
     patterns.insert(0, main)
     p_var = None if plocal else Var("p")
-    query = select_query(patterns, [s_var, p_var, o_var], s_const,
-                         (("p", ns.WDT),) if plocal is None and pattern.subject is None else ())
+    filters = (("p", ns.WDT),) if plocal is None and pattern.subject is None else ()
+    if o_var is not None and pattern.snak_kinds == {m.SnakKind.SOME_VALUE}:
+        filters += (("v", ns.WDGENID),)
+    query = select_query(patterns, [s_var, p_var, o_var], s_const, filters)
     return FilterPlan("truthy", query, s_const, plocal, o_const)
 
 
@@ -654,7 +690,9 @@ def compile_full_plan(pattern: m.FilterPattern,
     - value constrained ('full' shape): ``S p:X ?w . ?w ps:X V``; with the
       property unbound, ``S ?p ?w . ?w ?q V``, whose rows count only where
       ``?p`` and ``?q`` name the same property (that rejects a qualifier
-      holding the value).
+      holding the value). A some-value-only mask takes this form with V
+      the variable ``?v`` and the filter ``STRSTARTS(STR(?v), wdgenid:)``,
+      so it finds unknown values by kind, whatever their IRIs.
 
     With an entity subject, the node shape and the property-bound full
     shape are folded: they also project the triples of each statement node
@@ -676,6 +714,7 @@ def compile_novalue_plan(pattern: m.FilterPattern) -> FilterPlan:
 
 def _statement_plan(pattern: m.FilterPattern, object_term: Term | None,
                     no_value: bool) -> FilterPlan:
+    some_value = not no_value and pattern.snak_kinds == {m.SnakKind.SOME_VALUE}
     patterns: list[TriplePattern] = []
     s_const, s_var = _subject_slot(pattern, patterns)
     plocal = _property_local_of(pattern)
@@ -684,7 +723,7 @@ def _statement_plan(pattern: m.FilterPattern, object_term: Term | None,
     link = TriplePattern(s_const or s_var, IriTerm(ns.P + plocal) if plocal else p_var, wvar)
     filters: tuple[tuple[str, str], ...] = ()
     o_const = None
-    if object_term is None and pattern.value is None:
+    if object_term is None and pattern.value is None and not some_value:
         shape = "node"
         patterns.insert(0, link)
         if no_value:
@@ -696,6 +735,8 @@ def _statement_plan(pattern: m.FilterPattern, object_term: Term | None,
     else:
         shape = "full"
         o_const, o_var = _value_slot(pattern, patterns, object_term)
+        if some_value and o_var is not None:
+            filters = (("v", ns.WDGENID),)
         q_var = None if plocal else Var("q")
         patterns[:0] = [link, TriplePattern(wvar, IriTerm(ns.PS + plocal) if plocal else q_var,
                                             o_const if o_const is not None else o_var)]

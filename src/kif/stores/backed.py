@@ -15,10 +15,13 @@ an entity send these queries:
 
 - filter or count, property bound or not: the candidate query, then the
   truthy query; the no-value statements come from the candidate rows (2);
-- contains: the candidate query for the statement's value, then the truthy
-  query unless the first found it (1 or 2); for a no-value statement, the
-  candidate query of its no-value nodes (1);
-- get_annotations: per statement, the candidate query (1);
+- contains: the candidate query for the statement's value, or for its kind
+  if it is a some-value statement, then the truthy query unless the first
+  found it (1 or 2); for a no-value statement, the candidate query of its
+  no-value nodes (1);
+- get_annotations: per statement, its candidate query as for contains,
+  then the truthy probe unless a node carries the claim (1 or 2; 2 for a
+  some-value statement; 1 for a no-value statement);
 - get_descriptor: one query per 50 entities for labels, descriptions and
   aliases together (1).
 
@@ -31,12 +34,13 @@ and fetch their statement nodes in batches of 50. The candidate query of
 a no-value statement's annotations reads only the nodes typed as its
 no-value statements.
 
-One generator, QueryBackedStore._statements, turns candidate statement
-nodes into statements for every operation that reads them, a read of
-no-value statements only included; it logs the codec's diagnostics at
-WARNING, a link to a node with no value of the link's property included.
-A filter reads its statement nodes once: the no-value statements among
-them are yielded last, after the claims only a truthy triple carries.
+Every operation reads its statements through one generator,
+QueryBackedStore._candidates, which feeds codec.read_statements, the
+reader codec.decode uses too, with the candidate nodes and the truthy
+triples; it logs the codec's diagnostics at WARNING, a link to a node with
+no value of the link's property included. A filter reads its statement
+nodes once: the no-value statements among them are yielded last, after the
+claims only a truthy triple carries.
 
 Every query, here and in the mapper store, runs through one path:
 PagedStore.select_all pages it with LIMIT/OFFSET windows and caches the
@@ -55,7 +59,8 @@ import threading
 import time
 import urllib.parse
 import weakref
-from itertools import chain, islice
+from functools import partial
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .. import codec
@@ -80,6 +85,13 @@ _READ_PIECE = 1 << 20     # bytes read from a response body at once
 
 def _local(term: Term | None, prefix: str) -> str | None:
     return WIKIDATA.local(term.value, prefix) if isinstance(term, IriTerm) else None
+
+
+def _lookup_object(stmt: m.Statement) -> Term | None:
+    """The object a lookup of *stmt* matches: the simple value of a value
+    snak. The other kinds are looked up by kind, since a graph names its
+    unknown values with IRIs of its own."""
+    return m.simple_value(stmt.snak.value) if isinstance(stmt.snak, m.ValueSnak) else None
 
 
 def _add_triple(into: Graph, s: Term | None, p: Term | None, o: Term | None) -> None:
@@ -451,7 +463,7 @@ class QueryBackedStore(PagedStore):
             if plocal is None:
                 # The link and the value predicates must name the same
                 # property; a 'node' row has no value predicate, and
-                # _statements checks the value on the node's triples.
+                # codec.read_statements checks the value on the node's triples.
                 plocal = _local(row.get("p"), "p")
                 if not plocal or (plan.shape == "full"
                                   and plocal != _local(row.get("q"), "ps")):
@@ -462,99 +474,83 @@ class QueryBackedStore(PagedStore):
                 yield subject, wds, plocal
 
     def _statements(self, plan: codec.FilterPlan, deep_only: bool
-                    ) -> Iterator[tuple[m.Statement, IriTerm, str, Graph]]:
-        """The statements the candidate nodes of *plan* carry, each with its
-        statement node, property local and the graph of its batch's nodes
-        (the statement nodes and the nodes these link to); the codec's
-        diagnostics are logged as they arise. A folded plan is one batch,
-        read to its last page before anything is assembled, so its answer
-        cannot depend on how its rows fall into pages; a scan streams
-        batches of _NODE_CHUNK candidates and fetches their nodes."""
+                    ) -> Iterator[tuple[Graph, list[tuple[IriTerm, IriTerm, str]]]]:
+        """The candidate statement nodes of *plan* in batches, each the graph
+        of its nodes (the statement nodes and the nodes these link to) and
+        its links. A folded plan is one batch, read to its last page before
+        anything is read from it, so its answer cannot depend on how its
+        rows fall into pages; a scan streams batches of _NODE_CHUNK
+        candidates and fetches their nodes."""
         if plan.folded:
             node_graph = Graph()
             batches = [list(self._full_candidates(plan, node_graph))]
         else:
             candidates = self._full_candidates(plan)
             batches = iter(lambda: list(islice(candidates, _NODE_CHUNK)), [])
-        diagnostics: list[str] = []
         for batch in batches:
             wds_nodes = [wds for _, wds, _ in batch]
             if not plan.folded:
                 node_graph = Graph()
                 self._fetch_nodes(wds_nodes, node_graph)
             self._fetch_statement_context(node_graph, wds_nodes, deep_only)
-            for subject, wds, plocal in batch:
-                snak = codec.assemble_main_snak(node_graph, wds, plocal, diagnostics)
-                self._warn(diagnostics)
-                if snak is not None:
-                    yield (m.Statement(codec.entity_from_iri(subject.value), snak),
-                           wds, plocal, node_graph)
+            yield node_graph, batch
 
     def _filter(self, pattern: m.FilterPattern,
                 limit: int | None) -> Iterator[m.Statement]:
-        return self._candidates(pattern, None)
+        return (stmt for stmt, _, _ in self._candidates(pattern, None, True))
 
-    def _candidates(self, pattern: m.FilterPattern,
-                    object_term: Term | None) -> Iterator[m.Statement]:
-        """Candidate statements of *pattern*, from lazily chained stages: the
-        statements of the candidate nodes, the claims only a truthy triple
-        carries, then the no-value statements the first stage found. Each
-        stage compiles its plan only when it starts."""
-        kinds = pattern.snak_kinds
-        covered: set[tuple] = set()
-        no_values: list[m.Statement] = []
-        stages = [self._reified(pattern, object_term, covered, no_values)]
-        if m.SnakKind.VALUE in kinds or m.SnakKind.SOME_VALUE in kinds:
-            stages.append(self._truthy_only(pattern, object_term, covered))
-        # A list iterator reads the list as it is when the stage starts.
-        stages.append(iter(no_values))
-        return (stmt for stmt in chain.from_iterable(stages)
-                if m.snak_kind(stmt.snak) in kinds)
-
-    def _reified(self, pattern: m.FilterPattern, object_term: Term | None,
-                 covered: set[tuple], no_values: list[m.Statement]) -> Iterator[m.Statement]:
-        """Statements assembled from their statement nodes, the no-value
-        ones excepted: those go to *no_values*. Adds the claims the others
-        carry to *covered*."""
-        plan = codec.compile_full_plan(pattern, object_term)
-        for stmt, wds, plocal, node_graph in self._statements(plan, deep_only=True):
-            if isinstance(stmt.snak, m.NoValueSnak):
-                no_values.append(stmt)
-                continue
-            for obj in node_graph.objects(wds, IriTerm(ns.PS + plocal)):
-                covered.add(codec.claim_key(stmt.subject.iri.value, plocal, obj))
-            yield stmt
+    def _candidates(self, pattern: m.FilterPattern, object_term: Term | None,
+                    deep_only: bool
+                    ) -> Iterator[tuple[m.Statement, Graph | None, IriTerm | None]]:
+        """The statements of *pattern*, read by codec.read_statements from
+        the candidate nodes (_statements) and then the truthy triples
+        (_truthy_only); each plan is compiled only when its stage starts.
+        The codec's diagnostics are logged as they arise."""
+        diagnostics: list[str] = []
+        batches = self._statements(codec.compile_full_plan(pattern, object_term), deep_only)
+        truthy = partial(self._truthy_only, pattern, object_term)
+        for found in codec.read_statements(batches, truthy, diagnostics):
+            self._warn(diagnostics)
+            if m.snak_kind(found[0].snak) in pattern.snak_kinds:
+                yield found
+        self._warn(diagnostics)
 
     def _truthy_only(self, pattern: m.FilterPattern, object_term: Term | None,
-                     covered: set[tuple]) -> Iterator[m.Statement]:
-        """Claims carried only by a truthy triple, not by a statement node."""
+                     covered: set[tuple]) -> Iterator[tuple[IriTerm, str, Term]]:
+        """(subject, property local, object) of the truthy triples of
+        *pattern*; none for a no-value-only mask, and no query for a point
+        probe whose claim *covered* holds."""
+        if pattern.snak_kinds == {m.SnakKind.NO_VALUE}:
+            return
         plan = codec.compile_truthy_plan(pattern, object_term)
+        if (plan.subject_term and plan.property_local and plan.object_term is not None
+                and codec.claim_key(plan.subject_term.value, plan.property_local,
+                                    plan.object_term) in covered):
+            return
         for row in self.select_all(plan.query):
             subject = plan.subject_term or row.get("s")
             obj = plan.object_term if plan.object_term is not None else row.get("v")
             plocal = plan.property_local or _local(row.get("p"), "wdt")
-            if (not isinstance(subject, IriTerm) or obj is None or not plocal
-                    or codec.claim_key(subject.value, plocal, obj) in covered):
-                continue
-            yield m.Statement(codec.entity_from_iri(subject.value),
-                              codec.truthy_snak(m.Property(ns.WD + plocal), obj))
+            if isinstance(subject, IriTerm) and obj is not None and plocal:
+                yield subject, plocal, obj
 
     # -- contains -------------------------------------------------------------------
 
     def _contains(self, stmt: m.Statement) -> bool:
-        return any(s == stmt for s in self._candidates(claim_pattern(stmt),
-                                                         codec.statement_object(stmt)))
+        return any(found == stmt for found, _, _ in self._candidates(
+            claim_pattern(stmt), _lookup_object(stmt), True))
 
     # -- annotations -------------------------------------------------------------
 
     def _annotations(self, stmts):
         diagnostics: list[str] = []
         for stmt in stmts:
-            plan = codec.compile_full_plan(claim_pattern(stmt), codec.statement_object(stmt))
             records = set()
-            for found, wds, _, node_graph in self._statements(plan, deep_only=False):
+            for found, node_graph, wds in self._candidates(
+                    claim_pattern(stmt), _lookup_object(stmt), False):
                 if found.snak == stmt.snak:
-                    records.add(codec.assemble_annotation(node_graph, wds, diagnostics))
+                    records.add(m.AnnotationRecord() if wds is None else
+                                codec.assemble_annotation(node_graph, wds, diagnostics))
                     self._warn(diagnostics)
             yield stmt, frozenset(records)
 

@@ -7,8 +7,13 @@ statement nodes by the same rules.
   canonically least object, whatever order the triples came in.
 - The no-value statements of a filter come from its candidate nodes: no
   second query looks for them, and they come last.
+- Damaged graphs (triples dropped, re-pointed or given a second object),
+  truthy-only graphs and graphs with unknown-value IRIs of their own read
+  the same in every operation as in codec.decode; a claim only a truthy
+  triple carries has one default record.
 """
 
+import random
 from decimal import Decimal
 
 import pytest
@@ -19,7 +24,7 @@ from kif import namespaces as ns
 from kif.rdf.ntriples import parse_ntriples, serialize_ntriples
 from kif.rdf.server import serve
 from kif.rdf.sparql import TriplePattern, Var
-from kif.rdf.terms import Graph, IriTerm, Literal, Triple, triple_key
+from kif.rdf.terms import Graph, IriTerm, Literal, Triple, term_key, triple_key
 from kif.stores import RdfStore, SparqlStore, StoreOptions
 
 from randgen import WD, ModelGen
@@ -67,11 +72,11 @@ def _disagreements(store, graph: Graph) -> list:
     return found
 
 
-def test_a_rankless_node_reads_the_same_in_every_operation():
-    graphs = [_rankless_graph(seed) for seed in SEEDS]
-    assert all(any(t.predicate.value == ns.WIKIBASE_RANK for t in g) for g in graphs)
+def _failures(graphs: list[Graph]) -> list:
+    """The disagreements with codec.decode of RdfStore and SparqlStore, at
+    page sizes 1 and 3, on each of *graphs* (by its position)."""
     failures = []
-    for seed, graph in zip(SEEDS, graphs):
+    for seed, graph in enumerate(graphs):
         with serve(graph) as server:
             for size in (1, 3):
                 options = StoreOptions(page_size=size)
@@ -80,7 +85,75 @@ def test_a_rankless_node_reads_the_same_in_every_operation():
                         found = _disagreements(store, graph)
                         if found:
                             failures.append((seed, type(store).__name__, size, found[:3]))
+    return failures
+
+
+def test_a_rankless_node_reads_the_same_in_every_operation():
+    graphs = [_rankless_graph(seed) for seed in SEEDS]
+    assert all(any(t.predicate.value == ns.WIKIBASE_RANK for t in g) for g in graphs)
+    failures = _failures(graphs)
     assert failures == []
+
+
+def _damaged_graph(seed: int) -> Graph:
+    """An encoded ModelGen graph that lost about 8 % of its triples, with
+    about 5 % re-pointed to another object of the graph and about 6 % given
+    a second object of their predicate. The damage is drawn from the sorted
+    triples, so that it does not depend on the hash seed."""
+    pairs, descriptors = ModelGen(seed).dataset(STATEMENTS)
+    triples = sorted(codec.encode_dataset(pairs, descriptors), key=triple_key)
+    objects = sorted({t.object for t in triples}, key=term_key)
+    by_predicate: dict[IriTerm, set] = {}
+    for t in triples:
+        by_predicate.setdefault(t.predicate, set()).add(t.object)
+    rng = random.Random(seed)
+    damaged = Graph()
+    for t in triples:
+        draw = rng.random()
+        if draw < 0.08:
+            continue
+        if draw < 0.13:
+            damaged.add(Triple(t.subject, t.predicate,
+                               rng.choice([o for o in objects if o != t.object])))
+            continue
+        damaged.add(t)
+        others = sorted(by_predicate[t.predicate] - {t.object}, key=term_key)
+        if draw < 0.19 and others:
+            damaged.add(Triple(t.subject, t.predicate, rng.choice(others)))
+    return damaged
+
+
+def test_a_damaged_graph_reads_the_same_in_every_operation():
+    # Among the damage: a ps: value that no longer matches its psv: deep
+    # value, a wdno: object in a ps: or wdt: triple, a lost statement node
+    # whose truthy triple stays.
+    assert _failures([_damaged_graph(seed) for seed in SEEDS]) == []
+
+
+def test_a_truthy_graph_reads_the_same_in_every_operation():
+    # No statement nodes: every claim is truthy-only, with one default
+    # record, as MemoryStore and codec.decode give it.
+    graphs = [codec.truthy_graph(ModelGen(seed).dataset(STATEMENTS)[0]) for seed in SEEDS]
+    assert _failures(graphs) == []
+
+
+def _renamed_unknown_values(seed: int) -> Graph:
+    """An encoded ModelGen graph whose wdgenid: IRIs are not kif's digests
+    but names of the graph's own, as the query service skolemizes them."""
+    pairs, descriptors = ModelGen(seed).dataset(STATEMENTS)
+    graph = codec.encode_dataset(pairs, descriptors)
+    genids = sorted({t.object for t in graph if isinstance(t.object, IriTerm)
+                     and t.object.value.startswith(ns.WDGENID)}, key=term_key)
+    names = {old: IriTerm(f"{ns.WDGENID}skolem{i}") for i, old in enumerate(genids)}
+    return Graph(Triple(t.subject, t.predicate, names.get(t.object, t.object)) for t in graph)
+
+
+def test_unknown_values_are_found_by_kind_whatever_their_iris():
+    graphs = [_renamed_unknown_values(seed) for seed in SEEDS]
+    some_values = [stmt for g in graphs for es in codec.decode(g).statements
+                   if isinstance((stmt := es.statement).snak, m.SomeValueSnak)]
+    assert len(some_values) > 10
+    assert _failures(graphs) == []
 
 
 def _unit_statement() -> tuple[m.Statement, IriTerm]:
@@ -174,3 +247,16 @@ def test_no_value_statements_come_from_the_candidate_nodes(monkeypatch):
         tail = got[len(got) - len(expected):]
         assert sorted(tail, key=m.canonical_key) == sorted(expected, key=m.canonical_key)
         assert not expected & set(got[:len(got) - len(expected)])
+
+
+def test_get_annotations_sends_the_truthy_probe_only_for_a_claim_no_node_carries():
+    subject, prop = m.Item(WD + "Q1"), m.Property(WD + "P1")
+    noded = m.Statement(subject, m.ValueSnak(prop, m.Item(WD + "Q2")))
+    truthy_only = m.Statement(subject, m.ValueSnak(prop, m.Item(WD + "Q3")))
+    graph = codec.encode_dataset([(noded, m.AnnotationRecord())])
+    graph.update(codec.truthy_graph([(truthy_only, m.AnnotationRecord())]))
+    store = RdfStore(graph, StoreOptions(page_size=100))
+    for stmt, requests in ((noded, 1), (truthy_only, 2)):
+        before = store.request_count
+        assert dict(store.get_annotations([stmt])) == {stmt: frozenset({m.AnnotationRecord()})}
+        assert store.request_count - before == requests
