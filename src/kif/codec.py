@@ -445,10 +445,18 @@ def _assemble_snak_family(g: Graph, node: IriTerm, simple_base: str, deep_base: 
     return snaks
 
 
+# The predicates of a statement node's triples that assemble_main_snak
+# reads, by prefix: ``ps:`` and ``psv:`` (one base, ``prop/statement/``)
+# and ``rdf:type`` (``wdno:P``).
+MAIN_SNAK_PREFIXES = (ns.PS, ns.RDF_TYPE)
+
+
 def assemble_main_snak(g: Graph, wds: IriTerm, plocal: str,
                        diagnostics: list[str]) -> m.Snak | None:
     """Main snak of *wds*, or None for a malformed node. A ``psv:`` deep
-    value must agree with the least ``ps:`` object, which the plans match."""
+    value must agree with the least ``ps:`` object, which the plans match.
+    It reads only the node triples whose predicate is under one of
+    MAIN_SNAK_PREFIXES."""
     prop = m.Property(ns.WD + plocal)
     if IriTerm(ns.WDNO + plocal) in g.objects(wds, IriTerm(ns.RDF_TYPE)):
         return m.NoValueSnak(prop)
@@ -749,13 +757,16 @@ def _statement_plan(pattern: m.FilterPattern, object_term: Term | None,
     return FilterPlan(shape, query, s_const, plocal, o_const, folded)
 
 
-def node_fetch_query(nodes: Iterable[IriTerm]) -> SelectQuery:
-    """Fetch all triples of the given nodes in one query via VALUES."""
+def node_fetch_query(nodes: Iterable[IriTerm], main_snak: bool = False) -> SelectQuery:
+    """Fetch the triples of the given nodes in one query via VALUES: all of
+    them, or with *main_snak* only those assemble_main_snak reads, kept by
+    one OR filter on ``?p`` over MAIN_SNAK_PREFIXES."""
     terms = tuple(sorted(nodes, key=term_key))
     return SelectQuery(
         ("w", "p", "o"),
         (TriplePattern(Var("w"), Var("p"), Var("o")),),
-        values=(ValuesBlock("w", terms),))
+        values=(ValuesBlock("w", terms),),
+        filters=(("p", MAIN_SNAK_PREFIXES),) if main_snak else ())
 
 
 _DESCRIPTOR_PREDICATES = {

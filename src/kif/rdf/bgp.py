@@ -9,10 +9,12 @@ bound-first heuristics of Stocker et al., "SPARQL Basic Graph Pattern
 Optimization Using Selectivity Estimation" (WWW 2008). The multiset of
 solutions does not depend on the order, only the work does.
 
-Filters. A ``FILTER(STRSTARTS(STR(?v), "prefix"))`` is checked as soon as
-?v is bound: on the VALUES rows, or on each triple that the pattern
-binding ?v first reads, before a binding is built. STR of an IRI is the
-IRI and STR of a literal its lexical form (SPARQL 1.1, section 17.4.2.5).
+Filters. A ``FILTER(STRSTARTS(STR(?v), "prefix"))``, or an OR of such
+tests on ?v, is checked as soon as ?v is bound: on the VALUES rows, or on
+each triple that the pattern binding ?v first reads, before a binding is
+built. STR of an IRI is the IRI and STR of a literal its lexical form
+(SPARQL 1.1, section 17.4.2.5). An OR's prefixes are a tuple, which
+``str.startswith`` reads as "any of them", so both forms take one test.
 A pattern with no bound slot and a filtered predicate variable reads only
 the index buckets of the graph's predicates that pass, each through
 ``Graph.match``, rather than the whole graph.
@@ -39,12 +41,12 @@ from __future__ import annotations
 from itertools import chain, product
 from typing import Iterable, Iterator, Sequence
 
-from .sparql import SelectQuery, TriplePattern, Var
+from .sparql import Prefix, SelectQuery, TriplePattern, Var
 from .terms import Graph, IriTerm, Term, Triple, term_key
 
 Binding = dict[str, Term]
 # (slot index, prefix) of each filter a pattern checks on the triples it reads.
-Tests = tuple[tuple[int, str], ...]
+Tests = tuple[tuple[int, Prefix], ...]
 
 
 def _resolve(slot, binding: Binding):
@@ -113,7 +115,7 @@ def _unbound(pattern: TriplePattern, bound: set[str]) -> int:
 def _join_order(graph: Graph, query: SelectQuery) -> list[tuple[TriplePattern, Tests]]:
     """The patterns of *query* in the order they are joined, each with the
     filters on the variables it binds first."""
-    prefixes: dict[str, list[str]] = {}
+    prefixes: dict[str, list[Prefix]] = {}
     for var, prefix in query.filters:
         prefixes.setdefault(var, []).append(prefix)
     bound = {block.variable for block in query.values}

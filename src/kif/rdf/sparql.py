@@ -5,9 +5,11 @@ rejected loudly rather than mis-evaluated. A group may hold several VALUES
 blocks (SPARQL 1.1, section 10.2), each binding one variable of its own;
 their rows join as a cross product. The one FILTER form is
 ``FILTER(STRSTARTS(STR(?v), "prefix"))`` (SPARQL 1.1, sections 17.4.2.5 and
-17.4.3.9): it keeps the solutions whose ?v, an IRI or a literal's lexical
-form, starts with the prefix; ?v must occur in a triple pattern, and a
-group may hold several such filters. Any other FILTER is rejected.
+17.4.3.9), or an OR of such tests on the same variable,
+``FILTER(STRSTARTS(STR(?v), "a") || STRSTARTS(STR(?v), "b"))`` (section
+17.4.1.5): it keeps the solutions whose ?v, an IRI or a literal's lexical
+form, starts with one of the prefixes; ?v must occur in a triple pattern,
+and a group may hold several such filters. Any other FILTER is rejected.
 Prefixed names resolve against the built-in namespace table; there is no
 BASE, so an ``<IRI>`` must be absolute (hold a ``:``). String literals use
 the N-Triples escapes (``ntriples.unescape``); an invalid one raises
@@ -49,6 +51,7 @@ class Var:
 
 
 PatternTerm = Union[Term, Var]
+Prefix = Union[str, tuple[str, ...]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,8 +85,9 @@ class SelectQuery:
     values: tuple[ValuesBlock, ...] = ()
     limit: int | None = None
     offset: int | None = None
-    # (variable, prefix) of each FILTER(STRSTARTS(STR(?variable), "prefix")).
-    filters: tuple[tuple[str, str], ...] = ()
+    # (variable, prefix) of each FILTER(STRSTARTS(STR(?variable), "prefix")),
+    # the prefix a tuple for an OR of several; str.startswith reads both.
+    filters: tuple[tuple[str, Prefix], ...] = ()
 
     def __post_init__(self) -> None:
         if not self.variables:
@@ -91,10 +95,12 @@ class SelectQuery:
         in_scope: set[str] = set()
         for p in self.patterns:
             in_scope |= p.variables()
-        for var, _ in self.filters:
+        for var, prefix in self.filters:
             if var not in in_scope:
                 raise SparqlError(
                     f"filtered variable ?{var} does not occur in a triple pattern")
+            if isinstance(prefix, tuple) and not prefix:
+                raise SparqlError(f"the FILTER on ?{var} has no prefix")
         bound_by_values: set[str] = set()
         for block in self.values:
             if block.variable in bound_by_values:
@@ -131,7 +137,9 @@ def serialize_query(q: SelectQuery) -> str:
                                _write_pattern_term(p.predicate),
                                _write_pattern_term(p.object), ".")))
     for var, prefix in q.filters:
-        parts.append(f"FILTER(STRSTARTS(STR(?{var}), {write_term(Literal(prefix))}))")
+        tests = " || ".join(f"STRSTARTS(STR(?{var}), {write_term(Literal(one))})"
+                            for one in ((prefix,) if isinstance(prefix, str) else prefix))
+        parts.append(f"FILTER({tests})")
     for block in q.values:
         terms = " ".join(write_term(t) for t in block.terms)
         parts.append(f"VALUES ?{block.variable} {{ {terms} }}")
@@ -150,14 +158,32 @@ def serialize_query(q: SelectQuery) -> str:
 # Each match skips whitespace and comments, then reads one token, whose
 # group names its kind: the end of the text is "eof", and a character that
 # starts no token is "error". The parser reads the matches themselves. The
-# one supported FILTER form is a single "filter" token, so any other FILTER
+# one supported FILTER form is a single "filter" token: the variable and
+# prefix of its first test are groups, and _read_filter reads the tests
+# after each "||" (the "fmore" group) again with _OR_TEST_RE, since a
+# repeated group keeps only its last match. A "filter" token without its
+# closing parenthesis ("fclose") is rejected by _tokenize; any other FILTER
 # reads as the unsupported word.
 _SKIP = r"(?:\s|\#[^\n]*(?![^\n]))*"
 _STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
-_FILTER = _SKIP.join((
-    r"(?i:FILTER)", r"\(", r"(?i:STRSTARTS)", r"\(", r"(?i:STR)", r"\(",
-    r"[?$](?P<fvar>[A-Za-z_][A-Za-z0-9_]*)", r"\)", ",",
-    r"(?P<fprefix>" + _STRING + ")", r"\)", r"\)"))
+_OR = _SKIP + r"\|\|" + _SKIP
+_OR_RE = re.compile(_OR)
+_CLOSE_RE = re.compile(_SKIP + r"\)")
+
+
+def _test_re(var: str, prefix: str) -> str:
+    """STRSTARTS(STR(?v), "prefix"), v and the quoted prefix in the groups
+    named *var* and *prefix*."""
+    return _SKIP.join((
+        r"(?i:STRSTARTS)", r"\(", r"(?i:STR)", r"\(",
+        rf"[?$](?P<{var}>[A-Za-z_][A-Za-z0-9_]*)", r"\)", ",",
+        rf"(?P<{prefix}>{_STRING})", r"\)"))
+
+
+_OR_TEST_RE = re.compile(_OR + _test_re("var", "prefix"))
+_FILTER = (_SKIP.join((r"(?i:FILTER)", r"\(", _test_re("fvar", "fprefix")))
+           + "(?P<fmore>(?:" + _OR + _test_re("mvar", "mprefix") + ")*)"
+           + "(?P<fclose>" + _CLOSE_RE.pattern + ")?")
 _TOKEN_RE = re.compile(_SKIP + r"""(?:
     (?P<iri><[^<>\s]*>)
   | (?P<var>[?$][A-Za-z_][A-Za-z0-9_]*)
@@ -180,6 +206,8 @@ def _tokenize(text: str) -> list[re.Match]:
             raise _fail(f"unexpected character {t[kind]!r}", t)
         if kind == "name" and ":" not in t[kind] and t[kind].upper() in _UNSUPPORTED:
             raise _fail(f"{t[kind].upper()} is unsupported in this subset", t)
+        if kind == "filter" and t["fclose"] is None:
+            raise _unclosed_filter(t)
         toks.append(t)
         if kind == "eof":
             break
@@ -205,6 +233,33 @@ def _unescape(quoted: str, pos: int) -> str:
         return unescape(quoted[1:-1])
     except ValueError as e:
         raise SparqlError(f"{e} in literal", pos) from None
+
+
+def _unclosed_filter(t: re.Match) -> SparqlError:
+    """The error of a "filter" token whose tests do not end in the FILTER's
+    closing parenthesis, at the token."""
+    after = _OR_RE.match(t.string, t.end())
+    if after is None:
+        return _fail("FILTER is unsupported in this subset", t)
+    if _CLOSE_RE.match(t.string, after.end()):
+        return _fail("FILTER ends in a dangling ||", t)
+    return _fail('every test of an OR in a FILTER must be STRSTARTS(STR(?v), "prefix")', t)
+
+
+def _read_filter(t: re.Match) -> tuple[str, Prefix]:
+    """The variable and prefix of a "filter" token, the prefix a tuple for
+    an OR of tests; tests of several variables raise at the token."""
+    tests = [(t["fvar"], _unescape(t["fprefix"], t.start("fprefix")))]
+    pos = t.start("fmore")
+    while pos < t.end("fmore"):
+        test = _OR_TEST_RE.match(t.string, pos)
+        tests.append((test["var"], _unescape(test["prefix"], test.start("prefix"))))
+        pos = test.end()
+    if len({var for var, _ in tests}) > 1:
+        raise _fail("the tests of an OR in a FILTER must read one variable", t)
+    if len(tests) == 1:
+        return tests[0]
+    return tests[0][0], tuple(prefix for _, prefix in tests)
 
 
 class _QueryParser:
@@ -290,7 +345,7 @@ class _QueryParser:
         self._expect_punct("{")
         patterns: list[TriplePattern] = []
         values: list[ValuesBlock] = []
-        filters: list[tuple[str, str]] = []
+        filters: list[tuple[str, Prefix]] = []
         while True:
             t = self._peek()
             if t["punct"] == "}":
@@ -303,7 +358,7 @@ class _QueryParser:
                 continue
             if t.lastgroup == "filter":
                 self._next()
-                filters.append((t["fvar"], _unescape(t["fprefix"], t.start("fprefix"))))
+                filters.append(_read_filter(t))
                 continue
             s = self._term(self._next())
             p = self._term(self._next())

@@ -30,9 +30,12 @@ nodes for filter, count and contains; for get_annotations, the deep value,
 qualifier value and reference nodes, then the reference value nodes. A
 scan (no subject, or a snak fingerprint), and a filter on an entity that
 constrains the value but not the property, keep the plain candidate query
-and fetch their statement nodes in batches of 50. The candidate query of
-a no-value statement's annotations reads only the nodes typed as its
-no-value statements.
+and fetch their statement nodes in batches of 50. Such a fetch returns
+only the triples that decide a main snak: its query keeps ``?p`` under
+``ps:`` (which holds ``psv:``) or ``rdf:type`` with one OR filter, so
+ranks, qualifiers and references are not sent. The deep value nodes are
+then fetched whole. The candidate query of a no-value statement's
+annotations reads only the nodes typed as its no-value statements.
 
 Every operation reads its statements through one generator,
 QueryBackedStore._candidates, which feeds codec.read_statements, the
@@ -44,9 +47,11 @@ claims only a truthy triple carries.
 
 Every query, here and in the mapper store, runs through one path:
 PagedStore.select_all pages it with LIMIT/OFFSET windows and caches the
-pages per handle in a bounded LRU, so results are identical with the cache
-on or off except for request counts. A handle counts its requests
-(request_count) and the wall time they spent in HTTP (request_seconds).
+pages per handle in an LRU bounded in rows (_PAGE_CACHE_ROWS, as many
+pages as hold that many rows at the handle's page size), so results are
+identical with the cache on or off except for request counts. A handle
+counts its requests (request_count) and the wall time they spent in HTTP
+(request_seconds).
 """
 
 from __future__ import annotations
@@ -73,14 +78,14 @@ from ..rdf.ntriples import parse_ntriples
 from ..rdf.server import http_number, keeps_alive, read_header_fields, read_line
 from ..rdf.sparql import SelectQuery, serialize_query
 from ..rdf.terms import Graph, IriTerm, Literal, Term, Triple, term_key
-from .base import Store, StoreOptions, TransportError, claim_pattern
+from .base import DEFAULT_PAGE_SIZE, Store, StoreOptions, TransportError, claim_pattern
 
 logger = logging.getLogger(__name__)
 
 Row = dict[str, Term]
 
 _NODE_CHUNK = 50
-_PAGE_CACHE_SIZE = 1024
+_PAGE_CACHE_ROWS = 1024 * DEFAULT_PAGE_SIZE    # rows the page cache holds
 _READ_PIECE = 1 << 20     # bytes read from a response body at once
 
 def _local(term: Term | None, prefix: str) -> str | None:
@@ -378,7 +383,7 @@ class PagedStore(Store):
         else:
             with open(source, "r", encoding="utf-8") as fh:
                 self._backend = GraphBackend(parse_ntriples(fh))
-        self._cache = Lru(_PAGE_CACHE_SIZE)
+        self._cache = Lru(max(1, _PAGE_CACHE_ROWS // self.options.page_size))
 
     @property
     def request_count(self) -> int:
@@ -421,11 +426,14 @@ class QueryBackedStore(PagedStore):
 
     # -- node fetching and assembly ---------------------------------------------
 
-    def _fetch_nodes(self, nodes: Iterable[IriTerm], into: Graph) -> None:
+    def _fetch_nodes(self, nodes: Iterable[IriTerm], into: Graph,
+                     main_snak: bool = False) -> None:
+        """Fetch the triples of *nodes* into *into*: all of them, or with
+        *main_snak* those that decide a statement's main snak."""
         todo = sorted(set(nodes), key=term_key)
         for i in range(0, len(todo), _NODE_CHUNK):
             chunk = todo[i:i + _NODE_CHUNK]
-            for row in self.select_all(codec.node_fetch_query(chunk)):
+            for row in self.select_all(codec.node_fetch_query(chunk, main_snak)):
                 _add_triple(into, row.get("w"), row.get("p"), row.get("o"))
 
     def _fetch_statement_context(self, node_graph: Graph, wds_nodes: Iterable[IriTerm],
@@ -480,7 +488,8 @@ class QueryBackedStore(PagedStore):
         its links. A folded plan is one batch, read to its last page before
         anything is read from it, so its answer cannot depend on how its
         rows fall into pages; a scan streams batches of _NODE_CHUNK
-        candidates and fetches their nodes."""
+        candidates and fetches their nodes, if *deep_only* only the triples
+        that decide their main snaks (codec.MAIN_SNAK_PREFIXES)."""
         if plan.folded:
             node_graph = Graph()
             batches = [list(self._full_candidates(plan, node_graph))]
@@ -491,7 +500,7 @@ class QueryBackedStore(PagedStore):
             wds_nodes = [wds for _, wds, _ in batch]
             if not plan.folded:
                 node_graph = Graph()
-                self._fetch_nodes(wds_nodes, node_graph)
+                self._fetch_nodes(wds_nodes, node_graph, deep_only)
             self._fetch_statement_context(node_graph, wds_nodes, deep_only)
             yield node_graph, batch
 

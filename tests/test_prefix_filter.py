@@ -1,8 +1,10 @@
-"""FILTER(STRSTARTS(STR(?v), "prefix")): the evaluator against the
-brute-force oracle, paged and unpaged, and filtered and unfiltered pages of
-the same patterns read side by side through an endpoint and a page cache."""
+"""FILTER(STRSTARTS(STR(?v), "prefix")) and its OR form: the evaluator
+against the brute-force oracle, paged and unpaged, and filtered and
+unfiltered pages of the same patterns read side by side through an
+endpoint and a page cache."""
 
 import dataclasses
+import itertools
 import random
 
 from kif import codec
@@ -10,7 +12,8 @@ from kif import model as m
 from kif import namespaces as ns
 from kif.rdf.bgp import match_bgp
 from kif.rdf.server import serve
-from kif.rdf.sparql import SelectQuery, TriplePattern, ValuesBlock, Var
+from kif.rdf.sparql import (SelectQuery, TriplePattern, ValuesBlock, Var, parse_query,
+                            serialize_query)
 from kif.rdf.terms import Graph, IriTerm, Literal, Triple, term_key, triple_key
 from kif.stores import SparqlStore, StoreOptions
 from kif.stores.backed import HttpBackend
@@ -183,3 +186,43 @@ def test_a_paged_prefix_filtered_scan_reads_each_predicate_bucket_once(monkeypat
         sorted(((None, p, None) for p in wdt), key=lambda r: r[1].value)
     monkeypatch.undo()
     assert [row for page in pages for row in page] == brute_force_bgp(graph, query)
+
+
+def _or_filtered(rng: random.Random, query: SelectQuery) -> SelectQuery:
+    """*query* with each filter's prefix an OR of 2 or 3 of PREFIXES."""
+    return dataclasses.replace(query, filters=tuple(
+        (var, tuple(rng.sample(PREFIXES, k=rng.choice((2, 3)))))
+        for var, _ in query.filters))
+
+
+def test_or_filters_equal_the_brute_force_oracle_paged_unpaged_and_round_tripped():
+    rng = random.Random(1818)
+    for case in range(120):
+        graph = _random_graph(rng, rng.randint(0, 16))
+        query = _or_filtered(rng, _random_filtered_query(rng, graph, case))
+        assert parse_query(serialize_query(query)) == query, (case, query)
+        expected = brute_force_bgp(graph, query)
+        assert match_bgp(graph, query) == expected, (case, query)
+        for size in (1, 3, 7):
+            rows = [row for page in _paged(lambda q: match_bgp(graph, q), query, size)
+                    for row in page]
+            assert rows == expected, (case, size, query)
+
+
+def test_a_prefix_tuple_keeps_the_union_of_its_prefixes():
+    graph = _random_graph(random.Random(4), 30)
+    query = SelectQuery(("a", "q", "c"), (TriplePattern(Var("a"), Var("q"), Var("c")),))
+
+    def key(row):
+        return tuple(term_key(row[v]) for v in query.variables)
+
+    for var in query.variables:
+        for pair in itertools.combinations(PREFIXES, 2):
+            either = dataclasses.replace(query, filters=((var, pair),))
+            union = {key(row): row
+                     for prefix in pair
+                     for row in brute_force_bgp(
+                         graph, dataclasses.replace(query, filters=((var, prefix),)))}
+            expected = [union[k] for k in sorted(union)]
+            assert brute_force_bgp(graph, either) == expected, (var, pair)
+            assert match_bgp(graph, either) == expected, (var, pair)

@@ -157,6 +157,48 @@ def test_prefix_filters_round_trip_and_other_filters_stay_unsupported():
         assert needle in str(err.value), text
 
 
+def test_an_or_of_prefix_tests_round_trips_as_a_prefix_tuple():
+    q = SelectQuery(
+        ("s",),
+        (TriplePattern(Var("s"), Var("p"), Var("v")),),
+        filters=(("p", (WDT, WD, 'say "hi"')), ("v", "a")))
+    text = serialize_query(q)
+    assert text == ('SELECT ?s WHERE { ?s ?p ?v . '
+                    f'FILTER(STRSTARTS(STR(?p), "{WDT}") || STRSTARTS(STR(?p), "{WD}") '
+                    '|| STRSTARTS(STR(?p), "say \\"hi\\"")) '
+                    'FILTER(STRSTARTS(STR(?v), "a")) }')
+    assert parse_query(text) == q
+    spaced = parse_query('SELECT ?s WHERE { ?s ?p ?v filter ( StrStarts ( str ( $p ) , "a:" )'
+                         ' # "b:" is in a comment\n || strstarts(STR(?p),"c:")) }')
+    assert spaced.filters == (("p", ("a:", "c:")),)
+
+
+@pytest.mark.parametrize("filter_text, needle", [
+    ('FILTER(STRSTARTS(STR(?p), "a") || STRSTARTS(STR(?o), "b"))', "one variable"),
+    ('FILTER(STRSTARTS(STR(?p), "a") || STRSTARTS(STR(?p), "b") || STRSTARTS(STR(?s), "c"))',
+     "one variable"),
+    ('FILTER(STRSTARTS(STR(?p), "a") || REGEX(STR(?p), "b"))', "must be STRSTARTS"),
+    ('FILTER(STRSTARTS(STR(?p), "a") || STRSTARTS(?p, "b"))', "must be STRSTARTS"),
+    ('FILTER(STRSTARTS(STR(?p), "a") || STRSTARTS(STR(?p), "b") || ?p)', "must be STRSTARTS"),
+    ('FILTER(STRSTARTS(STR(?p), "a") ||)', "dangling ||"),
+    ('FILTER(STRSTARTS(STR(?p), "a") || STRSTARTS(STR(?p), "b") || )', "dangling ||"),
+    ('FILTER(STRSTARTS(STR(?p), "a") && STRSTARTS(STR(?p), "b"))', "FILTER is unsupported"),
+    ('FILTER(STRSTARTS(STR(?p), "a") || STRSTARTS(STR(?p), "b")', "FILTER is unsupported"),
+])
+def test_malformed_or_filters_are_rejected_at_the_filter(filter_text, needle):
+    text = f"SELECT ?s WHERE {{ ?s ?p ?o {filter_text} }}"
+    with pytest.raises(SparqlError) as err:
+        parse_query(text)
+    assert needle in str(err.value)
+    assert err.value.pos == text.index("FILTER")
+
+
+def test_a_filter_with_an_empty_prefix_tuple_is_rejected():
+    with pytest.raises(SparqlError, match=r"the FILTER on \?p has no prefix"):
+        SelectQuery(("s",), (TriplePattern(Var("s"), Var("p"), Var("o")),),
+                    filters=(("p", ()),))
+
+
 def test_string_literals_decode_every_n_triples_escape():
     q = parse_query(r"""SELECT ?s WHERE { ?s ?p "\b\f\'\U0001F600" }""")
     assert q.patterns[0].object == Literal("\b\f'\U0001F600")

@@ -2,7 +2,10 @@ import pytest
 
 from kif import codec
 from kif import model as m
+from kif import namespaces as ns
 from kif.rdf.server import serve
+from kif.rdf.sparql import SelectQuery, TriplePattern, Var
+from kif.rdf.terms import Graph, IriTerm, Literal, Triple
 from kif.stores import (MemoryStore, RdfStore, SparqlStore, StoreOptions,
                         TransportError)
 
@@ -407,3 +410,45 @@ def test_limited_scans_are_prefixes_of_the_full_scan(seed):
                 assert len(full) > 5
                 for k in (1, 5, 30):
                     assert list(store.filter(pattern, limit=k)) == full[:k]
+
+
+def test_a_page_cache_at_page_size_one_holds_a_query_of_over_1024_rows():
+    graph = Graph(Triple(IriTerm(f"{WD}Q{i}"), IriTerm(WD + "P1"), Literal(str(i)))
+                  for i in range(1100))
+    query = SelectQuery(("s", "o"), (TriplePattern(Var("s"), IriTerm(WD + "P1"), Var("o")),))
+    store = RdfStore(graph, StoreOptions(page_size=1))
+    first = list(store.select_all(query))
+    sent = store.request_count
+    assert len(first) == 1100 and sent == 1101
+    assert list(store.select_all(query)) == first
+    assert store.request_count == sent
+
+
+@pytest.mark.parametrize("page_size", [3, 100])
+def test_a_scan_fetches_only_the_node_triples_that_decide_a_main_snak(page_size):
+    pairs, descriptors = ModelGen(5).dataset(60)
+    graph = codec.encode_dataset(pairs, descriptors)
+    unread = (ns.PQ, ns.PROV_WAS_DERIVED_FROM, ns.WIKIBASE_RANK)
+    assert {prefix for t in graph for prefix in unread
+            if t.predicate.value.startswith(prefix)} == set(unread)
+    memory = MemoryStore(pairs, descriptors)
+    options = StoreOptions(page_size=page_size, cache_enabled=False)
+    with serve(graph) as server, SparqlStore(server.url, options) as sparql:
+        for store in (RdfStore(graph, options), sparql):
+            fetched = []
+            select = store._backend.select
+
+            def spy(query, select=select, fetched=fetched):
+                rows = select(query)
+                if query.values and query.values[0].variable == "w":   # a node fetch
+                    fetched.extend(rows)
+                return rows
+
+            store._backend.select = spy
+            found = list(store.filter())
+            assert len(found) == len(set(found))
+            assert set(found) == set(memory.filter())
+            assert store.count() == memory.count()
+            predicates = {row["p"].value for row in fetched}
+            assert any(p.startswith(ns.PS) for p in predicates)
+            assert not [p for p in predicates if p.startswith(unread)], store
