@@ -451,6 +451,18 @@ def _assemble_snak_family(g: Graph, node: IriTerm, simple_base: str, deep_base: 
 MAIN_SNAK_PREFIXES = (ns.PS, ns.RDF_TYPE)
 
 
+def links_context(predicate: str, deep_only: bool) -> bool:
+    """Whether a statement-context fetch follows *predicate* to its object:
+    a ``psv:`` link to a deep value node always; unless *deep_only*, also a
+    ``pqv:``, ``prv:`` or ``prov:wasDerivedFrom`` link to a qualifier value,
+    reference value or reference node."""
+    if WIKIDATA.local(predicate, "psv"):
+        return True
+    return not deep_only and (predicate == ns.PROV_WAS_DERIVED_FROM
+                              or bool(WIKIDATA.local(predicate, "pqv")
+                                      or WIKIDATA.local(predicate, "prv")))
+
+
 def assemble_main_snak(g: Graph, wds: IriTerm, plocal: str,
                        diagnostics: list[str]) -> m.Snak | None:
     """Main snak of *wds*, or None for a malformed node. A ``psv:`` deep
@@ -664,9 +676,9 @@ def select_query(patterns: list[TriplePattern], projected: list[Var | None],
 def compile_truthy_plan(pattern: m.FilterPattern,
                         object_term: Term | None = None) -> FilterPlan:
     """Query for the truthy triples ``S wdt:X V`` of *pattern*; with the
-    property unbound, ``S ?p V``, and in a scan with no subject the filter
-    ``STRSTARTS(STR(?p), wdt:)`` keeps only the truthy predicates. A
-    some-value-only mask keeps the ``wdgenid:`` objects of ``?v``."""
+    property unbound, ``S ?p V`` and the filter ``STRSTARTS(STR(?p), wdt:)``,
+    which keeps only the truthy predicates. A some-value-only mask keeps the
+    ``wdgenid:`` objects of ``?v``."""
     patterns: list[TriplePattern] = []
     s_const, s_var = _subject_slot(pattern, patterns)
     o_const, o_var = _value_slot(pattern, patterns, object_term)
@@ -675,7 +687,7 @@ def compile_truthy_plan(pattern: m.FilterPattern,
     main = TriplePattern(s_const or s_var, p_slot, o_const if o_const is not None else o_var)
     patterns.insert(0, main)
     p_var = None if plocal else Var("p")
-    filters = (("p", ns.WDT),) if plocal is None and pattern.subject is None else ()
+    filters = (("p", ns.WDT),) if plocal is None else ()
     if o_var is not None and pattern.snak_kinds == {m.SnakKind.SOME_VALUE}:
         filters += (("v", ns.WDGENID),)
     query = select_query(patterns, [s_var, p_var, o_var], s_const, filters)
@@ -769,34 +781,34 @@ def node_fetch_query(nodes: Iterable[IriTerm], main_snak: bool = False) -> Selec
         filters=(("p", MAIN_SNAK_PREFIXES),) if main_snak else ())
 
 
-_DESCRIPTOR_PREDICATES = {
-    "label": ns.RDFS_LABEL,
-    "description": ns.SCHEMA_DESCRIPTION,
-    "alias": ns.SKOS_ALT_LABEL,
+DESCRIPTOR_KINDS = {
+    ns.RDFS_LABEL: "label",
+    ns.SCHEMA_DESCRIPTION: "description",
+    ns.SKOS_ALT_LABEL: "alias",
 }
-DESCRIPTOR_KINDS = {pred: which for which, pred in _DESCRIPTOR_PREDICATES.items()}
 
 
-def descriptor_query(entities: Iterable[m.Entity]) -> SelectQuery:
-    """Labels, descriptions and aliases of *entities* in one query: a row
-    binds an entity ?e, a descriptor predicate ?d (a key of
-    DESCRIPTOR_KINDS) and its text ?x."""
-    terms = tuple(IriTerm(e.iri.value) for e in entities)
-    predicates = tuple(IriTerm(pred) for pred in _DESCRIPTOR_PREDICATES.values())
+def descriptor_query(iris: Iterable[str],
+                     kinds: Mapping[str, str] = DESCRIPTOR_KINDS) -> SelectQuery:
+    """The descriptor texts of the entities named *iris* in one query: a
+    row binds an entity ?e, a predicate ?d (a key of *kinds*, which maps
+    each predicate to the kind of text it holds) and its text ?x."""
     return SelectQuery(
         ("e", "d", "x"),
         (TriplePattern(Var("e"), Var("d"), Var("x")),),
-        values=(ValuesBlock("e", terms), ValuesBlock("d", predicates)))
+        values=(ValuesBlock("e", tuple(map(IriTerm, iris))),
+                ValuesBlock("d", tuple(map(IriTerm, kinds)))))
 
 
-def descriptor_texts(rows: Iterable[tuple[Term | None, Term | None, Term | None]]
+def descriptor_texts(rows: Iterable[tuple[Term | None, Term | None, Term | None]],
+                     kinds: Mapping[str, str] = DESCRIPTOR_KINDS
                      ) -> dict[str, dict[str, list[m.TextValue]]]:
-    """Texts of (entity, descriptor predicate, text) rows, by entity IRI and
-    by the kind DESCRIPTOR_KINDS gives the predicate; an untagged text
-    counts as English. Rows of any other shape are skipped."""
+    """Texts of (entity, predicate, text) rows, by entity IRI and by the
+    kind *kinds* gives the predicate; an untagged text counts as English.
+    Rows of any other shape are skipped."""
     texts: dict[str, dict[str, list[m.TextValue]]] = {}
     for e, d, x in rows:
-        which = DESCRIPTOR_KINDS.get(d.value) if isinstance(d, IriTerm) else None
+        which = kinds.get(d.value) if isinstance(d, IriTerm) else None
         if which is None or not isinstance(e, IriTerm) or not isinstance(x, Literal):
             continue
         text = m.TextValue(x.lexical, x.language or "en")

@@ -6,8 +6,10 @@ filter patterns source-ward, runs them against the raw source, and rewrites
 the results target-ward, so the source looks like one more statement store.
 Source queries take the same paging and page-cache path as the RdfStore and
 SparqlStore queries (PagedStore.select_all), so a filter reads only the
-pages its limit needs. Patterns that mention unmapped properties are
-unsupported and yield empty results without touching the source.
+pages its limit needs. Patterns that mention unmapped properties, and
+patterns with a value fingerprint, are unsupported and yield empty results
+without touching the source. Descriptors take PagedStore's read, with the
+label predicate as the one descriptor predicate.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from . import model as m
-from .codec import descriptor_from_texts, property_local, select_query
+from .codec import property_local, select_query
+from .namespaces import XSD_DECIMAL
 from .rdf.sparql import SelectQuery, TriplePattern, ValuesBlock, Var
 from .rdf.terms import Graph, IriTerm, Literal, Term
 from .stores.backed import PagedStore, Row
@@ -134,8 +137,7 @@ class DecimalQuantityCodec(ValueCodec):
     def encode(self, value: m.Value) -> Term | None:
         if isinstance(value, m.Quantity) and value.unit == self.unit \
                 and value.lower is None and value.upper is None:
-            return Literal(m.decimal_lexical(value.amount),
-                           "http://www.w3.org/2001/XMLSchema#decimal")
+            return Literal(m.decimal_lexical(value.amount), XSD_DECIMAL)
         return None
 
     def decode(self, term: Term) -> m.Value | None:
@@ -280,92 +282,69 @@ _PREDICATE = Var("p")
 _OBJECT = Var("v")
 
 
-def _source_entity_term(spec: MappingSpec, entity: m.Entity) -> IriTerm | None:
-    rewritten = spec.entity_to_source(entity.iri.value)
-    return IriTerm(rewritten) if rewritten is not None else None
-
-
-def _fingerprint_patterns(spec: MappingSpec, fp: m.Fingerprint, var: Var,
-                          patterns: list[TriplePattern]) -> bool:
-    """Append source patterns expressing *fp* on *var*; False if unmappable."""
+def _subject_patterns(spec: MappingSpec, fp: m.Fingerprint) -> list[TriplePattern] | None:
+    """Source patterns expressing the subject fingerprint *fp* on ?s; None
+    if unmappable."""
+    patterns = []
     for snak in fp.snaks:
         if not isinstance(snak, m.ValueSnak):
-            return False
+            return None
         rule = spec.rule_for(snak.property)
-        if rule is None:
-            return False
-        encoded = rule.codec.encode(snak.value)
+        encoded = rule.codec.encode(snak.value) if rule is not None else None
         if encoded is None:
-            return False
-        patterns.append(TriplePattern(var, IriTerm(rule.source_predicate), encoded))
-    return True
+            return None
+        patterns.append(TriplePattern(_SUBJECT, IriTerm(rule.source_predicate), encoded))
+    return patterns
 
 
 def translate_pattern(spec: MappingSpec,
                       pattern: m.FilterPattern) -> SelectQuery | None:
-    """Compile *pattern* to one source query, or None when unsupported."""
-    if m.SnakKind.VALUE not in pattern.snak_kinds:
-        return None  # plain sources carry value claims only
+    """Compile *pattern* to one source query, or None when unsupported.
 
-    patterns: list[TriplePattern] = []
+    The query's first pattern is the claim pattern, ``S P ?v``, with the
+    subject S and predicate P constant where *pattern* fixes them. A value
+    fingerprint is unsupported: every fingerprint names an entity, and no
+    value codec decodes to one.
+    """
+    if m.SnakKind.VALUE not in pattern.snak_kinds or pattern.value is not None:
+        return None  # plain sources carry value claims only, of no entity value
+
+    patterns: list[TriplePattern] | None = []
+    subject_slot: IriTerm | Var = _SUBJECT
     if isinstance(pattern.subject, m.EntityFp):
-        subject_slot: IriTerm | Var = (
-            _source_entity_term(spec, pattern.subject.entity) or _UNMAPPED)
-        if subject_slot is _UNMAPPED:
+        source = spec.entity_to_source(pattern.subject.entity.iri.value)
+        if source is None:
             return None
-    else:
-        subject_slot = _SUBJECT
-        if pattern.subject is not None:
-            if not _fingerprint_patterns(spec, pattern.subject, _SUBJECT, patterns):
-                return None
+        subject_slot = IriTerm(source)
+    elif pattern.subject is not None:
+        patterns = _subject_patterns(spec, pattern.subject)
+        if patterns is None:
+            return None
 
     values: tuple[ValuesBlock, ...] = ()
     if pattern.property is not None:
         assert isinstance(pattern.property, m.EntityFp)
         prop = pattern.property.entity
-        if not isinstance(prop, m.Property):
-            return None
-        rule = spec.rule_for(prop)
+        rule = spec.rule_for(prop) if isinstance(prop, m.Property) else None
         if rule is None:
             return None
         predicate_slot: IriTerm | Var = IriTerm(rule.source_predicate)
-        rules = [rule]
     else:
         if not spec.property_rules:
             return None
         predicate_slot = _PREDICATE
         preds = sorted(r.source_predicate for r in spec.property_rules)
         values = (ValuesBlock("p", tuple(IriTerm(p) for p in preds)),)
-        rules = list(spec.property_rules)
 
-    if isinstance(pattern.value, m.EntityFp):
-        # Entity values reach the source as IRIs; only iri-coded rules can
-        # carry them. With a wildcard property the other rules simply never
-        # match the constant.
-        if not any(isinstance(rule.codec, IriCodec) for rule in rules):
-            return None
-        src = (spec.entity_to_source(pattern.value.entity.iri.value)
-               or pattern.value.entity.iri.value)
-        object_slot: Term | Var = IriTerm(src)
-    else:
-        object_slot = _OBJECT
-        if pattern.value is not None:
-            if not _fingerprint_patterns(spec, pattern.value, _OBJECT, patterns):
-                return None
-
-    patterns.insert(0, TriplePattern(subject_slot, predicate_slot, object_slot))
-    slots = (subject_slot, predicate_slot, object_slot)
-    return select_query(patterns, [slot if isinstance(slot, Var) else None for slot in slots],
-                        subject_slot, values=values)
-
-
-_UNMAPPED = IriTerm("urn:x-unmapped:sentinel")
+    slots = (subject_slot, predicate_slot, _OBJECT)
+    return select_query([TriplePattern(*slots), *patterns],
+                        [slot if isinstance(slot, Var) else None for slot in slots],
+                        None, values=values)
 
 
 def translate_results(spec: MappingSpec, rows: Iterable[Row],
                       fixed_subject: IriTerm | None = None,
-                      fixed_rule: PropertyRule | None = None,
-                      fixed_value: m.Value | None = None) -> Iterator[m.Statement]:
+                      fixed_rule: PropertyRule | None = None) -> Iterator[m.Statement]:
     """Rewrite source rows to target statements; malformed rows are skipped.
 
     Slots that were compiled to constants do not come back in the bindings,
@@ -383,17 +362,14 @@ def translate_results(spec: MappingSpec, rows: Iterable[Row],
                     if isinstance(pred, IriTerm) else None)
             if rule is None:
                 continue
-        if fixed_value is not None:
-            value: m.Value | None = fixed_value
-        else:
-            obj = row.get("v")
-            if obj is None:
-                continue
-            value = rule.codec.decode(obj)
-            if value is None:
-                logger.warning("mapping %s: cannot decode %r via %s codec; row skipped",
-                               spec.name, obj, rule.codec.kind)
-                continue
+        obj = row.get("v")
+        if obj is None:
+            continue
+        value = rule.codec.decode(obj)
+        if value is None:
+            logger.warning("mapping %s: cannot decode %r via %s codec; row skipped",
+                           spec.name, obj, rule.codec.kind)
+            continue
         subject = m.Item(spec.entity_to_target(subject_term.value))
         yield m.Statement(subject, m.ValueSnak(rule.property, value))
 
@@ -406,7 +382,8 @@ class MapperStore(PagedStore):
 
     def __init__(self, source: Graph | str, spec: MappingSpec,
                  options: StoreOptions | None = None) -> None:
-        super().__init__(source, options)
+        super().__init__(source, options, spec.entity_to_source,
+                         {spec.label_predicate: "label"} if spec.label_predicate else {})
         self.spec = spec
 
     def _filter(self, pattern: m.FilterPattern,
@@ -414,18 +391,12 @@ class MapperStore(PagedStore):
         query = translate_pattern(self.spec, pattern)
         if query is None:
             return
-        fixed_subject = None
-        if isinstance(pattern.subject, m.EntityFp):
-            src = self.spec.entity_to_source(pattern.subject.entity.iri.value)
-            fixed_subject = IriTerm(src) if src else None
-        fixed_rule = None
-        if pattern.property is not None:
-            assert isinstance(pattern.property, m.EntityFp)
-            fixed_rule = self.spec.rule_for(pattern.property.entity)
-        fixed_value = (pattern.value.entity
-                       if isinstance(pattern.value, m.EntityFp) else None)
+        claim = query.patterns[0]
+        fixed_subject = claim.subject if isinstance(claim.subject, IriTerm) else None
+        fixed_rule = (self.spec.rule_for_predicate(claim.predicate.value)
+                      if isinstance(claim.predicate, IriTerm) else None)
         yield from translate_results(self.spec, self.select_all(query),
-                                     fixed_subject, fixed_rule, fixed_value)
+                                     fixed_subject, fixed_rule)
 
     def _annotations(self, stmts):
         for stmt in stmts:
@@ -433,29 +404,3 @@ class MapperStore(PagedStore):
                 yield stmt, frozenset({m.AnnotationRecord()})
             else:
                 yield stmt, frozenset()
-
-    def _descriptors(self, entities, language):
-        found: dict[str, list[m.TextValue]] = {}
-        if self.spec.label_predicate:
-            sources = {}
-            for entity in entities:
-                src = self.spec.entity_to_source(entity.iri.value)
-                if src:
-                    sources.setdefault(src, entity.iri.value)
-            if sources:
-                terms = tuple(IriTerm(s) for s in sorted(sources))
-                query = SelectQuery(
-                    ("e", "x"),
-                    (TriplePattern(Var("e"), IriTerm(self.spec.label_predicate),
-                                   Var("x")),),
-                    values=(ValuesBlock("e", terms),))
-                for row in self.select_all(query):
-                    e, x = row.get("e"), row.get("x")
-                    if not isinstance(e, IriTerm) or not isinstance(x, Literal):
-                        continue
-                    text = m.TextValue(x.lexical, x.language or language)
-                    if text.language != language:
-                        continue
-                    found.setdefault(sources[e.value], []).append(text)
-        for entity in entities:
-            yield entity, descriptor_from_texts({"label": found.get(entity.iri.value, [])})

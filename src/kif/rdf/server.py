@@ -38,6 +38,7 @@ import time
 from http import HTTPStatus
 from urllib.parse import parse_qs, urlsplit
 
+from ..namespaces import XSD_STRING
 from .bgp import Binding, match_bgp
 from .sparql import SparqlError, parse_query
 from .terms import Graph, IriTerm, Term
@@ -52,7 +53,7 @@ def term_to_json(t: Term) -> dict:
     out: dict = {"type": "literal", "value": t.lexical}
     if t.language:
         out["xml:lang"] = t.language
-    elif t.datatype != "http://www.w3.org/2001/XMLSchema#string":
+    elif t.datatype != XSD_STRING:
         out["datatype"] = t.datatype
     return out
 

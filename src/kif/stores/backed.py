@@ -23,7 +23,8 @@ an entity send these queries:
   then the truthy probe unless a node carries the claim (1 or 2; 2 for a
   some-value statement; 1 for a no-value statement);
 - get_descriptor: one query per 50 entities for labels, descriptions and
-  aliases together (1).
+  aliases together (1); PagedStore reads them, so the mapper store's
+  labels take the same query.
 
 Each adds one node fetch per level of linked nodes it reads: the deep value
 nodes for filter, count and contains; for get_annotations, the deep value,
@@ -66,7 +67,7 @@ import urllib.parse
 import weakref
 from functools import partial
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .. import codec
 from .. import model as m
@@ -103,15 +104,6 @@ def _add_triple(into: Graph, s: Term | None, p: Term | None, o: Term | None) -> 
     """Add a node triple read from a result row, if the row binds one."""
     if isinstance(s, IriTerm) and isinstance(p, IriTerm) and o is not None:
         into.add(Triple(s, p, o))
-
-
-def _links_context(predicate: str, deep_only: bool) -> bool:
-    """Whether a statement-context fetch follows *predicate* to its object."""
-    if WIKIDATA.local(predicate, "psv"):
-        return True
-    return not deep_only and (predicate == ns.PROV_WAS_DERIVED_FROM
-                              or bool(WIKIDATA.local(predicate, "pqv")
-                                      or WIKIDATA.local(predicate, "prv")))
 
 
 class GraphBackend:
@@ -372,10 +364,19 @@ class HttpBackend:
 
 class PagedStore(Store):
     """Store answered by SELECT queries against one backend, built from a
-    Graph, an N-Triples file path, or an http(s) endpoint URL."""
+    Graph, an N-Triples file path, or an http(s) endpoint URL.
 
-    def __init__(self, source: Graph | str, options: StoreOptions | None = None) -> None:
+    Its descriptors are read with codec.descriptor_query, one query per
+    _NODE_CHUNK entities. *entity_to_source* names an entity IRI in the
+    source (None: the source cannot hold it), and *descriptor_kinds* maps
+    each source predicate that holds descriptor texts to their kind."""
+
+    def __init__(self, source: Graph | str, options: StoreOptions | None = None,
+                 entity_to_source: Callable[[str], str | None] = lambda iri: iri,
+                 descriptor_kinds: Mapping[str, str] = codec.DESCRIPTOR_KINDS) -> None:
         super().__init__(options)
+        self._entity_to_source = entity_to_source
+        self._descriptor_kinds = descriptor_kinds
         if isinstance(source, Graph):
             self._backend = GraphBackend(source)
         elif source.startswith(("http://", "https://")):
@@ -414,6 +415,21 @@ class PagedStore(Store):
                 return
             offset += size
 
+    def _descriptors(self, entities, language):
+        kinds = self._descriptor_kinds
+        sources = [self._entity_to_source(e.iri.value) for e in entities]
+        # No query for a source that holds no descriptor texts.
+        unique = list(dict.fromkeys(s for s in sources if s is not None)) if kinds else []
+        texts: dict[str, dict[str, list[m.TextValue]]] = {}
+        for i in range(0, len(unique), _NODE_CHUNK):
+            rows = self.select_all(codec.descriptor_query(unique[i:i + _NODE_CHUNK], kinds))
+            texts.update(codec.descriptor_texts(
+                ((row.get("e"), row.get("d"), row.get("x")) for row in rows), kinds))
+        for entity, source in zip(entities, sources):
+            yield entity, codec.descriptor_from_texts(
+                {which: [t for t in found if t.language == language]
+                 for which, found in texts.get(source, {}).items()})
+
 
 class QueryBackedStore(PagedStore):
     """Shared machinery of RdfStore and SparqlStore."""
@@ -447,7 +463,7 @@ class QueryBackedStore(PagedStore):
             # Subtracting what is fetched ends the loop on cyclic graphs.
             frontier = {t.object for node in frontier for t in node_graph.match(s=node)
                         if isinstance(t.object, IriTerm)
-                        and _links_context(t.predicate.value, deep_only)} - fetched
+                        and codec.links_context(t.predicate.value, deep_only)} - fetched
             if not frontier:
                 return
             self._fetch_nodes(frontier, node_graph)
@@ -562,21 +578,6 @@ class QueryBackedStore(PagedStore):
                                 codec.assemble_annotation(node_graph, wds, diagnostics))
                     self._warn(diagnostics)
             yield stmt, frozenset(records)
-
-    # -- descriptors -----------------------------------------------------------
-
-    def _descriptors(self, entities, language):
-        texts: dict[str, dict[str, list[m.TextValue]]] = {}
-        unique = list({e.iri.value: e for e in entities}.values())
-        for i in range(0, len(unique), _NODE_CHUNK):
-            rows = self.select_all(codec.descriptor_query(unique[i:i + _NODE_CHUNK]))
-            texts.update(codec.descriptor_texts(
-                (row.get("e"), row.get("d"), row.get("x")) for row in rows))
-        for entity in entities:
-            kinds = texts.get(entity.iri.value, {})
-            yield entity, codec.descriptor_from_texts(
-                {which: [t for t in found if t.language == language]
-                 for which, found in kinds.items()})
 
 
 class RdfStore(QueryBackedStore):

@@ -268,3 +268,19 @@ def test_serve_stops_on_sigterm(data_dir):
         proc.kill()
         proc.wait()
         proc.stderr.close()
+
+
+@pytest.mark.parametrize("fmt", ["sexp", "json"])
+def test_describe_reads_a_mapped_label(data_dir, capsys, fmt):
+    code, out, _ = run(capsys, "describe", "--store",
+                       f"mapper:{data_dir}/pubchem.json@rdf:{data_dir}/pubchem.nt",
+                       "--format", fmt, "wd:Q_PUBCHEM_CID241")
+    assert code == 0
+    if fmt == "json":
+        described = json.loads(out)
+        assert described["entity"]["iri"] == pf.pubchem_benzene.iri.value
+        assert described["descriptor"]["label"] == {"content": "Benzene", "language": "en"}
+    else:
+        desc = sexpr.parse(out.strip())
+        assert desc.entity == pf.pubchem_benzene
+        assert desc.descriptor.label == m.TextValue("Benzene", "en")
