@@ -90,13 +90,6 @@ def _parse_object(text: str, want: type, what: str):
     return obj
 
 
-_KIND_NAMES = {
-    "value": m.SnakKind.VALUE,
-    "some-value": m.SnakKind.SOME_VALUE,
-    "no-value": m.SnakKind.NO_VALUE,
-}
-
-
 def add_pattern_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--subject", help="subject entity (compact S-expression)")
     parser.add_argument("--property", help="property entity")
@@ -131,9 +124,10 @@ def pattern_from_args(args: argparse.Namespace) -> m.FilterPattern:
         picked = set()
         for name in args.snak_kinds.split(","):
             name = name.strip()
-            if name not in _KIND_NAMES:
-                raise CliError(f"unknown snak kind {name!r}")
-            picked.add(_KIND_NAMES[name])
+            try:
+                picked.add(m.SnakKind(name))
+            except ValueError:
+                raise CliError(f"unknown snak kind {name!r}") from None
         kinds = frozenset(picked)
     return m.FilterPattern(
         subject=entity_fp(args.subject, "subject") or snak_fp(args.subject_snak,
@@ -175,11 +169,10 @@ def value_to_plain(v: m.Value):
 
 
 def snak_to_plain(snak: m.Snak):
+    plain = {"kind": m.snak_kind(snak).value, "property": snak.property.iri.value}
     if isinstance(snak, m.ValueSnak):
-        return {"kind": "value", "property": snak.property.iri.value,
-                "value": value_to_plain(snak.value)}
-    kind = "some-value" if isinstance(snak, m.SomeValueSnak) else "no-value"
-    return {"kind": kind, "property": snak.property.iri.value}
+        plain["value"] = value_to_plain(snak.value)
+    return plain
 
 
 def statement_to_plain(stmt: m.Statement):

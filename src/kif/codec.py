@@ -180,13 +180,7 @@ def _check_subject_encodable(e: m.Entity) -> None:
             f"property subject {e.iri.value!r} must live in the wd: namespace")
 
 
-def _check_snak_encodable(snak: m.Snak) -> None:
-    property_local(snak.property)
-    if isinstance(snak, m.ValueSnak):
-        _check_value_encodable(snak.value)
-
-
-def _deep_value_triples(node: IriTerm, v: m.Value) -> list:
+def _deep_value_triples(node: IriTerm, v: m.Quantity | m.TimeValue) -> list:
     out = []
     if isinstance(v, m.Quantity):
         out.append(Triple(node, IriTerm(ns.WIKIBASE_QUANTITY_AMOUNT),
@@ -200,7 +194,7 @@ def _deep_value_triples(node: IriTerm, v: m.Value) -> list:
         if v.upper is not None:
             out.append(Triple(node, IriTerm(ns.WIKIBASE_QUANTITY_UPPER),
                               Literal(m.decimal_lexical(v.upper), ns.XSD_DECIMAL)))
-    elif isinstance(v, m.TimeValue):
+    else:
         out.append(Triple(node, IriTerm(ns.WIKIBASE_TIME_VALUE),
                           Literal(v.timestamp.lexical(), ns.XSD_DATE_TIME)))
         out.append(Triple(node, IriTerm(ns.WIKIBASE_TIME_PRECISION),
@@ -210,8 +204,6 @@ def _deep_value_triples(node: IriTerm, v: m.Value) -> list:
         if v.calendar is not None:
             out.append(Triple(node, IriTerm(ns.WIKIBASE_TIME_CALENDAR),
                               IriTerm(v.calendar.iri.value)))
-    else:
-        raise CodecError(f"not a deep value: {v!r}")
     return out
 
 
@@ -223,21 +215,26 @@ _RANK_IRI = {
 _IRI_RANK = {v: k for k, v in _RANK_IRI.items()}
 
 
-def _encode_snak_at(subject: IriTerm, snak: m.Snak, simple_base: str,
-                    deep_base: str, triples: list) -> None:
-    """Emit *snak* on *subject* using a qualifier/reference predicate family."""
+def _encode_snak_at(subject: IriTerm, snak: m.Snak, simple_base: str, deep_base: str,
+                    triples: list, genid: IriTerm | None = None) -> Term:
+    """Emit *snak* on *subject* under one predicate family (``ps:``/``psv:``,
+    ``pq:``/``pqv:`` or ``pr:``/``prv:``), checking that it is encodable as
+    it is written; return the object of its simple triple. A some-value
+    snak's object is *genid*, by default the snak's own ``wdgenid:`` node."""
     local = property_local(snak.property)
-    pred = IriTerm(simple_base + local)
     if isinstance(snak, m.ValueSnak):
-        triples.append(Triple(subject, pred, m.simple_value(snak.value)))
-        if m.is_deep(snak.value):
-            node = value_node(snak.value)
-            triples.append(Triple(subject, IriTerm(deep_base + local), node))
-            triples.extend(_deep_value_triples(node, snak.value))
+        _check_value_encodable(snak.value)
+        obj = m.simple_value(snak.value)
     elif isinstance(snak, m.SomeValueSnak):
-        triples.append(Triple(subject, pred, _snak_genid(snak)))
+        obj = genid or _snak_genid(snak)
     else:
-        triples.append(Triple(subject, pred, IriTerm(ns.WDNO + local)))
+        obj = IriTerm(ns.WDNO + local)
+    triples.append(Triple(subject, IriTerm(simple_base + local), obj))
+    if isinstance(snak, m.ValueSnak) and m.is_deep(snak.value):
+        node = value_node(snak.value)
+        triples.append(Triple(subject, IriTerm(deep_base + local), node))
+        triples.extend(_deep_value_triples(node, snak.value))
+    return obj
 
 
 def encode(es: EncodedStatement) -> set:
@@ -246,31 +243,21 @@ def encode(es: EncodedStatement) -> set:
 
 
 def _statement_triples(es: EncodedStatement) -> list:
+    """The triples of one statement, the one place that decides them."""
     stmt, ann = es.statement, es.annotation
     _check_subject_encodable(stmt.subject)
-    _check_snak_encodable(stmt.snak)
-    for q in ann.qualifiers:
-        _check_snak_encodable(q)
-    for ref in ann.references:
-        for s in ref.snaks:
-            _check_snak_encodable(s)
-
     subj = IriTerm(stmt.subject.iri.value)
     local = property_local(stmt.snak.property)
     wds = statement_node(stmt, ann)
     triples: list = [Triple(subj, IriTerm(ns.P + local), wds)]
 
-    obj = statement_object(stmt)
-    if obj is None:
+    if isinstance(stmt.snak, m.NoValueSnak):
         triples.append(Triple(wds, IriTerm(ns.RDF_TYPE), IriTerm(ns.WDNO + local)))
     else:
-        triples.append(Triple(wds, IriTerm(ns.PS + local), obj))
+        genid = statement_object(stmt) if isinstance(stmt.snak, m.SomeValueSnak) else None
+        obj = _encode_snak_at(wds, stmt.snak, ns.PS, ns.PSV, triples, genid)
         if ann.rank is not m.Rank.DEPRECATED:
             triples.append(Triple(subj, IriTerm(ns.WDT + local), obj))
-        if isinstance(stmt.snak, m.ValueSnak) and m.is_deep(stmt.snak.value):
-            node = value_node(stmt.snak.value)
-            triples.append(Triple(wds, IriTerm(ns.PSV + local), node))
-            triples.extend(_deep_value_triples(node, stmt.snak.value))
 
     for q in ann.qualifiers:
         _encode_snak_at(wds, q, ns.PQ, ns.PQV, triples)
@@ -294,9 +281,8 @@ Pair = tuple[m.Statement, m.AnnotationRecord]
 def best_flags(pairs: Iterable[Pair]) -> list[EncodedStatement]:
     """Attach best-rank flags: a statement is best when it is not deprecated
     and no co-(subject, property) statement in the batch outranks it."""
-    keyed = [((m.canonical_key(stmt.subject), m.canonical_key(stmt.snak.property)),
-              stmt, ann) for stmt, ann in pairs]
-    top: dict[tuple, int] = {}
+    keyed = [((stmt.subject, stmt.snak.property), stmt, ann) for stmt, ann in pairs]
+    top: dict[tuple[m.Entity, m.Property], int] = {}
     for key, _, ann in keyed:
         top[key] = max(top.get(key, -1), ann.rank.priority)
     return [EncodedStatement(stmt, ann, ann.rank is not m.Rank.DEPRECATED
@@ -312,17 +298,15 @@ def encode_statements(pairs: Iterable[Pair]) -> Graph:
 
 
 def _descriptor_triples(descriptors: Mapping[m.Entity, m.Descriptor]) -> Iterator:
-    label, description, alt_label = (IriTerm(ns.RDFS_LABEL), IriTerm(ns.SCHEMA_DESCRIPTION),
-                                     IriTerm(ns.SKOS_ALT_LABEL))
     for entity, desc in descriptors.items():
         subj = IriTerm(entity.iri.value)
-        if desc.label is not None:
-            yield Triple(subj, label, Literal(desc.label.content, language=desc.label.language))
-        if desc.description is not None:
-            yield Triple(subj, description, Literal(desc.description.content,
-                                                    language=desc.description.language))
-        for alias in desc.aliases:
-            yield Triple(subj, alt_label, Literal(alias.content, language=alias.language))
+        texts = {"label": (desc.label,), "description": (desc.description,),
+                 "alias": desc.aliases}
+        for predicate, kind in DESCRIPTOR_KINDS.items():
+            for text in texts[kind]:
+                if text is not None:
+                    yield Triple(subj, IriTerm(predicate),
+                                 Literal(text.content, language=text.language))
 
 
 def encode_dataset(pairs: Iterable[Pair],
@@ -334,16 +318,9 @@ def encode_dataset(pairs: Iterable[Pair],
 
 
 def truthy_graph(pairs: Iterable[Pair]) -> Graph:
-    """Only the shallow level: one direct-property triple per visible claim."""
-    graph = Graph()
-    for stmt, ann in pairs:
-        if ann.rank is m.Rank.DEPRECATED:
-            continue
-        local = property_local(stmt.snak.property)
-        obj = statement_object(stmt)
-        if obj is not None:
-            graph.add(Triple(IriTerm(stmt.subject.iri.value), IriTerm(ns.WDT + local), obj))
-    return graph
+    """Only the shallow level: the ``wdt:`` triples of the full encoding."""
+    return Graph(t for es in best_flags(pairs) for t in _statement_triples(es)
+                 if t.predicate.value.startswith(ns.WDT))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ class FingerprintError(ModelError):
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 _WS_RE = re.compile(r"\s")
-_DECIMAL_RE = re.compile(r"^[+-]?[0-9]+(\.[0-9]+)?$")
 
 
 def _to_decimal(x: Decimal | int | str, what: str) -> Decimal:

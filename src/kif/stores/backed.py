@@ -281,18 +281,18 @@ class HttpBackend:
                       "Accept: application/sparql-results+json\r\n"
                       "Accept-Encoding: identity\r\n"
                       "Content-Length: ").encode("ascii")
-        self._local = threading.local()
         self._open: dict[threading.Thread, _Connection] = {}
         self._open_lock = threading.Lock()
         weakref.finalize(self, _close_all, self._open, self._open_lock)
 
     def close(self) -> None:
         """Close every connection; a later query opens a new one."""
-        self._local = threading.local()
         _close_all(self._open, self._open_lock)
 
     def _connection(self) -> _Connection:
-        conn = getattr(self._local, "conn", None)
+        thread = threading.current_thread()
+        with self._open_lock:
+            conn = self._open.get(thread)
         if conn is None:
             factory = (http.client.HTTPSConnection if self._scheme == "https"
                        else http.client.HTTPConnection)
@@ -301,19 +301,16 @@ class HttpBackend:
             opened.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn = _Connection(opened)
             with self._open_lock:
-                for thread in [t for t in self._open if not t.is_alive()]:
-                    self._open.pop(thread).close()
-                self._open[threading.current_thread()] = conn
-            self._local.conn = conn
+                for ended in [t for t in self._open if not t.is_alive()]:
+                    self._open.pop(ended).close()
+                self._open[thread] = conn
         return conn
 
     def _drop_connection(self) -> None:
-        conn = getattr(self._local, "conn", None)
+        with self._open_lock:
+            conn = self._open.pop(threading.current_thread(), None)
         if conn is not None:
             conn.close()
-            with self._open_lock:
-                self._open.pop(threading.current_thread(), None)
-            self._local.conn = None
 
     def _round_trip(self, body: bytes) -> tuple[int, bytes]:
         request = self._head + b"%d\r\n\r\n" % len(body) + body

@@ -284,3 +284,54 @@ def test_describe_reads_a_mapped_label(data_dir, capsys, fmt):
         desc = sexpr.parse(out.strip())
         assert desc.entity == pf.pubchem_benzene
         assert desc.descriptor.label == m.TextValue("Benzene", "en")
+
+
+def test_load_graph_prints_its_counts_and_warns_of_malformed_nodes(data_dir, tmp_path,
+                                                                     capsys):
+    from kif import namespaces as ns
+    from kif.rdf.ntriples import parse_ntriples
+    decoded = codec.decode(parse_ntriples((data_dir / "wd.nt").read_text(encoding="utf-8")))
+    code, out, err = run(capsys, "load", "--graph", f"{data_dir}/wd.nt")
+    assert code == 0
+    assert (f"statements: {len(decoded.statements)}, "
+            f"descriptors: {len(decoded.descriptors)}") in out
+    assert err == ""
+
+    broken = tmp_path / "broken.nt"
+    broken.write_text(f"<{ns.WD}Q1> <{ns.P}P1> <{ns.WDS}deadbeef> .\n", encoding="utf-8")
+    code, out, err = run(capsys, "load", "--graph", str(broken))
+    assert code == 0
+    assert f"{broken}: 1 triples" in out
+    assert "statements: 0, descriptors: 0" in out
+    assert err == (f"warning: statement node {ns.WDS}deadbeef has a p:P1 link "
+                   "but no ps:P1 value\n")
+
+
+def test_load_truthy_writes_the_truthy_graph_of_the_fixture(data_dir, tmp_path, capsys):
+    from kif.fixtures import load_fixture
+    out_nt = tmp_path / "truthy.nt"
+    code, out, _ = run(capsys, "load", "--fixture", f"{data_dir}/wd.sexp", "--truthy",
+                       "--encode-to", str(out_nt))
+    assert code == 0
+    pairs, _ = load_fixture(f"{data_dir}/wd.sexp")
+    graph = codec.truthy_graph(pairs)
+    assert out_nt.read_text(encoding="utf-8") == serialize_ntriples(graph)
+    assert f"wrote {len(graph)} triples to {out_nt}" in out
+
+
+def test_snak_kind_names_read_and_written_by_the_cli(data_dir, capsys):
+    from kif.cli import snak_to_plain
+    code, _, err = run(capsys, "count", "--store", f"memory:{data_dir}/wd.sexp",
+                       "--snak-kinds", "value, bogus")
+    assert code == 2
+    assert "unknown snak kind 'bogus'" in err
+    counts = [run(capsys, "count", "--store", f"memory:{data_dir}/wd.sexp", *kinds)[1]
+              for kinds in ((), ("--snak-kinds", " value,some-value , no-value"),
+                            ("--snak-kinds", "some-value,no-value"))]
+    assert counts[0] == counts[1] != counts[2] == "0\n"
+    value = snak_to_plain(pf.nobel_statement.snak)
+    assert list(value) == ["kind", "property", "value"] and value["kind"] == "value"
+    for snak, kind in ((m.SomeValueSnak(pf.award), "some-value"),
+                       (m.NoValueSnak(pf.award), "no-value")):
+        assert snak_to_plain(snak) == {"kind": kind, "property": pf.award.iri.value}
+        assert list(snak_to_plain(snak)) == ["kind", "property"]

@@ -231,6 +231,38 @@ def test_encode_validation_rejects_out_of_profile_content():
         codec.encode(deprecated_best)
 
 
+_FOREIGN = "http://example.org/"
+
+
+@pytest.mark.parametrize("stmt, ann, message", [
+    (pf.mass_statement,
+     m.AnnotationRecord([m.ValueSnak(m.Property(_FOREIGN + "p"), m.StringValue("x"))]),
+     "property IRIs must live in the wd: namespace"),
+    (pf.mass_statement,
+     m.AnnotationRecord(references=[m.ReferenceRecord(
+         [m.ValueSnak(pf.reference_url, m.Item(_FOREIGN + "Q1"))])]),
+     "entity values must live in the wd: namespace"),
+    (pf.mass_statement,
+     m.AnnotationRecord([m.ValueSnak(pf.together_with, m.Iri(ns.WDGENID + "abc"))]),
+     "is in a reserved namespace"),
+    (m.Statement(m.Item(WD + "P5"), pf.mass_statement.snak), m.AnnotationRecord(),
+     "conflicts with its entity kind"),
+    (m.Statement(m.Property(_FOREIGN + "p"), pf.mass_statement.snak), m.AnnotationRecord(),
+     "property subject"),
+], ids=["qualifier-property", "reference-entity", "qualifier-reserved-iri",
+        "item-subject-wd-P", "property-subject-outside-wd"])
+def test_encode_checks_the_subject_and_every_snak_it_writes(stmt, ann, message):
+    with pytest.raises(codec.CodecError, match=message):
+        codec.encode(codec.EncodedStatement(stmt, ann))
+
+
+def test_truthy_graph_rejects_what_the_full_encoding_rejects():
+    bad_qualifier = m.AnnotationRecord(
+        [m.ValueSnak(m.Property(_FOREIGN + "p"), m.StringValue("x"))])
+    with pytest.raises(codec.CodecError):
+        codec.truthy_graph([(pf.mass_statement, bad_qualifier)])
+
+
 def test_malformed_reification_is_skipped_with_diagnostics():
     g = Graph([Triple(IriTerm(WD + "Q1"), IriTerm(ns.P + "P1"),
                       IriTerm(ns.WDS + "deadbeef"))])

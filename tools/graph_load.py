@@ -8,13 +8,15 @@ graph (``codec.encode_dataset``), writing the graph as N-Triples
 (``serialize_ntriples``) and parsing the text back (``parse_ntriples``),
 REPEATS times each, with a garbage collection before every repeat, and
 checks that the parse gives back the graph's triples. Prints one JSON
-line: the best and the median seconds of each layer, the triple count and
-the text size.
+line: the best and the median seconds of each layer, the triple count, the
+text size and the SHA-256 of the text, which two versions of the encoder
+print alike exactly when they write the same N-Triples.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import statistics
 import time
@@ -43,8 +45,10 @@ def main() -> None:
     text, write = _timed(lambda: serialize_ntriples(graph))
     parsed, parse = _timed(lambda: parse_ntriples(text))
     assert set(parsed) == set(graph)
+    data = text.encode("utf-8")
     print(json.dumps({"encode": encode, "write": write, "parse": parse,
-                      "triples": len(graph), "bytes": len(text.encode("utf-8"))}))
+                      "triples": len(graph), "bytes": len(data),
+                      "sha256": hashlib.sha256(data).hexdigest()}))
 
 
 if __name__ == "__main__":
