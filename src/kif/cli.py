@@ -15,6 +15,8 @@ import shlex
 import signal
 import sys
 import threading
+from contextlib import ExitStack, contextmanager
+from typing import Iterator
 
 from . import bench as bench_mod
 from . import codec, fixtures
@@ -66,14 +68,18 @@ def open_store(spec: str, options: StoreOptions) -> Store:
     raise CliError(f"unknown store kind {kind!r} in {spec!r}")
 
 
-def build_store(specs: list[str], options: StoreOptions,
-                parallel: bool = False, lenient: bool = False) -> Store:
-    if not specs:
+@contextmanager
+def opened_store(args: argparse.Namespace, cache: bool | None = None) -> Iterator[Store]:
+    """The store of the --store specs of *args*, one store or a mixer; on
+    exit it closes all it opened, also when a later spec failed."""
+    if not args.store:
         raise CliError("at least one --store is required")
-    stores = [open_store(s, options) for s in specs]
-    if len(stores) == 1 and not parallel:
-        return stores[0]
-    return MixerStore(stores, parallel=parallel, lenient=lenient)
+    with ExitStack() as opened:
+        stores = [opened.enter_context(open_store(s, _options(args, cache))) for s in args.store]
+        if len(stores) > 1 or args.parallel:
+            stores = [opened.enter_context(
+                MixerStore(stores, parallel=args.parallel, lenient=args.lenient))]
+        yield stores[0]
 
 
 # ---------------------------------------------------------------------------
@@ -239,41 +245,40 @@ def _print_statements(store: Store, statements: list[m.Statement],
 # ---------------------------------------------------------------------------
 
 def cmd_filter(args) -> int:
-    store = build_store(args.store, _options(args), args.parallel, args.lenient)
-    pattern = pattern_from_args(args)
-    statements = list(store.filter(pattern, args.limit))
-    _print_statements(store, statements, args, sys.stdout)
+    with opened_store(args) as store:
+        statements = list(store.filter(pattern_from_args(args), args.limit))
+        _print_statements(store, statements, args, sys.stdout)
     return EXIT_OK
 
 
 def cmd_count(args) -> int:
-    store = build_store(args.store, _options(args), args.parallel, args.lenient)
-    print(store.count(pattern_from_args(args)))
+    with opened_store(args) as store:
+        print(store.count(pattern_from_args(args)))
     return EXIT_OK
 
 
 def cmd_annotations(args) -> int:
-    store = build_store(args.store, _options(args), args.parallel, args.lenient)
     statements = [_parse_object(t, m.Statement, "statement") for t in args.statement]
-    for stmt, records in store.get_annotations(statements):
-        ordered = sorted(records, key=m.canonical_key)
-        if args.format == "json":
-            print(json.dumps({"statement": statement_to_plain(stmt),
-                              "annotations": [annotation_to_plain(a) for a in ordered]}))
-        else:
-            print(sexpr.dumps(m.AnnotatedStatement(stmt, ordered), compact=True))
+    with opened_store(args) as store:
+        for stmt, records in store.get_annotations(statements):
+            ordered = sorted(records, key=m.canonical_key)
+            if args.format == "json":
+                print(json.dumps({"statement": statement_to_plain(stmt),
+                                  "annotations": [annotation_to_plain(a) for a in ordered]}))
+            else:
+                print(sexpr.dumps(m.AnnotatedStatement(stmt, ordered), compact=True))
     return EXIT_OK
 
 
 def cmd_describe(args) -> int:
-    store = build_store(args.store, _options(args), args.parallel, args.lenient)
     entities = [_parse_object(t, m.Entity, "entity") for t in args.entity]
-    for entity, desc in store.get_descriptor(entities, args.language):
-        if args.format == "json":
-            print(json.dumps({"entity": value_to_plain(entity),
-                              "descriptor": descriptor_to_plain(desc)}))
-        else:
-            print(sexpr.dumps(m.EntityDescriptor(entity, desc), compact=True))
+    with opened_store(args) as store:
+        for entity, desc in store.get_descriptor(entities, args.language):
+            if args.format == "json":
+                print(json.dumps({"entity": value_to_plain(entity),
+                                  "descriptor": descriptor_to_plain(desc)}))
+            else:
+                print(sexpr.dumps(m.EntityDescriptor(entity, desc), compact=True))
     return EXIT_OK
 
 
@@ -327,9 +332,9 @@ def cmd_decode_sparql(args) -> int:
 
 
 def cmd_sparql(args) -> int:
-    store = build_store(args.store, _options(args), args.parallel, args.lenient)
     text = args.query if args.query else sys.stdin.read()
-    json.dump(answer(store, text), sys.stdout, indent=2)
+    with opened_store(args) as store:
+        json.dump(answer(store, text), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return EXIT_OK
 
@@ -347,8 +352,6 @@ def parse_query_line(line: str) -> tuple[m.FilterPattern, int | None]:
 
 
 def cmd_bench(args) -> int:
-    store = build_store(args.store, _options(args, cache=False),
-                        args.parallel, args.lenient)
     queries = []
     with open(args.queries, "r", encoding="utf-8") as fh:
         for i, line in enumerate(fh, start=1):
@@ -357,7 +360,8 @@ def cmd_bench(args) -> int:
                 continue
             pattern, limit = parse_query_line(line)
             queries.append((str(i), pattern, limit))
-    rows = bench_mod.run_benchmark(store, queries, args.runs)
+    with opened_store(args, cache=False) as store:
+        rows = bench_mod.run_benchmark(store, queries, args.runs)
     out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)

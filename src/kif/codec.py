@@ -609,9 +609,7 @@ def _subject_slot(pattern: m.FilterPattern, patterns: list):
     return None, svar
 
 
-def _value_slot(pattern: m.FilterPattern, patterns: list, object_term: Term | None):
-    if object_term is not None:
-        return object_term, None
+def _value_slot(pattern: m.FilterPattern, patterns: list):
     if isinstance(pattern.value, m.EntityFp):
         return IriTerm(pattern.value.entity.iri.value), None
     vvar = Var("v")
@@ -650,15 +648,14 @@ def select_query(patterns: list[TriplePattern], projected: list[Var | None],
     return SelectQuery(tuple(names), tuple(patterns), values=values, filters=filters)
 
 
-def compile_truthy_plan(pattern: m.FilterPattern,
-                        object_term: Term | None = None) -> FilterPlan:
+def compile_truthy_plan(pattern: m.FilterPattern) -> FilterPlan:
     """Query for the truthy triples ``S wdt:X V`` of *pattern*; with the
     property unbound, ``S ?p V`` and the filter ``STRSTARTS(STR(?p), wdt:)``,
     which keeps only the truthy predicates. A some-value-only mask keeps the
     ``wdgenid:`` objects of ``?v``."""
     patterns: list[TriplePattern] = []
     s_const, s_var = _subject_slot(pattern, patterns)
-    o_const, o_var = _value_slot(pattern, patterns, object_term)
+    o_const, o_var = _value_slot(pattern, patterns)
     plocal = _property_local_of(pattern)
     p_slot = IriTerm(ns.WDT + plocal) if plocal else Var("p")
     main = TriplePattern(s_const or s_var, p_slot, o_const if o_const is not None else o_var)
@@ -671,8 +668,7 @@ def compile_truthy_plan(pattern: m.FilterPattern,
     return FilterPlan("truthy", query, s_const, plocal, o_const)
 
 
-def compile_full_plan(pattern: m.FilterPattern,
-                      object_term: Term | None = None) -> FilterPlan:
+def compile_full_plan(pattern: m.FilterPattern) -> FilterPlan:
     """Query for the statement nodes that may carry statements of *pattern*,
     in one of two forms (S is the subject slot, V the value slot):
 
@@ -697,8 +693,7 @@ def compile_full_plan(pattern: m.FilterPattern,
     other subject) keep the plain forms, where the node triples would cost
     more pages than the node fetches they save.
     """
-    return _statement_plan(pattern, object_term,
-                           pattern.snak_kinds == {m.SnakKind.NO_VALUE})
+    return _statement_plan(pattern, pattern.snak_kinds == {m.SnakKind.NO_VALUE})
 
 
 def compile_novalue_plan(pattern: m.FilterPattern) -> FilterPlan:
@@ -706,11 +701,10 @@ def compile_novalue_plan(pattern: m.FilterPattern) -> FilterPlan:
     *pattern*: ``S p:X ?w . ?w rdf:type wdno:X``; with the property unbound,
     ``S ?p ?w . ?w rdf:type ?n`` and, besides the ``p:P`` filter on ``?p``,
     ``STRSTARTS(STR(?n), wdno:)``."""
-    return _statement_plan(pattern, None, True)
+    return _statement_plan(pattern, True)
 
 
-def _statement_plan(pattern: m.FilterPattern, object_term: Term | None,
-                    no_value: bool) -> FilterPlan:
+def _statement_plan(pattern: m.FilterPattern, no_value: bool) -> FilterPlan:
     some_value = not no_value and pattern.snak_kinds == {m.SnakKind.SOME_VALUE}
     patterns: list[TriplePattern] = []
     s_const, s_var = _subject_slot(pattern, patterns)
@@ -720,7 +714,7 @@ def _statement_plan(pattern: m.FilterPattern, object_term: Term | None,
     link = TriplePattern(s_const or s_var, IriTerm(ns.P + plocal) if plocal else p_var, wvar)
     filters: tuple[tuple[str, str], ...] = ()
     o_const = None
-    if object_term is None and pattern.value is None and not some_value:
+    if pattern.value is None and not some_value:
         shape = "node"
         patterns.insert(0, link)
         if no_value:
@@ -731,7 +725,7 @@ def _statement_plan(pattern: m.FilterPattern, object_term: Term | None,
         projected = [s_var, p_var, wvar]
     else:
         shape = "full"
-        o_const, o_var = _value_slot(pattern, patterns, object_term)
+        o_const, o_var = _value_slot(pattern, patterns)
         if some_value and o_var is not None:
             filters = (("v", ns.WDGENID),)
         q_var = None if plocal else Var("q")

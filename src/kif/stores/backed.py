@@ -15,20 +15,25 @@ an entity send these queries:
 
 - filter or count, property bound or not: the candidate query, then the
   truthy query; the no-value statements come from the candidate rows (2);
-- contains: the candidate query for the statement's value, or for its kind
-  if it is a some-value statement, then the truthy query unless the first
-  found it (1 or 2); for a no-value statement, the candidate query of its
-  no-value nodes (1);
-- get_annotations: per statement, its candidate query as for contains,
+- contains: Store._contains reads the filter of the statement's subject,
+  property and snak kind until it meets the statement: the candidate
+  query, then the truthy query unless a node carries the statement (1 or
+  2); for a no-value statement, the candidate query of its no-value nodes
+  (1);
+- get_annotations: per statement, the candidate query as for contains,
   then the truthy probe unless a node carries the claim (1 or 2; 2 for a
   some-value statement; 1 for a no-value statement);
 - get_descriptor: one query per 50 entities for labels, descriptions and
   aliases together (1); PagedStore reads them, so the mapper store's
   labels take the same query.
 
-Each adds one node fetch per level of linked nodes it reads: the deep value
-nodes for filter, count and contains; for get_annotations, the deep value,
-qualifier value and reference nodes, then the reference value nodes. A
+No point read puts a value into a query: it reads every statement node of
+its subject and property, as filter does, and compares canonical values.
+
+Each operation adds one node fetch per level of linked nodes it reads: the
+deep value nodes for filter, count and contains; for get_annotations, the
+deep value, qualifier value and reference nodes, then the reference value
+nodes. A
 scan (no subject, or a snak fingerprint), and a filter on an entity that
 constrains the value but not the property, keep the plain candidate query
 and fetch their statement nodes in batches of 50. Such a fetch returns
@@ -93,13 +98,6 @@ def _local(term: Term | None, prefix: str) -> str | None:
     return WIKIDATA.local(term.value, prefix) if isinstance(term, IriTerm) else None
 
 
-def _lookup_object(stmt: m.Statement) -> Term | None:
-    """The object a lookup of *stmt* matches: the simple value of a value
-    snak. The other kinds are looked up by kind, since a graph names its
-    unknown values with IRIs of its own."""
-    return m.simple_value(stmt.snak.value) if isinstance(stmt.snak, m.ValueSnak) else None
-
-
 def _add_triple(into: Graph, s: Term | None, p: Term | None, o: Term | None) -> None:
     """Add a node triple read from a result row, if the row binds one."""
     if isinstance(s, IriTerm) and isinstance(p, IriTerm) and o is not None:
@@ -126,28 +124,26 @@ class GraphBackend:
         pass
 
 
-def _term_from_json(obj: dict) -> Term | None:
-    kind = obj.get("type")
-    value = obj.get("value", "")
-    if kind == "uri":
-        return IriTerm(value)
-    if kind in ("literal", "typed-literal"):
-        lang = obj.get("xml:lang")
-        if lang:
-            return Literal(value, language=lang)
-        return Literal(value, obj.get("datatype", ns.XSD_STRING))
-    return None
-
-
-def decode_results_json(payload: dict) -> list[Row]:
-    """Decode the SPARQL results JSON format into term rows."""
+def decode_results_json(payload: dict, url: str = "") -> list[Row]:
+    """Decode the SPARQL results JSON format into term rows, leaving blank
+    nodes out; a document without ``head.vars`` or ``results.bindings``,
+    or a binding of unknown type, is a TransportError of the endpoint *url*."""
+    head, results = payload.get("head"), payload.get("results")
+    if not (isinstance(head, dict) and "vars" in head
+            and isinstance(results, dict) and "bindings" in results):
+        raise TransportError(url, "bad results payload: no head.vars or no results.bindings")
     rows = []
-    for binding in payload.get("results", {}).get("bindings", []):
+    for binding in results["bindings"]:
         row: Row = {}
         for var, obj in binding.items():
-            term = _term_from_json(obj)
-            if term is not None:
-                row[var] = term
+            kind, value, lang = obj.get("type"), obj.get("value", ""), obj.get("xml:lang")
+            if kind == "uri":
+                row[var] = IriTerm(value)
+            elif kind in ("literal", "typed-literal"):
+                row[var] = (Literal(value, language=lang) if lang
+                            else Literal(value, obj.get("datatype", ns.XSD_STRING)))
+            elif kind != "bnode":
+                raise TransportError(url, f"bad results payload: a binding of type {kind!r}")
         rows.append(row)
     return rows
 
@@ -351,7 +347,7 @@ class HttpBackend:
             snippet = payload[:500].decode("utf-8", "replace")
             raise TransportError(self.url, f"HTTP {status}: {snippet}")
         try:
-            return decode_results_json(json.loads(payload))
+            return decode_results_json(json.loads(payload), self.url)
         except (ValueError, AttributeError) as e:
             raise TransportError(self.url, f"bad results payload: {e}") from None
 
@@ -521,34 +517,31 @@ class QueryBackedStore(PagedStore):
                 limit: int | None) -> Iterator[m.Statement]:
         return (stmt for stmt, _, _ in self._candidates(pattern, None, True))
 
-    def _candidates(self, pattern: m.FilterPattern, object_term: Term | None,
+    def _candidates(self, pattern: m.FilterPattern, claim: tuple | None,
                     deep_only: bool
                     ) -> Iterator[tuple[m.Statement, Graph | None, IriTerm | None]]:
         """The statements of *pattern*, read by codec.read_statements from
         the candidate nodes (_statements) and then the truthy triples
-        (_truthy_only); each plan is compiled only when its stage starts.
-        The codec's diagnostics are logged as they arise."""
+        (_truthy_only, which *claim* may spare); each plan is compiled only
+        when its stage starts. The codec's diagnostics are logged as they
+        arise."""
         diagnostics: list[str] = []
-        batches = self._statements(codec.compile_full_plan(pattern, object_term), deep_only)
-        truthy = partial(self._truthy_only, pattern, object_term)
+        batches = self._statements(codec.compile_full_plan(pattern), deep_only)
+        truthy = partial(self._truthy_only, pattern, claim)
         for found in codec.read_statements(batches, truthy, diagnostics):
             self._warn(diagnostics)
             if m.snak_kind(found[0].snak) in pattern.snak_kinds:
                 yield found
         self._warn(diagnostics)
 
-    def _truthy_only(self, pattern: m.FilterPattern, object_term: Term | None,
+    def _truthy_only(self, pattern: m.FilterPattern, claim: tuple | None,
                      covered: set[tuple]) -> Iterator[tuple[IriTerm, str, Term]]:
         """(subject, property local, object) of the truthy triples of
-        *pattern*; none for a no-value-only mask, and no query for a point
-        probe whose claim *covered* holds."""
-        if pattern.snak_kinds == {m.SnakKind.NO_VALUE}:
+        *pattern*; none for a no-value-only mask, and no query when
+        *covered* holds *claim*, the claim_key of the one claim sought."""
+        if pattern.snak_kinds == {m.SnakKind.NO_VALUE} or claim in covered:
             return
-        plan = codec.compile_truthy_plan(pattern, object_term)
-        if (plan.subject_term and plan.property_local and plan.object_term is not None
-                and codec.claim_key(plan.subject_term.value, plan.property_local,
-                                    plan.object_term) in covered):
-            return
+        plan = codec.compile_truthy_plan(pattern)
         for row in self.select_all(plan.query):
             subject = plan.subject_term or row.get("s")
             obj = plan.object_term if plan.object_term is not None else row.get("v")
@@ -556,21 +549,20 @@ class QueryBackedStore(PagedStore):
             if isinstance(subject, IriTerm) and obj is not None and plocal:
                 yield subject, plocal, obj
 
-    # -- contains -------------------------------------------------------------------
-
-    def _contains(self, stmt: m.Statement) -> bool:
-        return any(found == stmt for found, _, _ in self._candidates(
-            claim_pattern(stmt), _lookup_object(stmt), True))
-
     # -- annotations -------------------------------------------------------------
 
     def _annotations(self, stmts):
         diagnostics: list[str] = []
         for stmt in stmts:
+            # A some-value claim is sought by kind: a truthy triple may name
+            # its unknown value otherwise than the nodes do.
+            claim = (codec.claim_key(stmt.subject.iri.value,
+                                     codec.property_local(stmt.snak.property),
+                                     codec.statement_object(stmt))
+                     if isinstance(stmt.snak, m.ValueSnak) else None)
             records = set()
-            for found, node_graph, wds in self._candidates(
-                    claim_pattern(stmt), _lookup_object(stmt), False):
-                if found.snak == stmt.snak:
+            for found, node_graph, wds in self._candidates(claim_pattern(stmt), claim, False):
+                if found == stmt:
                     records.add(m.AnnotationRecord() if wds is None else
                                 codec.assemble_annotation(node_graph, wds, diagnostics))
                     self._warn(diagnostics)

@@ -335,3 +335,46 @@ def test_snak_kind_names_read_and_written_by_the_cli(data_dir, capsys):
                        (m.NoValueSnak(pf.award), "no-value")):
         assert snak_to_plain(snak) == {"kind": kind, "property": pf.award.iri.value}
         assert list(snak_to_plain(snak)) == ["kind", "property"]
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """The HTTP handles and mixers the CLI makes, and the handles closed."""
+    from kif.mixer import MixerStore
+    from kif.stores import HttpBackend
+    made = {"backends": [], "mixers": [], "closed": []}
+    for cls, key in ((HttpBackend, "backends"), (MixerStore, "mixers")):
+        init = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, init=init, key=key, **k:
+                            made[key].append(self) or init(self, *a, **k))
+    close = HttpBackend.close
+    monkeypatch.setattr(HttpBackend, "close",
+                        lambda self: made["closed"].append(self) or close(self))
+    return made
+
+
+def test_every_command_closes_the_stores_it_opens(tmp_path, capsys, opened):
+    queries = tmp_path / "queries.txt"
+    queries.write_text("--subject wd:Q2270\n", encoding="utf-8")
+    with serve(codec.encode_dataset(pf.wikidata_pairs(), pf.wikidata_descriptors())) as server:
+        stores = ["--store", f"sparql:{server.url}", "--store", f"sparql:{server.url}"]
+        for argv in (["filter", "--subject", "wd:Q2270", "--annotations"],
+                     ["count", "--subject", "wd:Q2270"],
+                     ["annotations", sexpr.dumps(pf.mass_statement, compact=True)],
+                     ["describe", "wd:Q7286"],
+                     ["sparql", "--query", "SELECT ?v WHERE { wd:Q2270 wdt:P2067 ?v }"],
+                     ["bench", "--queries", str(queries), "--runs", "1"]):
+            for parallel in ([], ["--parallel"]):
+                del opened["backends"][:], opened["mixers"][:], opened["closed"][:]
+                code, out, err = run(capsys, *argv, *stores, *parallel)
+                assert code == 0 and out, (argv, err)
+                backends = opened["backends"]
+                assert len(backends) == 2 and opened["closed"] == backends[::-1], argv
+                assert all(not backend._open for backend in backends), argv
+                (mixer,) = opened["mixers"]
+                assert mixer._pool is None or mixer._pool._shutdown, argv
+        # A spec that fails closes the stores opened before it.
+        del opened["backends"][:], opened["closed"][:]
+        code, _, err = run(capsys, "count", *stores, "--store", "bogus:x")
+        assert code == 2 and "unknown store kind" in err
+        assert len(opened["backends"]) == 2 and opened["closed"] == opened["backends"][::-1]

@@ -8,7 +8,7 @@ from kif import namespaces as ns
 from kif.rdf.ntriples import serialize_ntriples
 from kif.rdf.sparql import serialize_query
 from kif.rdf.terms import Graph, IriTerm, Literal, Triple
-from kif.stores import RdfStore
+from kif.stores import MemoryStore, RdfStore
 
 import paper_fixtures as pf
 from randgen import WD, ModelGen
@@ -310,9 +310,13 @@ def test_compile_filter_full_level_targets_statement_nodes():
     text = serialize_query(codec.compile_full_plan(pattern).query)
     assert ns.P + "P2177" in text and "?w ?q ?o" in text
     assert ns.PS + "P2177" not in text
-    value = m.simple_value(pf.solubility_statement.snak.value)
-    text = serialize_query(codec.compile_full_plan(pattern, value).query)
-    assert ns.P + "P2177" in text and ns.PS + "P2177" in text and "?w ?q ?o" in text
+    # An entity value is matched in the query, on the nodes' ps: values.
+    pattern = m.FilterPattern(m.EntityFp(pf.marie), m.EntityFp(pf.award),
+                              m.EntityFp(pf.nobel_physics))
+    plan = codec.compile_full_plan(pattern)
+    text = serialize_query(plan.query)
+    assert plan.object_term == IriTerm(pf.nobel_physics.iri.value)
+    assert ns.P + "P166" in text and ns.PS + "P166" in text and "?w ?q ?o" in text
 
 
 def test_compile_annotations_resolves_statement_nodes(monkeypatch):
@@ -321,10 +325,14 @@ def test_compile_annotations_resolves_statement_nodes(monkeypatch):
     select = store._backend.select
     monkeypatch.setattr(store._backend, "select",
                         lambda q: sent.append(q) or select(q))
-    list(store.get_annotations([pf.solubility_statement, pf.mass_statement]))
+    probes = [pf.solubility_statement, pf.mass_statement]
+    assert dict(store.get_annotations(probes)) == \
+        dict(MemoryStore(pf.wikidata_pairs()).get_annotations(probes))
+    # The first query reads the statement nodes of the subject and property
+    # with their triples, without the value: it is compared in the store.
     text = serialize_query(sent[0])
-    assert ns.P + "P2177" in text and ns.PS + "P2177" in text
-    assert '"0.07"' in text
+    assert ns.P + "P2177" in text and "?w ?q ?o" in text
+    assert ns.PS + "P2177" not in text and '"0.07"' not in text
 
 
 def test_truthy_graph_contains_only_direct_claims():

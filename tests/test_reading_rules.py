@@ -126,8 +126,12 @@ def _damaged_graph(seed: int) -> Graph:
 def test_a_damaged_graph_reads_the_same_in_every_operation():
     # Among the damage: a ps: value that no longer matches its psv: deep
     # value, a wdno: object in a ps: or wdt: triple, a lost statement node
-    # whose truthy triple stays.
-    assert _failures([_damaged_graph(seed) for seed in SEEDS]) == []
+    # whose truthy triple stays. Seeds 53 to 103 re-point a ps: or wdt:
+    # object to a literal in another lexical form of a value, such as
+    # "-120"^^xsd:integer for the amount -120, which contains and
+    # get_annotations must find as filter does.
+    seeds = [*SEEDS, 53, 57, 65, 71, 90, 103]
+    assert _failures([_damaged_graph(seed) for seed in seeds]) == []
 
 
 def test_a_truthy_graph_reads_the_same_in_every_operation():
@@ -255,8 +259,21 @@ def test_get_annotations_sends_the_truthy_probe_only_for_a_claim_no_node_carries
     truthy_only = m.Statement(subject, m.ValueSnak(prop, m.Item(WD + "Q3")))
     graph = codec.encode_dataset([(noded, m.AnnotationRecord())])
     graph.update(codec.truthy_graph([(truthy_only, m.AnnotationRecord())]))
-    store = RdfStore(graph, StoreOptions(page_size=100))
+    # Both probes read the same nodes, so only with the cache off does the
+    # second one send its node read again.
+    store = RdfStore(graph, StoreOptions(page_size=100, cache_enabled=False))
     for stmt, requests in ((noded, 1), (truthy_only, 2)):
         before = store.request_count
         assert dict(store.get_annotations([stmt])) == {stmt: frozenset({m.AnnotationRecord()})}
         assert store.request_count - before == requests
+
+
+def test_a_some_value_claim_sends_its_truthy_probe_though_a_node_carries_it():
+    # A wdt: triple may name an unknown value otherwise than the statement
+    # node does; that claim is a statement of its own, with a default record.
+    stmt = m.Statement(m.Item(WD + "Q1"), m.SomeValueSnak(m.Property(WD + "P1")))
+    graph = codec.encode_dataset([(stmt, m.AnnotationRecord(rank=m.Rank.PREFERRED))])
+    graph.add(Triple(IriTerm(WD + "Q1"), IriTerm(ns.WDT + "P1"), IriTerm(ns.WDGENID + "other")))
+    assert {es.annotation for es in codec.decode(graph).statements} == \
+        {m.AnnotationRecord(rank=m.Rank.PREFERRED), m.AnnotationRecord()}
+    assert _failures([graph]) == []
