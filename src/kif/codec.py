@@ -570,10 +570,6 @@ def _aux_patterns(fp: m.SnakFp | m.SnakSetFp, var: Var) -> list[TriplePattern]:
     """Fingerprint snaks become truthy-level auxiliary patterns on *var*."""
     patterns = []
     for snak in fp.snaks:
-        if not isinstance(snak, m.ValueSnak):
-            raise m.FingerprintError(
-                "fingerprint snaks must be value snaks; cannot compile "
-                f"{type(snak).__name__}")
         local = property_local(snak.property)
         patterns.append(TriplePattern(var, IriTerm(ns.WDT + local),
                                       m.simple_value(snak.value)))
@@ -600,32 +596,19 @@ class FilterPlan:
     folded: bool = False
 
 
-def _subject_slot(pattern: m.FilterPattern, patterns: list):
-    if isinstance(pattern.subject, m.EntityFp):
-        return IriTerm(pattern.subject.entity.iri.value), None
-    svar = Var("s")
-    if pattern.subject is not None:
-        patterns.extend(_aux_patterns(pattern.subject, svar))
-    return None, svar
-
-
-def _value_slot(pattern: m.FilterPattern, patterns: list):
-    if isinstance(pattern.value, m.EntityFp):
-        return IriTerm(pattern.value.entity.iri.value), None
-    vvar = Var("v")
-    if pattern.value is not None:
-        patterns.extend(_aux_patterns(pattern.value, vvar))
-    return None, vvar
+def _slot(fp: m.Fingerprint | None, name: str, patterns: list):
+    if isinstance(fp, m.EntityFp):
+        return IriTerm(fp.entity.iri.value), None
+    var = Var(name)
+    if fp is not None:
+        patterns.extend(_aux_patterns(fp, var))
+    return None, var
 
 
 def _property_local_of(pattern: m.FilterPattern) -> str | None:
     if pattern.property is None:
         return None
-    assert isinstance(pattern.property, m.EntityFp)
-    entity = pattern.property.entity
-    if not isinstance(entity, m.Property):
-        raise m.FingerprintError("property fingerprint must hold a Property entity")
-    return property_local(entity)
+    return property_local(pattern.property.entity)
 
 
 def select_query(patterns: list[TriplePattern], projected: list[Var | None],
@@ -654,8 +637,8 @@ def compile_truthy_plan(pattern: m.FilterPattern) -> FilterPlan:
     which keeps only the truthy predicates. A some-value-only mask keeps the
     ``wdgenid:`` objects of ``?v``."""
     patterns: list[TriplePattern] = []
-    s_const, s_var = _subject_slot(pattern, patterns)
-    o_const, o_var = _value_slot(pattern, patterns)
+    s_const, s_var = _slot(pattern.subject, "s", patterns)
+    o_const, o_var = _slot(pattern.value, "v", patterns)
     plocal = _property_local_of(pattern)
     p_slot = IriTerm(ns.WDT + plocal) if plocal else Var("p")
     main = TriplePattern(s_const or s_var, p_slot, o_const if o_const is not None else o_var)
@@ -707,7 +690,7 @@ def compile_novalue_plan(pattern: m.FilterPattern) -> FilterPlan:
 def _statement_plan(pattern: m.FilterPattern, no_value: bool) -> FilterPlan:
     some_value = not no_value and pattern.snak_kinds == {m.SnakKind.SOME_VALUE}
     patterns: list[TriplePattern] = []
-    s_const, s_var = _subject_slot(pattern, patterns)
+    s_const, s_var = _slot(pattern.subject, "s", patterns)
     plocal = _property_local_of(pattern)
     wvar = Var("w")
     p_var = None if plocal else Var("p")
@@ -725,7 +708,7 @@ def _statement_plan(pattern: m.FilterPattern, no_value: bool) -> FilterPlan:
         projected = [s_var, p_var, wvar]
     else:
         shape = "full"
-        o_const, o_var = _value_slot(pattern, patterns)
+        o_const, o_var = _slot(pattern.value, "v", patterns)
         if some_value and o_var is not None:
             filters = (("v", ns.WDGENID),)
         q_var = None if plocal else Var("q")

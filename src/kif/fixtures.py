@@ -7,8 +7,6 @@ forms, and ``(EntityDescriptor entity descriptor)`` forms.
 
 from __future__ import annotations
 
-from typing import IO
-
 from . import model as m
 from . import sexpr
 
@@ -39,11 +37,10 @@ def parse_fixture(text: str) -> tuple[list[Pair], dict[m.Entity, m.Descriptor]]:
     return pairs, descriptors
 
 
-def load_fixture(source: str | IO[str]) -> tuple[list[Pair], dict[m.Entity, m.Descriptor]]:
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return parse_fixture(fh.read())
-    return parse_fixture(source.read())
+def load_fixture(path: str) -> tuple[list[Pair], dict[m.Entity, m.Descriptor]]:
+    """Parse the fixture file at *path* (UTF-8 text)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_fixture(fh.read())
 
 
 def dump_fixture(pairs: list[Pair],

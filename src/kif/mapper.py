@@ -287,8 +287,6 @@ def _subject_patterns(spec: MappingSpec, fp: m.Fingerprint) -> list[TriplePatter
     if unmappable."""
     patterns = []
     for snak in fp.snaks:
-        if not isinstance(snak, m.ValueSnak):
-            return None
         rule = spec.rule_for(snak.property)
         encoded = rule.codec.encode(snak.value) if rule is not None else None
         if encoded is None:
@@ -323,9 +321,7 @@ def translate_pattern(spec: MappingSpec,
 
     values: tuple[ValuesBlock, ...] = ()
     if pattern.property is not None:
-        assert isinstance(pattern.property, m.EntityFp)
-        prop = pattern.property.entity
-        rule = spec.rule_for(prop) if isinstance(prop, m.Property) else None
+        rule = spec.rule_for(pattern.property.entity)
         if rule is None:
             return None
         predicate_slot: IriTerm | Var = IriTerm(rule.source_predicate)

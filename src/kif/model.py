@@ -369,10 +369,7 @@ class AnnotationRecord:
             raise ModelError(f"rank must be a Rank, got {self.rank!r}")
 
     def with_extra_references(self, extra: Iterable[ReferenceRecord]) -> "AnnotationRecord":
-        extra = tuple(extra)
-        if not extra:
-            return self
-        return AnnotationRecord(self.qualifiers, self.references + extra, self.rank)
+        return AnnotationRecord(self.qualifiers, self.references + tuple(extra), self.rank)
 
 
 @dataclass(frozen=True, slots=True)
@@ -474,7 +471,8 @@ class FilterPattern:
     The all-absent pattern is legal and matches everything. A value
     fingerprint forces the mask to {value}. Property fingerprints must name
     the property directly (EntityFp); identifying properties through snaks
-    is not supported and is rejected here.
+    is not supported and is rejected here. This is the one check: the codec,
+    the mapper and the stores rely on it and do not repeat it.
     """
 
     subject: Fingerprint | None = None
@@ -518,8 +516,9 @@ def _opt(key: tuple | None) -> tuple:
 
 
 def canonical_key(x: object) -> tuple:
-    """Recursive sort key; a total order over model objects, consistent
-    with structural equality and stable across processes."""
+    """Recursive sort key; a total order over IRIs, entities, values, snaks,
+    statements, records, ranks and descriptors, consistent with structural
+    equality and stable across processes."""
     if isinstance(x, Iri):
         return (0, x.value)
     if isinstance(x, Item):
@@ -560,17 +559,6 @@ def canonical_key(x: object) -> tuple:
         return (14, _opt(canonical_key(x.label) if x.label else None),
                 _opt(canonical_key(x.description) if x.description else None),
                 tuple(canonical_key(a) for a in x.aliases))
-    if isinstance(x, EntityFp):
-        return (15, canonical_key(x.entity))
-    if isinstance(x, SnakFp):
-        return (16, canonical_key(x.snak))
-    if isinstance(x, SnakSetFp):
-        return (17, tuple(canonical_key(s) for s in x.snaks))
-    if isinstance(x, FilterPattern):
-        return (18, _opt(canonical_key(x.subject) if x.subject else None),
-                _opt(canonical_key(x.property) if x.property else None),
-                _opt(canonical_key(x.value) if x.value else None),
-                tuple(sorted(k.value for k in x.snak_kinds)))
     raise ModelError(f"object has no canonical order: {x!r}")
 
 
@@ -622,9 +610,7 @@ class AnnotatedStatement:
     annotations: tuple[AnnotationRecord, ...]
 
     def __init__(self, statement: Statement,
-                 annotations: Iterable[AnnotationRecord] | AnnotationRecord = ()) -> None:
-        if isinstance(annotations, AnnotationRecord):
-            annotations = (annotations,)
+                 annotations: Iterable[AnnotationRecord] = ()) -> None:
         object.__setattr__(self, "statement", statement)
         object.__setattr__(
             self, "annotations",

@@ -33,15 +33,16 @@ its subject and property, as filter does, and compares canonical values.
 Each operation adds one node fetch per level of linked nodes it reads: the
 deep value nodes for filter, count and contains; for get_annotations, the
 deep value, qualifier value and reference nodes, then the reference value
-nodes. A
-scan (no subject, or a snak fingerprint), and a filter on an entity that
-constrains the value but not the property, keep the plain candidate query
-and fetch their statement nodes in batches of 50. Such a fetch returns
-only the triples that decide a main snak: its query keeps ``?p`` under
-``ps:`` (which holds ``psv:``) or ``rdf:type`` with one OR filter, so
-ranks, qualifiers and references are not sent. The deep value nodes are
-then fetched whole. The candidate query of a no-value statement's
-annotations reads only the nodes typed as its no-value statements.
+nodes. A scan (no subject, or a snak fingerprint), and a filter on an
+entity that constrains the value but not the property, keep the plain
+candidate query and fetch their statement nodes in batches of 50. Such a
+fetch returns only the triples that decide a main snak: its query keeps
+``?p`` under ``ps:`` (which holds ``psv:``) or ``rdf:type`` with one OR
+filter, so ranks, qualifiers and references are not sent. The deep value
+nodes a ``psv:`` link reaches are then fetched whole, even a node that the
+batch also holds as a statement node, whose main-snak fetch left out its
+value triples. The candidate query of a no-value statement's annotations
+reads only the nodes typed as its no-value statements.
 
 Every operation reads its statements through one generator,
 QueryBackedStore._candidates, which feeds codec.read_statements, the
@@ -124,26 +125,36 @@ class GraphBackend:
         pass
 
 
-def decode_results_json(payload: dict, url: str = "") -> list[Row]:
+def decode_results_json(payload: object, url: str = "") -> list[Row]:
     """Decode the SPARQL results JSON format into term rows, leaving blank
-    nodes out; a document without ``head.vars`` or ``results.bindings``,
-    or a binding of unknown type, is a TransportError of the endpoint *url*."""
-    head, results = payload.get("head"), payload.get("results")
+    nodes out; a document of another shape, or a term of unknown type, is a
+    TransportError of the endpoint *url*."""
+    def bad(why: str) -> TransportError:
+        return TransportError(url, f"bad results payload: {why}")
+
+    document = payload if isinstance(payload, dict) else {}
+    head, results = document.get("head"), document.get("results")
     if not (isinstance(head, dict) and "vars" in head
-            and isinstance(results, dict) and "bindings" in results):
-        raise TransportError(url, "bad results payload: no head.vars or no results.bindings")
+            and isinstance(results, dict) and isinstance(results.get("bindings"), list)):
+        raise bad("no head.vars or no results.bindings array")
     rows = []
     for binding in results["bindings"]:
+        if not isinstance(binding, dict):
+            raise bad("a binding that is not an object")
         row: Row = {}
         for var, obj in binding.items():
-            kind, value, lang = obj.get("type"), obj.get("value", ""), obj.get("xml:lang")
+            term = obj if isinstance(obj, dict) else {}
+            kind, value, lang = term.get("type"), term.get("value"), term.get("xml:lang")
+            datatype = term.get("datatype", ns.XSD_STRING)
+            if not (isinstance(value, str) and isinstance(datatype, str)
+                    and (lang is None or isinstance(lang, str))):
+                raise bad(f"the term of {var!r} is not an object of string members")
             if kind == "uri":
                 row[var] = IriTerm(value)
             elif kind in ("literal", "typed-literal"):
-                row[var] = (Literal(value, language=lang) if lang
-                            else Literal(value, obj.get("datatype", ns.XSD_STRING)))
+                row[var] = Literal(value, language=lang) if lang else Literal(value, datatype)
             elif kind != "bnode":
-                raise TransportError(url, f"bad results payload: a binding of type {kind!r}")
+                raise bad(f"a binding of type {kind!r}")
         rows.append(row)
     return rows
 
@@ -348,7 +359,7 @@ class HttpBackend:
             raise TransportError(self.url, f"HTTP {status}: {snippet}")
         try:
             return decode_results_json(json.loads(payload), self.url)
-        except (ValueError, AttributeError) as e:
+        except ValueError as e:
             raise TransportError(self.url, f"bad results payload: {e}") from None
 
     def describe(self) -> str:
@@ -446,12 +457,13 @@ class QueryBackedStore(PagedStore):
                 _add_triple(into, row.get("w"), row.get("p"), row.get("o"))
 
     def _fetch_statement_context(self, node_graph: Graph, wds_nodes: Iterable[IriTerm],
-                                 deep_only: bool) -> None:
+                                 deep_only: bool, whole: bool) -> None:
         """Fetch into *node_graph*, which holds the triples of the statement
-        nodes *wds_nodes*, the nodes they link to: deep value nodes always,
-        qualifier and reference nodes unless *deep_only*."""
-        fetched = set(wds_nodes)
-        frontier = fetched
+        nodes *wds_nodes* (all of them if *whole*), the nodes they link to:
+        deep value nodes always, qualifier and reference nodes unless
+        *deep_only*."""
+        frontier = set(wds_nodes)
+        fetched = set(frontier) if whole else set()
         while True:
             # Subtracting what is fetched ends the loop on cyclic graphs.
             frontier = {t.object for node in frontier for t in node_graph.match(s=node)
@@ -510,7 +522,7 @@ class QueryBackedStore(PagedStore):
             if not plan.folded:
                 node_graph = Graph()
                 self._fetch_nodes(wds_nodes, node_graph, deep_only)
-            self._fetch_statement_context(node_graph, wds_nodes, deep_only)
+            self._fetch_statement_context(node_graph, wds_nodes, deep_only, plan.folded)
             yield node_graph, batch
 
     def _filter(self, pattern: m.FilterPattern,
@@ -572,14 +584,6 @@ class QueryBackedStore(PagedStore):
 class RdfStore(QueryBackedStore):
     """Store over an embedded graph (N-Triples file or Graph)."""
 
-    @property
-    def graph(self) -> Graph:
-        return self._backend.graph
-
 
 class SparqlStore(QueryBackedStore):
     """Store over a Wikidata-compatible SPARQL endpoint."""
-
-    @property
-    def endpoint(self) -> str:
-        return self._backend.url

@@ -61,10 +61,8 @@ class MemoryStore(Store):
             return True
         if isinstance(fp, m.EntityFp):
             return fp.entity == entity
-        return all(
-            isinstance(s, m.ValueSnak)
-            and entity in self._owners.get(self._snak_key(s), ())
-            for s in fp.snaks)
+        return all(entity in self._owners.get(self._snak_key(s), ())
+                   for s in fp.snaks)
 
     def _matches(self, pattern: m.FilterPattern, stmt: m.Statement) -> bool:
         if m.snak_kind(stmt.snak) not in pattern.snak_kinds:
@@ -72,7 +70,6 @@ class MemoryStore(Store):
         if not self._entity_matches(pattern.subject, stmt.subject):
             return False
         if pattern.property is not None:
-            assert isinstance(pattern.property, m.EntityFp)
             if stmt.snak.property != pattern.property.entity:
                 return False
         if pattern.value is not None:

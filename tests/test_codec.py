@@ -194,6 +194,13 @@ def test_simple_value_lifting_is_idempotent():
         assert m.simple_value(lifted) == m.simple_value(v)
 
 
+@pytest.mark.parametrize("term", [Literal("1.2.3", ns.XSD_DECIMAL),
+                                  Literal("2024-13-45T00:00:00Z", ns.XSD_DATE_TIME)])
+def test_a_malformed_decimal_or_datetime_lifts_to_a_string_and_stays_as_it_is(term):
+    assert codec.lift_value(term) == m.StringValue(term.lexical)
+    assert codec.canonical_object_term(term) is term
+
+
 def test_every_emitted_predicate_is_in_the_namespace_table():
     gen = ModelGen(77)
     table_bases = tuple(ns.WIKIDATA.bases.values())

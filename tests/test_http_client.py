@@ -183,3 +183,18 @@ def test_a_timed_out_query_is_not_sent_again():
             backend.close()
         assert server.closed.wait(timeout=5)
     assert server.accepted == 1
+
+
+@pytest.mark.parametrize("body", [
+    b"{not json",
+    json.dumps({"head": {"vars": ["x"]}, "results": {"bindings": 5}}).encode(),
+], ids=["not JSON", "bindings not an array"])
+def test_a_malformed_results_document_is_a_transport_error(body):
+    reply = HEAD_11 + b"Content-Length: %d\r\n\r\n" % len(body) + body
+    with RawServer([(reply, True)]) as server:
+        backend = HttpBackend(server.url, timeout=5)
+        try:
+            with pytest.raises(TransportError, match="bad results payload"):
+                backend.select(QUERY)
+        finally:
+            backend.close()

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from kif import model as m
-from kif.mapper import (DecimalQuantityCodec, EntityRule, MapperStore,
+from kif.mapper import (DecimalQuantityCodec, EntityRule, IriCodec, MapperStore,
                         MappingError, MappingSpec, PropertyRule, StringCodec,
                         TextCodec, translate_pattern, translate_results)
 from kif.rdf.sparql import serialize_query
@@ -177,12 +177,30 @@ def test_mapper_soundness_only_target_properties_come_back(store):
             assert stmt.snak.property in allowed
 
 
+def _spec_of_every_codec() -> MappingSpec:
+    """A spec with an iri codec, a text codec of a non-default language and
+    a decimal-quantity codec that carries a unit."""
+    return MappingSpec("codecs", (), (
+        PropertyRule(m.Property(WD + "P1"), "http://x.org/home", IriCodec()),
+        PropertyRule(m.Property(WD + "P2"), "http://x.org/name", TextCodec("pt")),
+        PropertyRule(m.Property(WD + "P3"), "http://x.org/mass",
+                     DecimalQuantityCodec(m.Item(WD + "Q11570"))),
+    ))
+
+
 def test_mapping_spec_json_round_trip(tmp_path):
-    spec = pf.pubchem_mapping()
-    path = tmp_path / "pubchem.json"
-    path.write_text(json.dumps(spec.to_dict()), encoding="utf-8")
-    loaded = MappingSpec.load(str(path))
-    assert loaded == spec
+    for spec in (pf.pubchem_mapping(), _spec_of_every_codec()):
+        path = tmp_path / f"{spec.name}.json"
+        path.write_text(json.dumps(spec.to_dict()), encoding="utf-8")
+        loaded = MappingSpec.load(str(path))
+        assert loaded == spec
+
+
+def test_an_unknown_codec_kind_is_a_mapping_error():
+    data = _spec_of_every_codec().to_dict()
+    data["property_rules"][0]["codec"] = {"kind": "date"}
+    with pytest.raises(MappingError, match="unknown value codec kind 'date'"):
+        MappingSpec.from_dict(data)
 
 
 def test_mapping_spec_validation():
