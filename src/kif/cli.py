@@ -22,12 +22,11 @@ from . import bench as bench_mod
 from . import codec, fixtures
 from . import model as m
 from . import sexpr
-from .decoder import DecoderError, answer, decode
-from .mapper import MapperStore, MappingError, MappingSpec
+from .decoder import answer, decode
+from .mapper import MapperStore, MappingSpec
 from .mixer import MixerChildError, MixerStore
-from .rdf.ntriples import NTriplesError, parse_ntriples, serialize_ntriples
+from .rdf.ntriples import parse_ntriples, serialize_ntriples
 from .rdf.server import serve
-from .rdf.sparql import SparqlError
 from .stores import (MemoryStore, RdfStore, SparqlStore, Store, StoreError,
                      StoreOptions, TransportError)
 
@@ -482,10 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_USAGE_ERRORS = (CliError, m.ModelError, sexpr.SexprError, SparqlError,
-                 DecoderError, codec.CodecError, MappingError,
-                 fixtures.FixtureError, NTriplesError, ValueError,
-                 OSError, json.JSONDecodeError)
+# The package's reader, model and mapping errors are all ValueErrors.
+_USAGE_ERRORS = (CliError, ValueError, OSError, StoreError)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -501,9 +498,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"kif: {e}", file=sys.stderr)
         return EXIT_TRANSPORT if isinstance(root, TransportError) else EXIT_USAGE
     except _USAGE_ERRORS as e:
-        print(f"kif: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except StoreError as e:
         print(f"kif: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -135,8 +135,9 @@ class DecimalQuantityCodec(ValueCodec):
     kind = "decimal-quantity"
 
     def encode(self, value: m.Value) -> Term | None:
-        if isinstance(value, m.Quantity) and value.unit == self.unit \
-                and value.lower is None and value.upper is None:
+        # The quantity this codec would decode from its amount: its unit
+        # and no bounds, so a codec of wd:Q199 takes unitless amounts.
+        if isinstance(value, m.Quantity) and value == m.Quantity(value.amount, self.unit):
             return Literal(m.decimal_lexical(value.amount), XSD_DECIMAL)
         return None
 
@@ -174,17 +175,41 @@ class TextCodec(ValueCodec):
         return {"kind": self.kind, "language": self.language}
 
 
-def _codec_from_spec(spec: dict) -> ValueCodec:
+_JSON_TYPES = {str: "a string", list: "a list", dict: "an object"}
+_REQUIRED = object()
+
+
+def _member(obj: dict, key: str, typ: type, where: str, default=_REQUIRED):
+    """The *key* member of *obj*, which *where* names: a *typ*, or *default*
+    when absent or null. No default makes the member required."""
+    val = obj.get(key)
+    if val is None and default is not _REQUIRED:
+        return default
+    if not isinstance(val, typ):
+        raise MappingError(f"{where} has no {key!r}" if val is None else
+                           f"{where}: {key!r} must be {_JSON_TYPES[typ]}, got {val!r}")
+    return val
+
+
+def _rules(data: dict, key: str) -> Iterator[tuple[str, dict]]:
+    """Each object of the *key* list of a mapping document, with its name."""
+    for i, rule in enumerate(_member(data, key, list, "the mapping document", [])):
+        if not isinstance(rule, dict):
+            raise MappingError(f"{key}[{i}] must be an object, got {rule!r}")
+        yield f"{key}[{i}]", rule
+
+
+def _codec_from_spec(spec: dict, where: str) -> ValueCodec:
     kind = spec.get("kind")
     if kind == "string":
         return StringCodec()
     if kind == "iri":
         return IriCodec()
     if kind == "decimal-quantity":
-        unit = spec.get("unit")
+        unit = _member(spec, "unit", str, where, None)
         return DecimalQuantityCodec(m.Item(unit) if unit else None)
     if kind == "text":
-        return TextCodec(spec.get("language", "en"))
+        return TextCodec(_member(spec, "language", str, where, "en"))
     raise MappingError(f"unknown value codec kind {kind!r}")
 
 
@@ -243,15 +268,22 @@ class MappingSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MappingSpec":
+        """The spec of a mapping document; one of the wrong shape raises
+        MappingError naming its bad member."""
+        if not isinstance(data, dict):
+            raise MappingError(f"a mapping document must be an object, got {data!r}")
         entity_rules = tuple(
-            EntityRule(r["source"], r["target"])
-            for r in data.get("entity_rules", []))
+            EntityRule(_member(r, "source", str, at), _member(r, "target", str, at))
+            for at, r in _rules(data, "entity_rules"))
         property_rules = tuple(
-            PropertyRule(m.Property(r["property"]), r["source_predicate"],
-                         _codec_from_spec(r.get("codec", {"kind": "string"})))
-            for r in data.get("property_rules", []))
-        return cls(data.get("name", "mapping"), entity_rules, property_rules,
-                   data.get("label_predicate"))
+            PropertyRule(m.Property(_member(r, "property", str, at)),
+                         _member(r, "source_predicate", str, at),
+                         _codec_from_spec(_member(r, "codec", dict, at, {"kind": "string"}),
+                                          f"{at}.codec"))
+            for at, r in _rules(data, "property_rules"))
+        where = "the mapping document"
+        return cls(_member(data, "name", str, where, "mapping"), entity_rules, property_rules,
+                   _member(data, "label_predicate", str, where, None))
 
     @classmethod
     def load(cls, path: str) -> "MappingSpec":

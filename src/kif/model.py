@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from typing import Iterable
 
-from .namespaces import RDF_LANG_STRING, XSD_DATE_TIME, XSD_DECIMAL, XSD_STRING
+from .namespaces import RDF_LANG_STRING, WD_UNIT_ONE, XSD_DATE_TIME, XSD_DECIMAL, XSD_STRING
 from .rdf.terms import IriTerm, Literal, Term
 
 
@@ -126,7 +126,7 @@ class StringValue(Value):
 
 @dataclass(frozen=True, slots=True)
 class Quantity(Value):
-    """Exact-decimal amount with optional unit item and bounds."""
+    """Exact-decimal amount with optional unit item and bounds; unit wd:Q199 is none."""
 
     amount: Decimal
     unit: Item | None = None
@@ -135,8 +135,11 @@ class Quantity(Value):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "amount", _to_decimal(self.amount, "amount"))
-        if self.unit is not None and not isinstance(self.unit, Item):
-            raise ModelError(f"quantity unit must be an Item, got {self.unit!r}")
+        if self.unit is not None:
+            if not isinstance(self.unit, Item):
+                raise ModelError(f"quantity unit must be an Item, got {self.unit!r}")
+            if self.unit.iri.value == WD_UNIT_ONE:
+                object.__setattr__(self, "unit", None)
         if self.lower is not None:
             object.__setattr__(self, "lower", _to_decimal(self.lower, "lower bound"))
             if self.lower > self.amount:

@@ -124,3 +124,6 @@ WIKIBASE_TIME_VALUE = WIKIBASE + "timeValue"
 WIKIBASE_TIME_PRECISION = WIKIBASE + "timePrecision"
 WIKIBASE_TIME_TIMEZONE = WIKIBASE + "timeTimezone"
 WIKIBASE_TIME_CALENDAR = WIKIBASE + "timeCalendarModel"
+
+# The unit "1" that Wikibase gives a unitless amount; kif reads it as no unit.
+WD_UNIT_ONE = WD + "Q199"

@@ -10,8 +10,9 @@ few lines of code and writing each response in one write:
 - Connections are kept alive under HTTP/1.1. A request with
   ``Connection: close``, or an HTTP/1.0 request without
   ``Connection: keep-alive``, is answered and the connection closed.
-- A POST body is delimited by its ``Content-Length``; an invalid one is
-  answered with 400, one over 1 MiB with 413, and the connection closed.
+- Every body, GET's too, is delimited by its ``Content-Length``: an invalid
+  one, or a body that ends short of it, gets 400, one over 1 MiB 413, and a
+  ``Transfer-Encoding`` 411; each closes the connection.
   ``Expect: 100-continue`` is answered with an interim 100 before the body
   is read.
 - A request line over 65536 bytes gets 414; a header line over 65536 bytes,
@@ -71,6 +72,7 @@ def results_to_json(variables: tuple[str, ...], rows: list[Binding]) -> dict:
 _MAX_LINE = 65536         # bytes in a request, status or header line
 _MAX_HEADERS = 100
 _MAX_BODY = 1 << 20       # bytes in a query body: 200 times the largest the stores send
+_READ_PIECE = 1 << 20     # bytes of a body read at once
 _TEXT = "text/plain; charset=utf-8"
 
 
@@ -81,6 +83,20 @@ def read_line(rfile) -> bytes:
     if len(line) > _MAX_LINE:
         raise http.client.LineTooLong("line")
     return line
+
+
+def read_exactly(rfile, size: int) -> bytes:
+    """*size* bytes of *rfile*, read in pieces of at most _READ_PIECE, so
+    memory grows with what arrives, not with what the peer announced; an
+    end of stream first raises http.client.IncompleteRead."""
+    pieces = []
+    while size:
+        piece = rfile.read(min(size, _READ_PIECE))
+        if not piece:
+            raise http.client.IncompleteRead(b"".join(pieces), size)
+        pieces.append(piece)
+        size -= len(piece)
+    return b"".join(pieces)
 
 
 def read_header_fields(rfile) -> dict[str, str]:
@@ -184,29 +200,36 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def _answer(self, method: str, target: str, headers: dict[str, str]
                 ) -> tuple[int, str, bytes, int]:
-        """Status, content type, body and row count of the answer."""
-        if method == "GET":
-            queries = parse_qs(urlsplit(target).query).get("query")
-            if not queries:
-                return 400, _TEXT, b"missing query parameter", 0
-            return self._evaluate(queries[0])
-        if method != "POST":
+        """Status, content type, body and row count of the answer. The body
+        of every request is framed by its Content-Length; a refusal leaves it
+        unread or its end unknown, so the connection cannot be reused."""
+        if method not in ("GET", "POST"):
             raise _Refusal(501, f"unsupported method {method!r}")
         ctype = headers.get("content-type", "").split(";")[0].strip().lower()
-        if ctype != "application/sparql-query":
-            # The body is left unread, so the connection cannot be reused.
+        if method == "POST" and ctype != "application/sparql-query":
             raise _Refusal(400, f"unsupported content type {ctype!r}; "
                                 "use application/sparql-query")
+        if "transfer-encoding" in headers:
+            raise _Refusal(411, "Transfer-Encoding is not supported; send a Content-Length")
         length = http_number(headers.get("content-length") or "0")
         if length is None:
-            # The body's end is unknown, so the connection cannot be reused.
             raise _Refusal(400, "invalid Content-Length")
         if length > _MAX_BODY:
             raise _Refusal(413, f"query body over {_MAX_BODY} bytes")
         if headers.get("expect", "").lower() == "100-continue":
             self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         try:
-            text = self.rfile.read(length).decode("utf-8")
+            body = read_exactly(self.rfile, length)
+        except http.client.IncompleteRead as e:
+            raise _Refusal(400, f"body ended after {len(e.partial)} of the "
+                                f"{length} bytes its Content-Length announced") from None
+        if method == "GET":
+            queries = parse_qs(urlsplit(target).query).get("query")
+            if not queries:
+                return 400, _TEXT, b"missing query parameter", 0
+            return self._evaluate(queries[0])
+        try:
+            text = body.decode("utf-8")
         except UnicodeDecodeError as e:
             return 400, _TEXT, f"query is not UTF-8: {e}".encode(), 0
         return self._evaluate(text)

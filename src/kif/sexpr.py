@@ -81,18 +81,15 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-_RANK_SYMBOLS = {
+# The symbols of ranks and snak kinds; each prints as the last of its names.
+_SYMBOLS = {
     "Preferred": m.Rank.PREFERRED, "PreferredRank": m.Rank.PREFERRED,
     "Normal": m.Rank.NORMAL, "NormalRank": m.Rank.NORMAL,
     "Deprecated": m.Rank.DEPRECATED, "DeprecatedRank": m.Rank.DEPRECATED,
-}
-
-_KIND_SYMBOLS = {
-    "ValueSnak": m.SnakKind.VALUE,
-    "SomeValueSnak": m.SnakKind.SOME_VALUE,
+    "ValueSnak": m.SnakKind.VALUE, "SomeValueSnak": m.SnakKind.SOME_VALUE,
     "NoValueSnak": m.SnakKind.NO_VALUE,
 }
-_KIND_NAMES = {kind: name for name, kind in _KIND_SYMBOLS.items()}
+_NAMES = {member: name for name, member in _SYMBOLS.items()}
 
 
 class _Parser:
@@ -122,14 +119,12 @@ class _Parser:
 
     # A prefixed token is an entity when its local name starts with Q or P;
     # any other prefixed token denotes a plain IRI. Timestamps and the bare
-    # snak-kind symbols used inside (SnakMask ...) are resolved here too.
+    # snak-kind symbols of (SnakMask ...) are read here too.
     def _expand_symbol(self, symbol: str, at: int) -> object:
         if symbol == "*":
             return None
-        if symbol in _RANK_SYMBOLS:
-            return _RANK_SYMBOLS[symbol]
-        if symbol in _KIND_SYMBOLS:
-            return _KindSymbol(_KIND_SYMBOLS[symbol])
+        if symbol in _SYMBOLS:
+            return _SYMBOLS[symbol]
         if m._TS_RE.match(symbol):
             return symbol
         if ":" in symbol:
@@ -169,12 +164,9 @@ class _Parser:
                 return args
             if kind == "eof":
                 raise self._fail("missing ) for form opened here", open_at)
-            if kind == "number":
+            if kind in ("number", "string"):
                 self._pos += 1
-                args.append((Decimal(lexeme), at))
-            elif kind == "string":
-                self._pos += 1
-                args.append((lexeme, at))
+                args.append((Decimal(lexeme) if kind == "number" else lexeme, at))
             else:
                 args.append((self.parse_object(), at))
 
@@ -208,6 +200,12 @@ class _Parser:
     def _all(self, typ, args: list, what: str) -> tuple:
         """The values of *args*, each of which must be a *typ*."""
         return tuple(self._want(typ, val, at, what) for val, at in args)
+
+    def _members(self, head: str, val, at: int, what: str) -> tuple:
+        """The members of *val*, which must be a (*head* ...) form."""
+        if not (isinstance(val, _Form) and val.head == head):
+            raise self._fail(f"expected {what}", at)
+        return val.members
 
     def _want_int(self, val, at: int, what: str) -> int:
         d = self._want(Decimal, val, at, what)
@@ -323,25 +321,20 @@ class _Parser:
         return m.ReferenceRecord(self._all(m.Snak, args, "a snak in (ReferenceRecord ...)"))
 
     def _build_SnakSet(self, head, args):
-        return _SnakSetForm(self._all(m.Snak, args, "a snak in (SnakSet ...)"))
+        return _Form(head[1], self._all(m.Snak, args, "a snak in (SnakSet ...)"))
 
     def _build_ReferenceRecordSet(self, head, args):
-        return _ReferenceRecordSetForm(self._all(m.ReferenceRecord, args, "a reference record"))
+        return _Form(head[1], self._all(m.ReferenceRecord, args, "a reference record"))
 
     def _build_AnnotationRecord(self, head, args):
         self._arity(head, args, 3, 3)
-        snakset, s_at = args[0]
-        refset, r_at = args[1]
-        if not isinstance(snakset, _SnakSetForm):
-            raise self._fail("expected a (SnakSet ...) of qualifiers", s_at)
-        if not isinstance(refset, _ReferenceRecordSetForm):
-            raise self._fail("expected a (ReferenceRecordSet ...)", r_at)
+        quals = self._members("SnakSet", *args[0], "a (SnakSet ...) of qualifiers")
+        refs = self._members("ReferenceRecordSet", *args[1], "a (ReferenceRecordSet ...)")
         rank = self._want(m.Rank, *args[2], "a rank")
-        return m.AnnotationRecord(snakset.snaks, refset.records, rank)
+        return m.AnnotationRecord(quals, refs, rank)
 
     def _build_AnnotationRecordSet(self, head, args):
-        return _AnnotationRecordSetForm(self._all(m.AnnotationRecord, args,
-                                                  "an annotation record"))
+        return _Form(head[1], self._all(m.AnnotationRecord, args, "an annotation record"))
 
     def _build_AnnotatedStatement(self, head, args):
         self._arity(head, args, 1, None)
@@ -350,8 +343,8 @@ class _Parser:
         for val, at in args[1:]:
             if isinstance(val, m.AnnotationRecord):
                 anns.append(val)
-            elif isinstance(val, _AnnotationRecordSetForm):
-                anns.extend(val.records)
+            elif isinstance(val, _Form) and val.head == "AnnotationRecordSet":
+                anns.extend(val.members)
             else:
                 raise self._fail(f"expected annotation records, got {_show(val)}", at)
         return m.AnnotatedStatement(stmt, anns)
@@ -378,13 +371,12 @@ class _Parser:
             return m.EntityFp(val)
         if isinstance(val, m.Snak):
             return m.SnakFp(val)
-        if isinstance(val, _SnakSetForm):
-            return m.SnakSetFp(val.snaks)
+        if isinstance(val, _Form) and val.head == "SnakSet":
+            return m.SnakSetFp(val.members)
         raise self._fail(f"expected a fingerprint or *, got {_show(val)}", at)
 
     def _build_SnakMask(self, head, args):
-        symbols = self._all(_KindSymbol, args, "a snak kind symbol")
-        return _SnakMaskForm(frozenset(symbol.kind for symbol in symbols))
+        return _mask(self._all(m.SnakKind, args, "a snak kind symbol"))
 
     def _build_FilterPattern(self, head, args):
         self._arity(head, args, 3, 4)
@@ -393,60 +385,28 @@ class _Parser:
         value = self._fingerprint(*args[2])
         kinds = m.ALL_SNAK_KINDS
         if len(args) == 4:
-            mask, at = args[3]
-            if not isinstance(mask, _SnakMaskForm):
-                raise self._fail("expected a (SnakMask ...)", at)
-            kinds = mask.kinds
+            kinds = frozenset(self._members("SnakMask", *args[3], "a (SnakMask ...)"))
         return m.FilterPattern(subject, prop, value, kinds)
 
 
-# Snak-kind symbols inside (SnakMask ...) collide with snak head symbols, so
-# the mask builder parses them specially through a token-level hook.
 @dataclass(frozen=True)
-class _KindSymbol:
-    kind: m.SnakKind
-
-
-@dataclass(frozen=True)
-class _SnakMaskForm:
-    kinds: frozenset[m.SnakKind]
-
-
-@dataclass(frozen=True)
-class _SnakSetForm:
-    snaks: tuple[m.Snak, ...]
-
-
-@dataclass(frozen=True)
-class _ReferenceRecordSetForm:
-    records: tuple[m.ReferenceRecord, ...]
-
-
-@dataclass(frozen=True)
-class _AnnotationRecordSetForm:
-    records: tuple[m.AnnotationRecord, ...]
+class _Form:
+    """A (SnakMask ...), (SnakSet ...), (ReferenceRecordSet ...) or
+    (AnnotationRecordSet ...) that the form around it, or _parse_top, reads."""
+    head: str
+    members: tuple
 
 
 def _show(val: object) -> str:
     """*val* as an error message shows it: a string, a number or * by its
-    repr, anything else as its S-expression."""
+    repr, a snak kind by its symbol, anything else as its S-expression."""
     if val is None or isinstance(val, (str, Decimal)):
         return repr(val)
-    if isinstance(val, _KindSymbol):
-        return _KIND_NAMES[val.kind]
-    if isinstance(val, _SnakMaskForm):
-        return _mask(val.kinds)
-    if isinstance(val, _SnakSetForm):
-        return _form("SnakSet", val.snaks)
-    if isinstance(val, _ReferenceRecordSetForm):
-        return _form("ReferenceRecordSet", val.records)
-    if isinstance(val, _AnnotationRecordSetForm):
-        return _form("AnnotationRecordSet", val.records)
+    if isinstance(val, m.SnakKind):
+        return _NAMES[val]
+    if isinstance(val, _Form):
+        return "(" + " ".join([val.head, *map(_show, val.members)]) + ")"
     return dumps(val, compact=True)
-
-
-def _form(head: str, members) -> str:
-    return "(" + " ".join([head, *(dumps(x, compact=True) for x in members)]) + ")"
 
 
 def parse(text: str) -> object:
@@ -468,16 +428,17 @@ def parse_many(text: str) -> list[object]:
 
 
 def _parse_top(parser: _Parser) -> object:
-    at = parser._peek()[2]
+    """The next object: a model object, a SnakSetFp for a (SnakSet ...) or
+    a tuple for a record set. Anything else is an error at its position."""
+    kind, lexeme, at = parser._peek()
     obj = parser.parse_object()
-    if isinstance(obj, _SnakSetForm):
-        return m.SnakSetFp(obj.snaks)
-    if isinstance(obj, _ReferenceRecordSetForm):
-        return tuple(obj.records)
-    if isinstance(obj, _AnnotationRecordSetForm):
-        return tuple(obj.records)
-    if obj is None:
-        raise parser._fail("* is not an object", at)
+    if isinstance(obj, _Form) and obj.head != "SnakMask":
+        try:
+            return m.SnakSetFp(obj.members) if obj.head == "SnakSet" else obj.members
+        except m.ModelError as e:
+            raise parser._fail(str(e), at) from None
+    if obj is None or isinstance(obj, (str, m.SnakKind, _Form)):
+        raise parser._fail(f"{lexeme if kind == 'symbol' else _show(obj)} is not an object", at)
     return obj
 
 
@@ -494,10 +455,9 @@ def _escape(s: str) -> str:
     return '"' + s.translate(_ESCAPE_TABLE) + '"'
 
 
-def _mask(kinds) -> str:
-    """The (SnakMask ...) of *kinds*, ordered by their values."""
-    return "(" + " ".join(["SnakMask", *(_KIND_NAMES[k] for k in
-                                         sorted(kinds, key=lambda k: k.value))]) + ")"
+def _mask(kinds) -> _Form:
+    """The (SnakMask ...) of *kinds*: each once, ordered by value."""
+    return _Form("SnakMask", tuple(sorted(set(kinds), key=lambda k: k.value)))
 
 
 _COMPACT_LOCAL_OK = frozenset(
@@ -562,8 +522,7 @@ def dumps(x: object, compact: bool = False) -> str:
             inner = " ".join(go(s) for s in x.snaks)
             return f'(ReferenceRecord {inner})'
         if isinstance(x, m.Rank):
-            return {m.Rank.PREFERRED: "PreferredRank", m.Rank.NORMAL: "NormalRank",
-                    m.Rank.DEPRECATED: "DeprecatedRank"}[x]
+            return _NAMES[x]
         if isinstance(x, m.AnnotationRecord):
             quals = " ".join(go(q) for q in x.qualifiers)
             refs = " ".join(go(r) for r in x.references)
@@ -593,7 +552,7 @@ def dumps(x: object, compact: bool = False) -> str:
                     + (go(x.subject) if x.subject else "*") + " "
                     + (go(x.property) if x.property else "*") + " "
                     + (go(x.value) if x.value else "*") + " "
-                    + _mask(x.snak_kinds) + ")")
+                    + _show(_mask(x.snak_kinds)) + ")")
         raise m.ModelError(f"cannot serialize {x!r}")
 
     return go(x)

@@ -82,7 +82,7 @@ from ..lru import Lru
 from ..namespaces import WIKIDATA
 from ..rdf.bgp import match_bgp
 from ..rdf.ntriples import parse_ntriples
-from ..rdf.server import http_number, keeps_alive, read_header_fields, read_line
+from ..rdf.server import http_number, keeps_alive, read_exactly, read_header_fields, read_line
 from ..rdf.sparql import SelectQuery, serialize_query
 from ..rdf.terms import Graph, IriTerm, Literal, Term, Triple, term_key
 from .base import DEFAULT_PAGE_SIZE, Store, StoreOptions, TransportError, claim_pattern
@@ -93,7 +93,6 @@ Row = dict[str, Term]
 
 _NODE_CHUNK = 50
 _PAGE_CACHE_ROWS = 1024 * DEFAULT_PAGE_SIZE    # rows the page cache holds
-_READ_PIECE = 1 << 20     # bytes read from a response body at once
 
 def _local(term: Term | None, prefix: str) -> str | None:
     return WIKIDATA.local(term.value, prefix) if isinstance(term, IriTerm) else None
@@ -211,21 +210,7 @@ def _read_response(rfile, status_line: bytes) -> tuple[int, bytes, bool]:
     size = http_number(length)
     if size is None:
         raise http.client.HTTPException(f"invalid Content-Length {length[:100]!r}")
-    return status, _read_exactly(rfile, size), keep_alive
-
-
-def _read_exactly(rfile, size: int) -> bytes:
-    """*size* bytes of *rfile*, read in pieces of at most _READ_PIECE, so
-    memory grows with what arrives, not with what the peer announced; an
-    end of stream first raises IncompleteRead."""
-    pieces = []
-    while size:
-        piece = rfile.read(min(size, _READ_PIECE))
-        if not piece:
-            raise http.client.IncompleteRead(b"".join(pieces), size)
-        pieces.append(piece)
-        size -= len(piece)
-    return b"".join(pieces)
+    return status, read_exactly(rfile, size), keep_alive
 
 
 def _read_chunked(rfile) -> bytes:
@@ -236,7 +221,7 @@ def _read_chunked(rfile) -> bytes:
             raise http.client.IncompleteRead(b"".join(chunks))
         if size == 0:
             break
-        chunks.append(_read_exactly(rfile, size + 2)[:size])   # and its CRLF
+        chunks.append(read_exactly(rfile, size + 2)[:size])   # and its CRLF
     while read_line(rfile) not in (b"\r\n", b"\n", b""):
         pass                              # trailer fields
     return b"".join(chunks)

@@ -253,6 +253,13 @@ def test_bad_store_spec_and_parse_errors_exit_2(data_dir, capsys):
     assert code == 2 and "cannot parse" in err
 
 
+def test_a_malformed_mapping_document_exits_2(data_dir, tmp_path, capsys):
+    (tmp_path / "bad.json").write_text('{"entity_rules": [{}]}', encoding="utf-8")
+    code, _, err = run(capsys, "count", "--store",
+                       f"mapper:{tmp_path}/bad.json@rdf:{data_dir}/pubchem.nt")
+    assert code == 2 and "entity_rules[0] has no 'source'" in err
+
+
 def test_serve_stops_on_sigterm(data_dir):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -203,6 +203,22 @@ def test_an_unknown_codec_kind_is_a_mapping_error():
         MappingSpec.from_dict(data)
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"entity_rules": [{}]}, "entity_rules[0] has no 'source'"),
+    ([], "a mapping document must be an object, got []"),
+    ({"property_rules": [{"property": 5, "source_predicate": "x"}]},
+     "property_rules[0]: 'property' must be a string, got 5"),
+    ({"property_rules": [{"property": WD + "P1"}]},
+     "property_rules[0] has no 'source_predicate'"),
+    ({"entity_rules": "ab"}, "the mapping document: 'entity_rules' must be a list, got 'ab'"),
+], ids=["no-source", "a-list", "property-not-a-string", "no-source-predicate",
+        "rules-not-a-list"])
+def test_a_document_of_the_wrong_shape_is_a_mapping_error(data, message):
+    with pytest.raises(MappingError) as err:
+        MappingSpec.from_dict(data)
+    assert str(err.value) == message
+
+
 def test_mapping_spec_validation():
     with pytest.raises(MappingError):
         EntityRule("http://x.org/no-capture", WD + "Q{n}")
@@ -224,3 +240,10 @@ def test_value_codecs():
     tc = TextCodec("en")
     assert tc.decode(Literal("hi", language="en")) == m.TextValue("hi", "en")
     assert tc.encode(m.TextValue("hi", "fr")) is None
+
+
+def test_a_codec_of_the_unit_one_takes_unitless_amounts():
+    one = DecimalQuantityCodec(m.Item(WD + "Q199"))
+    assert one.encode(m.Quantity("1.5")) == Literal("1.5", pf.XSD_DECIMAL)
+    assert one.encode(m.Quantity("1.5", None, "1")) is None
+    assert one.decode(Literal("1.5", pf.XSD_DECIMAL)) == m.Quantity("1.5")

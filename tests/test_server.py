@@ -289,3 +289,39 @@ def test_each_request_is_logged_at_debug_with_its_row_count(endpoint, caplog):
     caplog.clear()
     _get(endpoint, "SELECT ?y WHERE { wd:Q7286 wdt:P166 ?y }")
     assert not [r for r in caplog.records if r.name == "kif.rdf.server"]
+
+
+def test_a_body_shorter_than_its_content_length_answers_400_and_closes(endpoint):
+    # One byte short, "LIMIT 10" would read as "LIMIT 1".
+    query = b"SELECT ?x WHERE { ?x wdt:P166 ?y } LIMIT 10"
+    with _connect(endpoint) as sock, sock.makefile("rb") as rfile:
+        sock.sendall(_post_bytes(query)[:-1])
+        sock.shutdown(socket.SHUT_WR)
+        status, headers, payload = _read_reply(rfile)
+        assert status == 400 and headers["connection"] == "close"
+        assert b"Content-Length" in payload
+        assert rfile.read() == b""
+
+
+def test_the_body_of_a_get_is_read_before_the_next_request(endpoint):
+    get = ("GET /sparql?" + urllib.parse.urlencode({"query": QUERY.decode()})
+           + " HTTP/1.1\r\nHost: x\r\n").encode()
+    with _connect(endpoint) as sock, sock.makefile("rb") as rfile:
+        sock.sendall(get + b"Content-Length: 5\r\n\r\nhello")
+        first = _read_reply(rfile)
+        sock.sendall(get + b"\r\n")
+        second = _read_reply(rfile)
+    assert first[0] == second[0] == 200
+    assert _values(first[2]) == _values(second[2]) == [WD + "Q7286"]
+
+
+def test_a_chunked_body_answers_411_and_closes(endpoint):
+    head = (b"POST /sparql HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Type: application/sparql-query\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n")
+    chunk = b"%x\r\n%s\r\n0\r\n\r\n" % (len(QUERY), QUERY)
+    with _connect(endpoint) as sock, sock.makefile("rb") as rfile:
+        sock.sendall(head + chunk)
+        status, headers, _ = _read_reply(rfile)
+        assert status == 411 and headers["connection"] == "close"
+        assert rfile.read() == b""

@@ -167,6 +167,19 @@ def test_top_level_star_position():
     assert (err.value.line, err.value.column) == (3, 3)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("ValueSnak", "1:1: ValueSnak is not an object"),
+    ("\n (SnakMask ValueSnak NoValueSnak)",
+     "2:2: (SnakMask NoValueSnak ValueSnak) is not an object"),
+    ("wd:Q1 1903-01-01", "1:7: 1903-01-01 is not an object"),
+    ("  (SnakSet)", "1:3: snak set fingerprint must be non-empty"),
+], ids=["kind", "mask", "timestamp", "empty-snak-set"])
+def test_parse_gives_a_model_object_or_a_positioned_error(text, message):
+    with pytest.raises(sexpr.SexprError) as err:
+        sexpr.parse_many(text)
+    assert str(err.value) == message
+
+
 def test_unbalanced_and_stray_tokens():
     with pytest.raises(sexpr.SexprError) as err:
         sexpr.parse("(Quantity 1")

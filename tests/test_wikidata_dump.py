@@ -6,7 +6,8 @@ the ``ps:`` and ``wdt:`` triples and in the deep value's
 ``wikibase:quantityAmount``; kif's encoder writes ``"180.16"``. Every
 store operation compares canonical values in the store, so a statement
 that ``filter()`` yields is also found by ``contains()`` and has its
-annotation records.
+annotation records. The dumps give a unitless amount the unit "1",
+``wd:Q199``, which kif reads as no unit.
 """
 
 from decimal import Decimal
@@ -17,7 +18,8 @@ from kif import model as m
 from kif import namespaces as ns
 from kif.rdf.ntriples import parse_ntriples
 from kif.rdf.server import serve
-from kif.stores import RdfStore, SparqlStore, StoreOptions
+from kif.mixer import MixerStore
+from kif.stores import MemoryStore, RdfStore, SparqlStore, StoreOptions
 
 # Glucose: its mass, with a psv: value node and a reference, and a claim
 # that only a truthy triple carries. Prefixed names stand for the IRIs of
@@ -57,9 +59,9 @@ def _term(word: str) -> str:
     return f"<{ns.WIKIDATA.expand(word)}>"
 
 
-def _dump_graph():
+def _dump_graph(dump: str = DUMP):
     lines = [" ".join(map(_term, line.split()[:3])) + " ."
-             for line in DUMP.strip().splitlines()]
+             for line in dump.strip().splitlines()]
     return parse_ntriples("\n".join(lines))
 
 
@@ -84,3 +86,46 @@ def test_a_signed_amount_is_found_by_every_operation(graph, server, kind, size):
         assert set(stmts) == set(RECORDS)
         assert all(store.contains(stmt) for stmt in stmts)
         assert dict(store.get_annotations(stmts)) == RECORDS
+
+
+# Glucose's pKa, a unitless amount: the dumps give it the unit "1", wd:Q199.
+UNITLESS_DUMP = """
+wd:Q37525 p:P1117 wds:Q37525-0b6f4c2e-8d1a-4e3b-9c7f-5a2d6e8b1c40 .
+wds:Q37525-0b6f4c2e-8d1a-4e3b-9c7f-5a2d6e8b1c40 rdf:type wikibase:Statement .
+wds:Q37525-0b6f4c2e-8d1a-4e3b-9c7f-5a2d6e8b1c40 wikibase:rank wikibase:NormalRank .
+wds:Q37525-0b6f4c2e-8d1a-4e3b-9c7f-5a2d6e8b1c40 ps:P1117 "+12.16"^^xsd:decimal .
+wds:Q37525-0b6f4c2e-8d1a-4e3b-9c7f-5a2d6e8b1c40 psv:P1117 wdv:7a2e9c4b1d6f8a3e5c0b2d4f6a8e1c3b .
+wdv:7a2e9c4b1d6f8a3e5c0b2d4f6a8e1c3b rdf:type wikibase:QuantityValue .
+wdv:7a2e9c4b1d6f8a3e5c0b2d4f6a8e1c3b wikibase:quantityAmount "+12.16"^^xsd:decimal .
+wdv:7a2e9c4b1d6f8a3e5c0b2d4f6a8e1c3b wikibase:quantityUnit wd:Q199 .
+wd:Q37525 wdt:P1117 "+12.16"^^xsd:decimal .
+"""
+
+unitless_pka = m.Statement(glucose, m.ValueSnak(m.Property(ns.WD + "P1117"),
+                                                m.Quantity(Decimal("12.16"))))
+
+
+@pytest.fixture(scope="module")
+def unitless_graph():
+    return _dump_graph(UNITLESS_DUMP)
+
+
+@pytest.fixture(scope="module")
+def unitless_server(unitless_graph):
+    with serve(unitless_graph) as running:
+        yield running
+
+
+@pytest.mark.parametrize("size", [1, 3, 100])
+@pytest.mark.parametrize("kind", ["rdf", "sparql"])
+def test_the_unit_one_reads_as_no_unit(unitless_graph, unitless_server, kind, size):
+    options = StoreOptions(page_size=size)
+    with (RdfStore(unitless_graph, options) if kind == "rdf"
+          else SparqlStore(unitless_server.url, options)) as store:
+        assert list(store.filter()) == [unitless_pka]
+        assert store.contains(unitless_pka)
+        memory = MemoryStore([(m.Statement(glucose, m.ValueSnak(
+            m.Property(ns.WD + "P1117"),
+            m.Quantity(Decimal("12.16"), m.Item(ns.WD_UNIT_ONE)))), m.AnnotationRecord())])
+        assert list(memory.filter()) == [unitless_pka]
+        assert MixerStore([store, memory]).count() == 1
