@@ -1,16 +1,19 @@
 """RDF term, triple, and indexed graph primitives.
 
-Every graph is built triple by triple, so these classes keep the work of
-one add small:
+A graph takes its triples in bulk (a parse, an encoding, a page of node
+triples) and is read far less often than it is built, so these classes
+keep both the insert and the first lookup cheap:
 
 - Hash once. An ``IriTerm`` hashes as its IRI string, whose hash ``str``
   caches; a ``Literal`` (after lower-casing its language tag) and a
   ``Triple`` compute their hash at construction and keep it in a slot.
   Equality tests identity first, then the class, then the fields, so an
   IRI never equals a literal of the same text.
-- At most once per bucket. ``Graph`` lets one insert into its triple set
-  decide whether a triple is new, and indexes only new ones; each index
-  bucket is a list that holds a triple at most once.
+- Index on demand. ``Graph`` keeps its triples in one insertion-ordered
+  dict, which alone decides whether a triple is new, and builds each of
+  its five indexes from it the first time a lookup needs it; a graph that
+  is only serialized builds none. Later inserts go into the built indexes,
+  and each bucket is a list that holds a triple at most once.
 - One object per IRI. ``ntriples.parse_ntriples`` builds one ``IriTerm``
   per distinct IRI of a document, so the dictionary lookups of indexing
   and matching mostly find the very key object and never compare fields.
@@ -19,6 +22,8 @@ one add small:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import repeat
+from operator import attrgetter
 from typing import Collection, Iterable, Iterator, Union
 
 from ..lru import Lru
@@ -139,32 +144,47 @@ def triple_key(t: Triple) -> tuple:
     return (term_key(t.subject), term_key(t.predicate), term_key(t.object))
 
 
-class Graph:
-    """A set of triples with (s), (p), (o), (s,p), (p,o) indexes.
+# The key of a triple in each index of a Graph.
+_INDEX_KEYS = {
+    "s": attrgetter("subject.value"),
+    "p": attrgetter("predicate.value"),
+    "o": attrgetter("object"),
+    "sp": attrgetter("subject.value", "predicate.value"),
+    "po": attrgetter("predicate.value", "object"),
+}
 
-    One insert into the triple set decides whether an added triple is new
-    (its hash was computed when the triple was built); only a new one enters
-    the indexes, so every triple sits in each of its five buckets exactly
-    once and a bucket is a list, in insertion order. The evaluator sorts
-    its solutions, so no query answer depends on that order. A graph parsed
-    from N-Triples shares one IriTerm per IRI, so its index lookups find
-    the key object itself.
+
+class Graph:
+    """A set of triples with (s), (p), (o), (s,p) and (p,o) indexes, each
+    built on first use.
+
+    The triples are kept in insertion order, in one dict whose insert
+    decides whether an added triple is new (its hash was computed when the
+    triple was built). An index is built from them the first time
+    ``match``, ``bucket_size``, ``predicates`` or ``objects`` needs it, and
+    ``update`` adds each new triple to the indexes built so far; so a
+    triple sits exactly once in each of its five buckets that is built,
+    and a bucket is a list in insertion order. The
+    evaluator sorts its solutions, so no query answer depends on that
+    order. A graph that is only serialized builds no index, a node graph
+    read by subject builds (s) and (s,p), and a served graph's first query
+    pays for the indexes it needs. A graph parsed from N-Triples shares
+    one IriTerm per IRI, so its index lookups find the key object itself.
 
     Mutation is only expected during load; concurrent readers are safe once
-    loading is done. ``memo`` holds the evaluator's sorted solutions of
-    paged queries; adding a triple clears it.
+    loading is done, also while an index is first built: the build fills a
+    local dict and publishes it with one assignment, so a reader finds no
+    index (and builds its own, equal one) or a full one, never a part.
+    ``memo`` holds the evaluator's sorted solutions of paged queries;
+    adding a triple clears it.
     """
 
     def __init__(self, triples: Iterable[Triple] = ()) -> None:
-        self._triples: set[Triple] = set()
-        # A subject or predicate is keyed by its IRI string, whose equality
-        # and cached hash are C code; an object stays a term, since an IRI
-        # and a literal of the same text differ.
-        self._by_s: dict[str, list[Triple]] = {}
-        self._by_p: dict[str, list[Triple]] = {}
-        self._by_o: dict[Term, list[Triple]] = {}
-        self._by_sp: dict[tuple[str, str], list[Triple]] = {}
-        self._by_po: dict[tuple[str, Term], list[Triple]] = {}
+        self._triples: dict[Triple, None] = {}
+        # The built indexes by kind. A subject or predicate is keyed by its
+        # IRI string, whose equality and cached hash are C code; an object
+        # stays a term, since an IRI and a literal of the same text differ.
+        self._indexes: dict[str, dict] = {}
         self.memo = Lru(MEMO_SIZE)
         self.update(triples)
 
@@ -175,21 +195,19 @@ class Graph:
 
     def update(self, triples: Iterable[Triple]) -> None:
         all_triples = self._triples
-        by_s, by_p, by_o = self._by_s, self._by_p, self._by_o
-        by_sp, by_po = self._by_sp, self._by_po
         before = len(all_triples)
+        built = [(index, _INDEX_KEYS[kind]) for kind, index in self._indexes.items()]
         try:
+            if not built:
+                all_triples.update(zip(triples, repeat(None)))
+                return
             for t in triples:
                 n = len(all_triples)
-                all_triples.add(t)
+                all_triples[t] = None
                 if len(all_triples) == n:
                     continue
-                s, p, o = t.subject.value, t.predicate.value, t.object
-                by_s.setdefault(s, []).append(t)
-                by_p.setdefault(p, []).append(t)
-                by_o.setdefault(o, []).append(t)
-                by_sp.setdefault((s, p), []).append(t)
-                by_po.setdefault((p, o), []).append(t)
+                for index, key in built:
+                    index.setdefault(key(t), []).append(t)
         finally:
             if len(all_triples) > before and self.memo:
                 self.memo.clear()
@@ -203,6 +221,17 @@ class Graph:
     def __contains__(self, t: Triple) -> bool:
         return t in self._triples
 
+    def _index(self, kind: str) -> dict:
+        """The *kind* index, built now if this is its first use."""
+        index = self._indexes.get(kind)
+        if index is None:
+            index = {}
+            key = _INDEX_KEYS[kind]
+            for t in self._triples:
+                index.setdefault(key(t), []).append(t)
+            self._indexes[kind] = index
+        return index
+
     def _bucket(self, s: IriTerm | None, p: IriTerm | None,
                 o: Term | None) -> Collection[Triple]:
         """The smallest index bucket holding every triple that matches."""
@@ -212,16 +241,16 @@ class Graph:
                 or p is not None and not isinstance(p, IriTerm)):
             return ()
         if s is not None and p is not None:
-            return self._by_sp.get((s.value, p.value), ())
+            return self._index("sp").get((s.value, p.value), ())
         if p is not None and o is not None:
-            return self._by_po.get((p.value, o), ())
+            return self._index("po").get((p.value, o), ())
         if s is not None:
-            return self._by_s.get(s.value, ())
+            return self._index("s").get(s.value, ())
         if p is not None:
-            return self._by_p.get(p.value, ())
+            return self._index("p").get(p.value, ())
         if o is not None:
-            return self._by_o.get(o, ())
-        return self._triples
+            return self._index("o").get(o, ())
+        return self._triples.keys()
 
     def bucket_size(self, s: IriTerm | None = None, p: IriTerm | None = None,
                     o: Term | None = None) -> int:
@@ -241,7 +270,7 @@ class Graph:
 
     def predicates(self) -> list[IriTerm]:
         """Every predicate of the graph, once each."""
-        return [bucket[0].predicate for bucket in self._by_p.values()]
+        return [bucket[0].predicate for bucket in self._index("p").values()]
 
     def objects(self, s: IriTerm, p: IriTerm) -> list[Term]:
         return [t.object for t in self._bucket(s, p, None)]

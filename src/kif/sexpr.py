@@ -155,7 +155,7 @@ class _Parser:
             raise self._fail("unexpected )", at)
         raise self._fail(f"unexpected {kind} {lexeme!r}", at)
 
-    def _collect_args(self, open_at: int) -> list[tuple[object, int]]:
+    def _collect_args(self, head: str, open_at: int) -> list[tuple[object, int]]:
         args = []
         while True:
             kind, lexeme, at = self._peek()
@@ -167,15 +167,20 @@ class _Parser:
             if kind in ("number", "string"):
                 self._pos += 1
                 args.append((Decimal(lexeme) if kind == "number" else lexeme, at))
-            else:
-                args.append((self.parse_object(), at))
+                continue
+            val = self.parse_object()
+            # A symbol reads as a str only if it is a timestamp.
+            if isinstance(val, str) and (args or head != "Time"):
+                raise self._fail(f"unexpected timestamp {lexeme!r} outside the first "
+                                 "argument of (Time ...)", at)
+            args.append((val, at))
 
     def _parse_form(self, open_at: int) -> object:
         head = self._next()
         kind, name, at = head
         if kind != "symbol":
             raise self._fail("form must start with a head symbol", at)
-        args = self._collect_args(open_at)
+        args = self._collect_args(name, open_at)
         build = getattr(self, "_build_" + name, None)
         if build is None:
             raise self._fail(f"unknown head symbol {name!r}", at)

@@ -98,10 +98,13 @@ def _local(term: Term | None, prefix: str) -> str | None:
     return WIKIDATA.local(term.value, prefix) if isinstance(term, IriTerm) else None
 
 
-def _add_triple(into: Graph, s: Term | None, p: Term | None, o: Term | None) -> None:
-    """Add a node triple read from a result row, if the row binds one."""
-    if isinstance(s, IriTerm) and isinstance(p, IriTerm) and o is not None:
-        into.add(Triple(s, p, o))
+def _node_triples(rows: Iterable[Row], predicate: str) -> Iterator[Triple]:
+    """The node triples (?w, ?*predicate*, ?o) of the result rows that bind
+    one."""
+    for row in rows:
+        s, p, o = row.get("w"), row.get(predicate), row.get("o")
+        if isinstance(s, IriTerm) and isinstance(p, IriTerm) and o is not None:
+            yield Triple(s, p, o)
 
 
 class GraphBackend:
@@ -438,8 +441,8 @@ class QueryBackedStore(PagedStore):
         todo = sorted(set(nodes), key=term_key)
         for i in range(0, len(todo), _NODE_CHUNK):
             chunk = todo[i:i + _NODE_CHUNK]
-            for row in self.select_all(codec.node_fetch_query(chunk, main_snak)):
-                _add_triple(into, row.get("w"), row.get("p"), row.get("o"))
+            into.update(_node_triples(
+                self.select_all(codec.node_fetch_query(chunk, main_snak)), "p"))
 
     def _fetch_statement_context(self, node_graph: Graph, wds_nodes: Iterable[IriTerm],
                                  deep_only: bool, whole: bool) -> None:
@@ -461,18 +464,16 @@ class QueryBackedStore(PagedStore):
 
     # -- filter pipeline ----------------------------------------------------------
 
-    def _full_candidates(self, plan: codec.FilterPlan, node_graph: Graph | None = None
+    def _full_candidates(self, plan: codec.FilterPlan, rows: Iterable[Row]
                          ) -> Iterator[tuple[IriTerm, IriTerm, str]]:
-        """(subject, statement node, property local) rows of a full-shape plan;
-        the node triples of a folded plan's rows go into *node_graph*."""
+        """(subject, statement node, property local) of the result *rows* of
+        a full-shape plan."""
         seen: set[tuple] = set()
-        for row in self.select_all(plan.query):
+        for row in rows:
             subject = plan.subject_term or row.get("s")
             wds = row.get("w")
             if not isinstance(subject, IriTerm) or not isinstance(wds, IriTerm):
                 continue
-            if plan.folded:
-                _add_triple(node_graph, wds, row.get("q"), row.get("o"))
             plocal = plan.property_local
             if plocal is None:
                 # The link and the value predicates must name the same
@@ -497,10 +498,11 @@ class QueryBackedStore(PagedStore):
         candidates and fetches their nodes, if *deep_only* only the triples
         that decide their main snaks (codec.MAIN_SNAK_PREFIXES)."""
         if plan.folded:
-            node_graph = Graph()
-            batches = [list(self._full_candidates(plan, node_graph))]
+            rows = list(self.select_all(plan.query))
+            node_graph = Graph(_node_triples(rows, "q"))
+            batches = [list(self._full_candidates(plan, rows))]
         else:
-            candidates = self._full_candidates(plan)
+            candidates = self._full_candidates(plan, self.select_all(plan.query))
             batches = iter(lambda: list(islice(candidates, _NODE_CHUNK)), [])
         for batch in batches:
             wds_nodes = [wds for _, wds, _ in batch]

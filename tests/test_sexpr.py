@@ -80,6 +80,27 @@ def test_timestamp_display_forms():
         m.Timestamp(2015, 8, 3), 14)
 
 
+@pytest.mark.parametrize("text, position", [
+    ("(ValueSnak wd:P1 2001-02-03T04:05:06Z)", (1, 18)),
+    ("(String 1903-01-01)", (1, 9)),
+    ('(Text "a" 1903-01-01)', (1, 11)),
+    ("(Time 1903-01-01 1903-01-01)", (1, 18)),
+    ("(Statement wd:Q1\n  (ValueSnak wd:P1 2001-02-03))", (2, 20)),
+], ids=["value-snak", "string", "text-language", "time-second-argument", "nested"])
+def test_a_timestamp_symbol_is_only_the_first_argument_of_time(text, position):
+    with pytest.raises(sexpr.SexprError) as err:
+        sexpr.parse(text)
+    assert (err.value.line, err.value.column) == position
+    assert "timestamp" in str(err.value)
+
+
+def test_a_time_form_still_reads_a_timestamp_symbol():
+    assert sexpr.parse("(Time 2001-02-03T04:05:06Z)") == m.TimeValue(
+        m.Timestamp(2001, 2, 3, 4, 5, 6), m.PRECISION_DAY)
+    assert sexpr.parse('(ValueSnak wd:P1 "2001-02-03")') == m.ValueSnak(
+        m.Property(WD + "P1"), m.StringValue("2001-02-03"))
+
+
 def test_quantity_placeholder_slots():
     upper_only = m.Quantity(5, None, None, 9)
     assert sexpr.dumps(upper_only) == "(Quantity 5 * * 9)"
