@@ -566,13 +566,21 @@ def decode(g: Graph) -> DecodeResult:
 # Query compilation
 # ---------------------------------------------------------------------------
 
-def _aux_patterns(fp: m.SnakFp | m.SnakSetFp, var: Var) -> list[TriplePattern]:
-    """Fingerprint snaks become truthy-level auxiliary patterns on *var*."""
+def _aux_patterns(fp: m.SnakFp | m.SnakSetFp, var: Var,
+                  values: list[ValuesBlock]) -> list[TriplePattern]:
+    """Fingerprint snaks become truthy-level auxiliary patterns on *var*.
+    A non-negative amount matches both lexical forms that are written for
+    it, kif's canonical one and Wikibase's signed one (``"+180.16"``): its
+    object is a variable of its own, bound by a VALUES block added to
+    *values*."""
     patterns = []
-    for snak in fp.snaks:
-        local = property_local(snak.property)
-        patterns.append(TriplePattern(var, IriTerm(ns.WDT + local),
-                                      m.simple_value(snak.value)))
+    for i, snak in enumerate(fp.snaks):
+        obj = m.simple_value(snak.value)
+        if isinstance(snak.value, m.Quantity) and not obj.lexical.startswith("-"):
+            signed = Literal("+" + obj.lexical, ns.XSD_DECIMAL)
+            values.append(ValuesBlock(f"{var.name}{i}", (obj, signed)))
+            obj = Var(f"{var.name}{i}")
+        patterns.append(TriplePattern(var, IriTerm(ns.WDT + property_local(snak.property)), obj))
     return patterns
 
 
@@ -596,12 +604,12 @@ class FilterPlan:
     folded: bool = False
 
 
-def _slot(fp: m.Fingerprint | None, name: str, patterns: list):
+def _slot(fp: m.Fingerprint | None, name: str, patterns: list, values: list):
     if isinstance(fp, m.EntityFp):
         return IriTerm(fp.entity.iri.value), None
     var = Var(name)
     if fp is not None:
-        patterns.extend(_aux_patterns(fp, var))
+        patterns.extend(_aux_patterns(fp, var, values))
     return None, var
 
 
@@ -637,8 +645,9 @@ def compile_truthy_plan(pattern: m.FilterPattern) -> FilterPlan:
     which keeps only the truthy predicates. A some-value-only mask keeps the
     ``wdgenid:`` objects of ``?v``."""
     patterns: list[TriplePattern] = []
-    s_const, s_var = _slot(pattern.subject, "s", patterns)
-    o_const, o_var = _slot(pattern.value, "v", patterns)
+    values: list[ValuesBlock] = []
+    s_const, s_var = _slot(pattern.subject, "s", patterns, values)
+    o_const, o_var = _slot(pattern.value, "v", patterns, values)
     plocal = _property_local_of(pattern)
     p_slot = IriTerm(ns.WDT + plocal) if plocal else Var("p")
     main = TriplePattern(s_const or s_var, p_slot, o_const if o_const is not None else o_var)
@@ -647,7 +656,7 @@ def compile_truthy_plan(pattern: m.FilterPattern) -> FilterPlan:
     filters = (("p", ns.WDT),) if plocal is None else ()
     if o_var is not None and pattern.snak_kinds == {m.SnakKind.SOME_VALUE}:
         filters += (("v", ns.WDGENID),)
-    query = select_query(patterns, [s_var, p_var, o_var], s_const, filters)
+    query = select_query(patterns, [s_var, p_var, o_var], s_const, filters, tuple(values))
     return FilterPlan("truthy", query, s_const, plocal, o_const)
 
 
@@ -690,7 +699,8 @@ def compile_novalue_plan(pattern: m.FilterPattern) -> FilterPlan:
 def _statement_plan(pattern: m.FilterPattern, no_value: bool) -> FilterPlan:
     some_value = not no_value and pattern.snak_kinds == {m.SnakKind.SOME_VALUE}
     patterns: list[TriplePattern] = []
-    s_const, s_var = _slot(pattern.subject, "s", patterns)
+    values: list[ValuesBlock] = []
+    s_const, s_var = _slot(pattern.subject, "s", patterns, values)
     plocal = _property_local_of(pattern)
     wvar = Var("w")
     p_var = None if plocal else Var("p")
@@ -708,7 +718,7 @@ def _statement_plan(pattern: m.FilterPattern, no_value: bool) -> FilterPlan:
         projected = [s_var, p_var, wvar]
     else:
         shape = "full"
-        o_const, o_var = _slot(pattern.value, "v", patterns)
+        o_const, o_var = _slot(pattern.value, "v", patterns, values)
         if some_value and o_var is not None:
             filters = (("v", ns.WDGENID),)
         q_var = None if plocal else Var("q")
@@ -719,7 +729,7 @@ def _statement_plan(pattern: m.FilterPattern, no_value: bool) -> FilterPlan:
     if folded:
         patterns.append(TriplePattern(wvar, Var("q"), Var("o")))
         projected += [Var("q"), Var("o")]
-    query = select_query(patterns, projected, s_const, filters)
+    query = select_query(patterns, projected, s_const, filters, tuple(values))
     return FilterPlan(shape, query, s_const, plocal, o_const, folded)
 
 

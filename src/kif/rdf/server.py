@@ -4,6 +4,12 @@ Supports GET with a ``query`` parameter and POST with an
 ``application/sparql-query`` body; answers SPARQL results JSON. Anything
 outside the query subset yields HTTP 400 with a diagnostic.
 
+The results document is written in one pass (results_json): each term's
+JSON text is joined into its row's, and the rows into the document, with
+the string escaping of ``json.encoder.encode_basestring_ascii``. The bytes
+are those ``json.dumps`` writes for results_to_json's dict, which is read
+back from the same text, so there is one encoder.
+
 The endpoint speaks this subset of HTTP/1.1, reading requests with its own
 few lines of code and writing each response in one write:
 
@@ -37,6 +43,7 @@ import socketserver
 import threading
 import time
 from http import HTTPStatus
+from json.encoder import encode_basestring_ascii as _quote  # as json.dumps writes a str
 from urllib.parse import parse_qs, urlsplit
 
 from ..namespaces import XSD_STRING
@@ -48,25 +55,33 @@ logger = logging.getLogger(__name__)
 
 RESULTS_JSON = "application/sparql-results+json"
 
-def term_to_json(t: Term) -> dict:
+
+def _term_json(t: Term) -> str:
+    """The JSON text of the results-format object of *t*."""
     if isinstance(t, IriTerm):
-        return {"type": "uri", "value": t.value}
-    out: dict = {"type": "literal", "value": t.lexical}
+        return '{"type": "uri", "value": ' + _quote(t.value) + "}"
+    text = '{"type": "literal", "value": ' + _quote(t.lexical)
     if t.language:
-        out["xml:lang"] = t.language
-    elif t.datatype != XSD_STRING:
-        out["datatype"] = t.datatype
-    return out
+        return text + ', "xml:lang": ' + _quote(t.language) + "}"
+    if t.datatype != XSD_STRING:
+        return text + ', "datatype": ' + _quote(t.datatype) + "}"
+    return text + "}"
+
+
+def results_json(variables: tuple[str, ...], rows: list[Binding]) -> bytes:
+    """The SPARQL results JSON document of *rows*, written in one pass from
+    each term's JSON text: the bytes ``json.dumps`` writes for
+    results_to_json's dict, with no dict built per term or per row."""
+    names = [(v, _quote(v) + ": ") for v in dict.fromkeys(variables)]
+    bindings = ["{" + ", ".join([name + _term_json(row[v]) for v, name in names if v in row]) + "}"
+                for row in rows]
+    return "".join(['{"head": {"vars": [', ", ".join(map(_quote, variables)),
+                    ']}, "results": {"bindings": [', ", ".join(bindings), "]}}"]).encode("ascii")
 
 
 def results_to_json(variables: tuple[str, ...], rows: list[Binding]) -> dict:
-    return {
-        "head": {"vars": list(variables)},
-        "results": {"bindings": [
-            {v: term_to_json(row[v]) for v in variables if v in row}
-            for row in rows
-        ]},
-    }
+    """The SPARQL results JSON document of *rows*, as results_json writes it."""
+    return json.loads(results_json(variables, rows))
 
 
 _MAX_LINE = 65536         # bytes in a request, status or header line
@@ -240,8 +255,7 @@ class _Handler(socketserver.StreamRequestHandler):
         except SparqlError as e:
             return 400, _TEXT, f"unsupported or malformed query: {e}".encode(), 0
         rows = match_bgp(self.server.graph, query)
-        body = json.dumps(results_to_json(query.variables, rows)).encode("utf-8")
-        return 200, RESULTS_JSON, body, len(rows)
+        return 200, RESULTS_JSON, results_json(query.variables, rows), len(rows)
 
 
 class _HttpServer(socketserver.ThreadingTCPServer):

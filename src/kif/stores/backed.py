@@ -35,8 +35,11 @@ deep value nodes for filter, count and contains; for get_annotations, the
 deep value, qualifier value and reference nodes, then the reference value
 nodes. A scan (no subject, or a snak fingerprint), and a filter on an
 entity that constrains the value but not the property, keep the plain
-candidate query and fetch their statement nodes in batches of 50. Such a
-fetch returns only the triples that decide a main snak: its query keeps
+candidate query and fetch their statement nodes in batches of 50; under a
+limit, the first batch holds as many candidates as the limit (at most 50)
+and each later one twice the one before, so a limited scan fetches about
+the statement and deep value nodes its limit needs. Such a fetch returns
+only the triples that decide a main snak: its query keeps
 ``?p`` under ``ps:`` (which holds ``psv:``) or ``rdf:type`` with one OR
 filter, so ranks, qualifiers and references are not sent. The deep value
 nodes a ``psv:`` link reaches are then fetched whole, even a node that the
@@ -105,6 +108,16 @@ def _node_triples(rows: Iterable[Row], predicate: str) -> Iterator[Triple]:
         s, p, o = row.get("w"), row.get(predicate), row.get("o")
         if isinstance(s, IriTerm) and isinstance(p, IriTerm) and o is not None:
             yield Triple(s, p, o)
+
+
+def _batches(items: Iterator, limit: int | None) -> Iterator[list]:
+    """Consecutive lists of *items*, _NODE_CHUNK long; under a *limit*, the
+    first is *limit* long (at least 1, at most _NODE_CHUNK) and each later
+    one twice the one before, up to _NODE_CHUNK."""
+    size = _NODE_CHUNK if limit is None else min(max(limit, 1), _NODE_CHUNK)
+    while batch := list(islice(items, size)):
+        yield batch
+        size = min(2 * size, _NODE_CHUNK)
 
 
 class GraphBackend:
@@ -488,22 +501,24 @@ class QueryBackedStore(PagedStore):
                 seen.add(key)
                 yield subject, wds, plocal
 
-    def _statements(self, plan: codec.FilterPlan, deep_only: bool
+    def _statements(self, plan: codec.FilterPlan, deep_only: bool,
+                    limit: int | None = None
                     ) -> Iterator[tuple[Graph, list[tuple[IriTerm, IriTerm, str]]]]:
         """The candidate statement nodes of *plan* in batches, each the graph
         of its nodes (the statement nodes and the nodes these link to) and
         its links. A folded plan is one batch, read to its last page before
         anything is read from it, so its answer cannot depend on how its
-        rows fall into pages; a scan streams batches of _NODE_CHUNK
-        candidates and fetches their nodes, if *deep_only* only the triples
-        that decide their main snaks (codec.MAIN_SNAK_PREFIXES)."""
+        rows fall into pages; a scan streams batches of candidates, sized
+        by *limit* (_batches), and fetches their nodes, if *deep_only* only
+        the triples that decide their main snaks
+        (codec.MAIN_SNAK_PREFIXES)."""
         if plan.folded:
             rows = list(self.select_all(plan.query))
             node_graph = Graph(_node_triples(rows, "q"))
             batches = [list(self._full_candidates(plan, rows))]
         else:
-            candidates = self._full_candidates(plan, self.select_all(plan.query))
-            batches = iter(lambda: list(islice(candidates, _NODE_CHUNK)), [])
+            batches = _batches(self._full_candidates(plan, self.select_all(plan.query)),
+                               limit)
         for batch in batches:
             wds_nodes = [wds for _, wds, _ in batch]
             if not plan.folded:
@@ -514,18 +529,18 @@ class QueryBackedStore(PagedStore):
 
     def _filter(self, pattern: m.FilterPattern,
                 limit: int | None) -> Iterator[m.Statement]:
-        return (stmt for stmt, _, _ in self._candidates(pattern, None, True))
+        return (stmt for stmt, _, _ in self._candidates(pattern, None, True, limit))
 
     def _candidates(self, pattern: m.FilterPattern, claim: tuple | None,
-                    deep_only: bool
+                    deep_only: bool, limit: int | None = None
                     ) -> Iterator[tuple[m.Statement, Graph | None, IriTerm | None]]:
         """The statements of *pattern*, read by codec.read_statements from
-        the candidate nodes (_statements) and then the truthy triples
-        (_truthy_only, which *claim* may spare); each plan is compiled only
-        when its stage starts. The codec's diagnostics are logged as they
-        arise."""
+        the candidate nodes (_statements, whose first batches *limit* sizes)
+        and then the truthy triples (_truthy_only, which *claim* may spare);
+        each plan is compiled only when its stage starts. The codec's
+        diagnostics are logged as they arise."""
         diagnostics: list[str] = []
-        batches = self._statements(codec.compile_full_plan(pattern), deep_only)
+        batches = self._statements(codec.compile_full_plan(pattern), deep_only, limit)
         truthy = partial(self._truthy_only, pattern, claim)
         for found in codec.read_statements(batches, truthy, diagnostics):
             self._warn(diagnostics)

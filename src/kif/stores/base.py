@@ -8,7 +8,8 @@ is also a context manager that closes it on exit.
 Store.filter is the one place that enforces the filter contract, distinct
 statements and at most *limit* of them. A backend's _filter hook only
 yields candidate statements, lazily and possibly repeated; it reads *limit*
-only to pass it on to stores it delegates to.
+only to size its first reads by it (a query-backed store's first node
+fetches) or to pass it on to stores it delegates to, never to stop.
 """
 
 from __future__ import annotations
@@ -87,7 +88,9 @@ class Store:
 
     def filter(self, pattern: m.FilterPattern | None = None,
                limit: int | None = None) -> Iterator[m.Statement]:
-        """Distinct statements matching *pattern*, at most *limit* of them."""
+        """Distinct statements matching *pattern*, at most *limit* of them:
+        the first *limit* of the unlimited stream, read with about the
+        work they need."""
         if limit is not None and limit < 0:
             raise ValueError("limit must be non-negative")
         return islice(_first_occurrences(
@@ -124,7 +127,9 @@ class Store:
     def _filter(self, pattern: m.FilterPattern,
                 limit: int | None) -> Iterator[m.Statement]:
         """Candidate statements matching *pattern*; filter() drops repeats
-        and stops at *limit*, so a lazy hook does no work past it."""
+        and stops at *limit*, so a lazy hook does no work past it. The hook
+        may size its first reads by *limit*, or pass it on, but yields the
+        same stream whatever the limit."""
         raise NotImplementedError
 
     def _contains(self, stmt: m.Statement) -> bool:

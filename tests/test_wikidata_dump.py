@@ -129,3 +129,41 @@ def test_the_unit_one_reads_as_no_unit(unitless_graph, unitless_server, kind, si
             m.Quantity(Decimal("12.16"), m.Item(ns.WD_UNIT_ONE)))), m.AnnotationRecord())])
         assert list(memory.filter()) == [unitless_pka]
         assert MixerStore([store, memory]).count() == 1
+
+
+# A claim whose value is glucose, so that a value fingerprint on glucose's
+# signed mass has a statement to find.
+GLUCOSE_AS_VALUE = DUMP + "wd:Q2 wdt:P527 wd:Q37525 .\n"
+
+component = m.Statement(m.Item(ns.WD + "Q2"),
+                        m.ValueSnak(m.Property(ns.WD + "P527"), glucose))
+
+
+@pytest.fixture(scope="module")
+def value_graph():
+    return _dump_graph(GLUCOSE_AS_VALUE)
+
+
+@pytest.fixture(scope="module")
+def value_server(value_graph):
+    with serve(value_graph) as running:
+        yield running
+
+
+@pytest.mark.parametrize("size", [1, 3, 100])
+@pytest.mark.parametrize("kind", ["rdf", "sparql"])
+def test_a_snak_fingerprint_on_an_amount_matches_the_signed_form(
+        value_graph, value_server, kind, size):
+    memory = MemoryStore([(stmt, m.AnnotationRecord()) for stmt in (*RECORDS, component)])
+    options = StoreOptions(page_size=size)
+    with (RdfStore(value_graph, options) if kind == "rdf"
+          else SparqlStore(value_server.url, options)) as store:
+        for pattern, expected in [
+                (m.FilterPattern(m.SnakFp(mass.snak)), set(RECORDS)),
+                (m.FilterPattern(value=m.SnakFp(mass.snak)), {component}),
+                (m.FilterPattern(m.SnakSetFp([mass.snak, pka.snak])), set(RECORDS)),
+                (m.FilterPattern(m.SnakFp(mass.snak), m.EntityFp(mass.snak.property)),
+                 {mass})]:
+            assert set(memory.filter(pattern)) == expected
+            assert set(store.filter(pattern)) == expected
+            assert store.count(pattern) == len(expected)
