@@ -3,15 +3,18 @@
 The mixer fans every operation out to its children and merges the results:
 filter results are deduplicated by statement content in child order,
 annotation sets are unioned per statement, and descriptors come from the
-first child that knows the entity. With parallel=True the child calls run
-concurrently, on one thread per child owned by the mixer, but the merged
-stream is identical to the sequential one.
+first child that knows the entity. The calling thread runs the first
+child. With parallel=True the other children run concurrently, on a pool
+of one thread per child after the first, owned by the mixer; the merged
+stream is identical to the sequential one. A mixer's request counters are
+the sums of its children's.
 """
 
 from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor, wait
+from functools import partial
 from typing import Iterator, Sequence
 
 from . import model as m
@@ -36,40 +39,44 @@ class MixerStore(Store):
         if not children:
             raise ValueError("a mixer needs at least one child store")
         self.children = list(children)
-        self.parallel = parallel
         self.lenient = lenient
         # Pool threads exit on close(), or once the mixer, and with it the
         # pool, is collected.
-        self._pool = (ThreadPoolExecutor(max_workers=len(self.children))
+        self._pool = (ThreadPoolExecutor(max_workers=len(self.children) - 1)
                       if parallel and len(self.children) > 1 else None)
 
+    @property
+    def request_count(self) -> int:
+        return sum(child.request_count for child in self.children)
+
+    @property
+    def request_seconds(self) -> float:
+        return sum(child.request_seconds for child in self.children)
+
     def close(self) -> None:
-        """Stop the pool threads; the children stay open, their owner
-        closes them."""
-        if self._pool is not None:
-            self._pool.shutdown()
+        """Stop the pool threads; later calls run every child on the
+        calling thread. The children stay open, their owner closes them."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown()
 
     # -- child dispatch -------------------------------------------------------
 
     def _child_results(self, op):
-        """Run op(child) for every child, in child order.
-
-        Sequential mode calls children one by one; parallel mode dispatches
-        them concurrently and still yields in child order, so both modes
-        produce identical streams.
-        """
-        if self._pool is not None:
-            futures = [self._pool.submit(self._guarded, op, i)
-                       for i in range(len(self.children))]
-            try:
-                for future in futures:
-                    yield future.result()
-            finally:
-                # A call returns only after all of its child work is done.
-                wait(futures)
-        else:
-            for i in range(len(self.children)):
-                yield self._guarded(op, i)
+        """Run op(child) for every child and yield the results in child
+        order. The calling thread runs child 0; the others run on the pool,
+        if the mixer has one, and on the calling thread otherwise."""
+        calls = [partial(self._guarded, op, i) for i in range(len(self.children))]
+        pool, futures = self._pool, []
+        if pool is not None:
+            futures = [pool.submit(call) for call in calls[1:]]
+            calls[1:] = [future.result for future in futures]
+        try:
+            for call in calls:
+                yield call()
+        finally:
+            # A call returns only after all of its child work is done.
+            wait(futures)
 
     def _guarded(self, op, index: int):
         try:
@@ -79,6 +86,16 @@ class MixerStore(Store):
                 logger.warning("mixer: skipping failed child #%d: %s", index, e)
                 return None
             raise MixerChildError(index, e) from e
+
+    def _merged(self, items, ask, merge):
+        """Each of *items* paired with merge() of the answers, in child
+        order, of the children that answered; ask(child) yields the child's
+        (item, answer) pairs in input order."""
+        answered = [answers for answers in self._child_results(
+                        lambda c: [answer for _, answer in ask(c)])
+                    if answers is not None]
+        for pos, item in enumerate(items):
+            yield item, merge(answers[pos] for answers in answered)
 
     # -- operations ---------------------------------------------------------------
 
@@ -96,24 +113,10 @@ class MixerStore(Store):
         return any(self._child_results(lambda c: c.contains(stmt)))
 
     def _annotations(self, stmts):
-        all_results = list(self._child_results(
-            lambda c: [records for _, records in c.get_annotations(stmts)]))
-        for pos, stmt in enumerate(stmts):
-            merged: set[m.AnnotationRecord] = set()
-            for child_records in all_results:
-                if child_records is not None:
-                    merged |= child_records[pos]
-            yield stmt, frozenset(merged)
+        return self._merged(stmts, lambda c: c.get_annotations(stmts),
+                            lambda found: frozenset().union(*found))
 
     def _descriptors(self, entities, language):
-        all_results = list(self._child_results(
-            lambda c: [desc for _, desc in c.get_descriptor(entities, language)]))
-        for pos, entity in enumerate(entities):
-            chosen = m.Descriptor()
-            for child_descriptors in all_results:
-                if child_descriptors is None:
-                    continue
-                if not child_descriptors[pos].is_empty():
-                    chosen = child_descriptors[pos]
-                    break
-            yield entity, chosen
+        return self._merged(entities, lambda c: c.get_descriptor(entities, language),
+                            lambda found: next((d for d in found if not d.is_empty()),
+                                               m.Descriptor()))

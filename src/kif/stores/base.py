@@ -3,7 +3,9 @@
 A store handle may be shared across threads; every operation is safe to
 call concurrently, and each returned iterator is single-consumer. close()
 releases what the handle holds open, such as endpoint connections; a store
-is also a context manager that closes it on exit.
+is also a context manager that closes it on exit. Every store counts the
+requests it has sent to its backend (request_count) and the wall time they
+spent in HTTP (request_seconds); a store without a backend reads 0.
 
 Store.filter is the one place that enforces the filter contract, distinct
 statements and at most *limit* of them. A backend's _filter hook only
@@ -71,6 +73,9 @@ class StoreOptions:
 
 class Store:
     """Base store; backends implement the underscored hooks."""
+
+    request_count = 0
+    request_seconds = 0.0
 
     def __init__(self, options: StoreOptions | None = None) -> None:
         self.options = options or StoreOptions()

@@ -89,12 +89,6 @@ def _answers(store, pairs, patterns, items) -> list[str]:
     return answers
 
 
-def _requests(store) -> int:
-    if isinstance(store, MixerStore):
-        return sum(_requests(child) for child in store.children)
-    return store.request_count
-
-
 def _check_budget(path: str, budget: dict) -> bool:
     """Compare *budget*, this run's, with the one in *path*; print what
     differs and whether the run stays within it."""
@@ -159,7 +153,7 @@ def main() -> None:
                         stack.enter_context(child)
                     for answer in _answers(store, pairs, patterns, gen.items):
                         digests[setting].update(answer.encode("utf-8") + b"\n")
-                    requests[setting] += _requests(store)
+                    requests[setting] += store.request_count
     overall = hashlib.sha256()
     for setting in settings:
         name, size, cache = setting
