@@ -1,14 +1,19 @@
 """Translate shallow SPARQL SELECT queries into filter patterns.
 
-The accepted shape is one claim pattern over the direct-property (truthy)
-vocabulary - subject/object constants or variables, predicate a direct
-property or a variable - plus auxiliary constant-object patterns that turn
-shared variables into fingerprints, and an optional LIMIT. Everything else
-is rejected by name, never silently mis-answered.
+``decode`` accepts the truthy (direct-property) claim shape by these rules,
+applied in order, and rejects by name whatever breaks one:
+
+1. No VALUES, FILTER or OFFSET.
+2. The claim pattern is the one with a variable object, or the only one.
+3. Each variable of the claim pattern names one slot.
+4. Every other pattern is auxiliary, ``?x wdt:P c``, with ``?x`` the
+   claim's subject or value variable, a direct property and a constant.
+5. A subject or value IRI is an entity (a ``wd:`` one as value), a literal
+   value is refused, a variable takes its auxiliary patterns' fingerprint.
+6. The claim predicate is a direct property or a variable.
 
 ``answer`` evaluates the decoded pattern on a store and serializes the rows
-exactly as evaluating the original query over the store's truthy encoding
-would.
+exactly as the original query over the store's truthy encoding would.
 """
 
 from __future__ import annotations
@@ -18,11 +23,10 @@ from dataclasses import dataclass
 from . import codec
 from . import model as m
 from . import namespaces as ns
-from .namespaces import WIKIDATA
 from .rdf.bgp import solution_rows
 from .rdf.server import results_to_json
-from .rdf.sparql import Var, parse_query
-from .rdf.terms import IriTerm, Literal, Term
+from .rdf.sparql import PatternTerm, Var, parse_query
+from .rdf.terms import IriTerm, Literal
 from .stores.base import Store
 
 
@@ -43,12 +47,31 @@ class DecodedQuery:
     distinct: bool
 
 
-def _entity_constant(term: IriTerm, slot: str) -> m.Entity:
+def _direct_property(term: IriTerm, what: str) -> m.Property:
+    local = ns.WIKIDATA.local(term.value, "wdt")
+    if not local:
+        raise DecoderError(
+            f"{what} predicate <{term.value}> is not a direct property")
+    return m.Property(ns.WD + local)
+
+
+def _slot(term: PatternTerm, slot: str,
+          fp_snaks: dict[str, list[m.Snak]]) -> m.Fingerprint | None:
+    """Fingerprint of the claim's subject or value slot."""
+    if isinstance(term, Var):
+        snaks = fp_snaks.get(term.name)
+        if not snaks:
+            return None
+        return m.SnakFp(snaks[0]) if len(snaks) == 1 else m.SnakSetFp(snaks)
+    if isinstance(term, Literal):  # a literal subject does not parse
+        raise DecoderError(
+            "literal object constants are unsupported; use a variable with "
+            "an auxiliary pattern")
     if slot == "value" and codec.wd_kind(term.value) is None:
         raise DecoderError(
             f"object constant <{term.value}> is not an entity; literal and "
             f"plain-IRI value constraints are unsupported")
-    return codec.entity_from_iri(term.value)
+    return m.EntityFp(codec.entity_from_iri(term.value))
 
 
 def decode(text: str) -> DecodedQuery:
@@ -60,132 +83,71 @@ def decode(text: str) -> DecodedQuery:
         raise DecoderError("FILTER is unsupported in filter queries")
     if query.offset is not None:
         raise DecoderError("OFFSET is unsupported in filter queries")
-    if not query.patterns:
-        raise DecoderError("query has no triple pattern")
 
-    with_var_object = [p for p in query.patterns if isinstance(p.object, Var)]
-    if len(with_var_object) > 1:
+    # A projected variable occurs in some pattern, so there is at least one.
+    claims = [p for p in query.patterns if isinstance(p.object, Var)]
+    if len(claims) > 1:
         raise DecoderError(
             "more than one pattern has a variable object; the filter model "
             "is single-claim")
-    if with_var_object:
-        main = with_var_object[0]
-    elif len(query.patterns) == 1:
-        main = query.patterns[0]
-    else:
+    if not claims and len(query.patterns) > 1:
         raise DecoderError(
             "several constant-object patterns but no claim pattern to "
             "attach them to")
-
-    aux = [p for p in query.patterns if p is not main]
+    main = claims[0] if claims else query.patterns[0]
 
     roles: dict[str, str] = {}
-    if isinstance(main.subject, Var):
-        roles[main.subject.name] = "subject"
-    if isinstance(main.predicate, Var):
-        roles[main.predicate.name] = "property"
-    if isinstance(main.object, Var):
-        if main.object.name in roles:
-            raise DecoderError("claim pattern reuses one variable for two slots")
-        roles[main.object.name] = "value"
-    if isinstance(main.predicate, Var) and isinstance(main.subject, Var) \
-            and main.predicate.name == main.subject.name:
-        raise DecoderError("claim pattern reuses one variable for two slots")
+    for term, role in ((main.subject, "subject"), (main.predicate, "property"),
+                       (main.object, "value")):
+        if isinstance(term, Var):
+            if term.name in roles:
+                raise DecoderError("claim pattern reuses one variable for two slots")
+            roles[term.name] = role
 
-    # Fingerprint snaks per shared variable.
+    # Snaks per shared variable; only the claim pattern has a variable object.
     fp_snaks: dict[str, list[m.Snak]] = {}
-    for p in aux:
-        if not isinstance(p.subject, Var) or p.subject.name not in roles \
-                or roles[p.subject.name] == "property":
+    for p in query.patterns:
+        if p is main:
+            continue
+        if not isinstance(p.subject, Var) \
+                or roles.get(p.subject.name) not in ("subject", "value"):
             raise DecoderError(
                 "auxiliary pattern must constrain the claim's subject or "
                 "value variable")
         if not isinstance(p.predicate, IriTerm):
             raise DecoderError("auxiliary pattern needs a constant predicate")
-        local = WIKIDATA.local(p.predicate.value, "wdt")
-        if not local:
-            raise DecoderError(
-                f"auxiliary predicate <{p.predicate.value}> is not a direct "
-                f"property")
-        if isinstance(p.object, Var):
-            raise DecoderError("auxiliary pattern needs a constant object")
-        value = codec.lift_value(p.object)
+        prop = _direct_property(p.predicate, "auxiliary")
         fp_snaks.setdefault(p.subject.name, []).append(
-            m.ValueSnak(m.Property(ns.WD + local), value))
+            m.ValueSnak(prop, codec.lift_value(p.object)))
 
-    def fingerprint_for(var_name: str) -> m.Fingerprint | None:
-        snaks = fp_snaks.get(var_name)
-        if not snaks:
-            return None
-        if len(snaks) == 1:
-            return m.SnakFp(snaks[0])
-        return m.SnakSetFp(snaks)
-
-    if isinstance(main.subject, IriTerm):
-        subject_fp: m.Fingerprint | None = m.EntityFp(
-            _entity_constant(main.subject, "subject"))
-    else:
-        subject_fp = fingerprint_for(main.subject.name)
-
-    if isinstance(main.predicate, IriTerm):
-        local = WIKIDATA.local(main.predicate.value, "wdt")
-        if not local:
-            raise DecoderError(
-                f"claim predicate <{main.predicate.value}> is not a direct "
-                f"property")
-        property_fp: m.Fingerprint | None = m.EntityFp(m.Property(ns.WD + local))
-    else:
-        property_fp = None
-
-    value_fp: m.Fingerprint | None = None
-    kinds = _TRUTHY_KINDS
-    if isinstance(main.object, IriTerm):
-        value_fp = m.EntityFp(_entity_constant(main.object, "value"))
-        kinds = frozenset({m.SnakKind.VALUE})
-    elif isinstance(main.object, Literal):
-        raise DecoderError(
-            "literal object constants are unsupported; use a variable with "
-            "an auxiliary pattern")
-    else:
-        value_fp = fingerprint_for(main.object.name)
-        if value_fp is not None:
-            kinds = frozenset({m.SnakKind.VALUE})
-
+    subject_fp = _slot(main.subject, "subject", fp_snaks)
+    property_fp = (m.EntityFp(_direct_property(main.predicate, "claim"))
+                   if isinstance(main.predicate, IriTerm) else None)
+    value_fp = _slot(main.object, "value", fp_snaks)
+    kinds = _TRUTHY_KINDS if value_fp is None else frozenset({m.SnakKind.VALUE})
     pattern = m.FilterPattern(subject_fp, property_fp, value_fp, kinds)
     return DecodedQuery(pattern, query.variables, roles, query.limit,
                         query.distinct)
-
-
-def _statement_row(stmt: m.Statement, decoded: DecodedQuery) -> dict[str, Term]:
-    row: dict[str, Term] = {}
-    local = codec.property_local(stmt.snak.property)
-    for var, role in decoded.roles.items():
-        if role == "subject":
-            row[var] = IriTerm(stmt.subject.iri.value)
-        elif role == "property":
-            row[var] = IriTerm(ns.WDT + local)
-        elif role == "value":
-            row[var] = codec.statement_object(stmt)
-    return row
 
 
 def answer(store: Store, text: str) -> dict:
     """Evaluate a decodable query on *store*; returns SPARQL results JSON."""
     decoded = decode(text)
     statements = list(store.filter(decoded.pattern))
-    # The truthy level only shows claims with at least one non-deprecated
-    # record, so deprecated-only statements are dropped.
-    visible = []
+    rows = []
     for stmt, records in store.get_annotations(statements):
+        # The truthy level only shows claims with at least one non-deprecated
+        # record, so deprecated-only statements are dropped.
         if records and all(r.rank is m.Rank.DEPRECATED for r in records):
             continue
-        visible.append(stmt)
-    rows = []
-    for stmt in visible:
         try:
-            rows.append(_statement_row(stmt, decoded))
+            local = codec.property_local(stmt.snak.property)
         except codec.CodecError:
             continue  # no truthy rendering for this claim
+        terms = {"subject": IriTerm(stmt.subject.iri.value),
+                 "property": IriTerm(ns.WDT + local),
+                 "value": codec.statement_object(stmt)}
+        rows.append({var: terms[role] for var, role in decoded.roles.items()})
     projected = solution_rows(rows, decoded.variables, decoded.distinct,
                               limit=decoded.limit)
     return results_to_json(decoded.variables, projected)

@@ -117,15 +117,17 @@ def read_exactly(rfile, size: int) -> bytes:
 def read_header_fields(rfile) -> dict[str, str]:
     """The header fields of an HTTP message by lower-cased name, read from
     *rfile* up to the empty line that ends them (or the end of the
-    stream). A line over 65536 bytes raises http.client.LineTooLong,
-    more than 100 fields http.client.HTTPException."""
+    stream); a repeated field's values are joined by ", " (RFC 9110 5.3).
+    A line over 65536 bytes raises http.client.LineTooLong, more than 100
+    fields http.client.HTTPException."""
     fields: dict[str, str] = {}
     for _ in range(_MAX_HEADERS + 1):
         line = read_line(rfile)
         if line in (b"\r\n", b"\n", b""):
             return fields
         name, _, value = line.decode("latin-1").partition(":")
-        fields[name.strip().lower()] = value.strip()
+        name = name.strip().lower()
+        fields[name] = f"{fields[name]}, {value.strip()}" if name in fields else value.strip()
     raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
 
 

@@ -184,3 +184,30 @@ def test_answer_matches_truthy_evaluation_on_random_stores():
         ]
         for text in queries:
             assert answer(store, text) == _truthy_answer(pairs, text), text
+
+
+@pytest.mark.parametrize("text, message", [
+    ("SELECT ?s WHERE { ?s wdt:P1 <http://example.org/a> }",
+     "object constant <http://example.org/a> is not an entity"),
+    ("SELECT ?v WHERE { ?s ?s ?v }", "claim pattern reuses one variable for two slots"),
+    ('SELECT ?v WHERE { ?s ?q "x" . ?s wdt:P1 ?v }',
+     "auxiliary pattern needs a constant predicate"),
+    ('SELECT ?v WHERE { ?s rdfs:label "x" . ?s wdt:P1 ?v }',
+     "auxiliary predicate <http://www.w3.org/2000/01/rdf-schema#label> is not a "
+     "direct property"),
+], ids=["plain IRI object", "subject is predicate", "variable auxiliary predicate",
+        "auxiliary predicate outside wdt"])
+def test_each_rule_rejects_its_query_by_name(text, message):
+    with pytest.raises(DecoderError) as err:
+        decode(text)
+    assert str(err.value).startswith(message)
+
+
+def test_answer_skips_a_statement_whose_property_has_no_direct_form():
+    foreign = m.Statement(pf.benzene, m.ValueSnak(m.Property("http://example.org/P9"),
+                                                  m.StringValue("x")))
+    store = MemoryStore([(pf.mass_statement, m.AnnotationRecord()),
+                         (foreign, m.AnnotationRecord())])
+    assert len(list(store.filter(decode("SELECT ?v WHERE { wd:Q2270 ?p ?v }").pattern))) == 2
+    rows = answer(store, "SELECT ?p ?v WHERE { wd:Q2270 ?p ?v }")["results"]["bindings"]
+    assert [(b["p"]["value"], b["v"]["value"]) for b in rows] == [(WDT + "P2067", "78.11")]

@@ -171,6 +171,19 @@ def test_a_body_size_the_peer_never_sends_is_a_transport_error(framing):
     assert server.accepted == 1
 
 
+def test_differing_content_lengths_in_a_response_are_a_transport_error():
+    lengths = b"Content-Length: %d\r\nContent-Length: %d\r\n\r\n" % (len(PAYLOAD) + 10,
+                                                                    len(PAYLOAD))
+    with RawServer([(HEAD_11 + lengths + PAYLOAD, True)]) as server:
+        backend = HttpBackend(server.url, timeout=5)
+        try:
+            with pytest.raises(TransportError, match="invalid Content-Length"):
+                backend.select(QUERY)
+        finally:
+            backend.close()
+    assert server.accepted == 1
+
+
 def test_a_timed_out_query_is_not_sent_again():
     with RawServer([(None, False), (None, False)]) as server:
         backend = HttpBackend(server.url, timeout=0.5)

@@ -325,3 +325,27 @@ def test_a_chunked_body_answers_411_and_closes(endpoint):
         status, headers, _ = _read_reply(rfile)
         assert status == 411 and headers["connection"] == "close"
         assert rfile.read() == b""
+
+
+@pytest.mark.parametrize("extra", [(0, 40), (40, 0)], ids=["shorter first", "longer first"])
+def test_differing_content_lengths_answer_400_and_close(endpoint, extra):
+    # RFC 9112 section 6.3: the message length is unknown, so the connection
+    # cannot carry another request.
+    head = ["POST /sparql HTTP/1.1", "Host: x", "Content-Type: application/sparql-query",
+            *(f"Content-Length: {len(QUERY) + n}" for n in extra)]
+    with _connect(endpoint) as sock, sock.makefile("rb") as rfile:
+        sock.settimeout(2)
+        sock.sendall(("\r\n".join(head) + "\r\n\r\n").encode() + QUERY)
+        status, headers, _ = _read_reply(rfile)
+        assert status == 400 and headers["connection"] == "close"
+        assert rfile.read() == b""
+
+
+def test_a_repeated_connection_field_holding_close_closes(endpoint):
+    with _connect(endpoint) as sock, sock.makefile("rb") as rfile:
+        sock.settimeout(2)
+        sock.sendall(_post_bytes(QUERY, "Connection: close", "Connection: keep-alive"))
+        status, headers, payload = _read_reply(rfile)
+        assert status == 200 and _values(payload) == [WD + "Q7286"]
+        assert headers["connection"] == "close"
+        assert rfile.read() == b""

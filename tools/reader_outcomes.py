@@ -1,12 +1,13 @@
-"""Digest what the three text readers make of corrupted input.
+"""Digest what the four text readers make of corrupted input.
 
     PYTHONPATH=src:tests python3 tools/reader_outcomes.py [--inputs N]
 
-For the N-Triples, S-expression and SPARQL readers, builds N seeded inputs
-(default 20,000). Each is a valid text with one to three single-character
-edits: a replacement, an insertion or a deletion, with characters from the
-reader's own alphabet. The valid texts come from ``ModelGen`` (the test
-suite's random model generator) and from the codec's query compiler. Each
+For the N-Triples, S-expression and SPARQL readers and the SPARQL decoder,
+builds N seeded inputs (default 20,000). Each is a valid text with one to
+three single-character edits: a replacement, an insertion or a deletion,
+with characters from the reader's own alphabet. The valid texts come from
+``ModelGen`` (the test suite's random model generator), from the codec's
+query compiler and from the claim shapes the decoder accepts. Each
 input's outcome is the repr of what the reader returns, or the error's type
 and message (which holds its position). Prints one JSON line per reader:
 the SHA-256 of its outcomes in order, how many inputs parsed, and the mean
@@ -29,9 +30,31 @@ import sys
 import time
 
 from kif import codec, sexpr
-from kif.rdf.ntriples import parse_ntriples, serialize_ntriples
+from kif import model as m
+from kif.decoder import decode
+from kif.rdf.ntriples import parse_ntriples, serialize_ntriples, write_term
 from kif.rdf.sparql import parse_query, serialize_query
 from randgen import ModelGen
+
+_WDT = "http://www.wikidata.org/prop/direct/"
+
+# Queries next to the decoder's subset, one for each rule it applies: a
+# single edit often turns a decodable query into one of these, or back.
+_HAND_DECODER_QUERIES = (
+    "SELECT ?a ?b WHERE { ?s wdt:P1 ?a . ?s wdt:P2 ?b }",
+    "SELECT ?s WHERE { ?s wdt:P1 wd:Q1 . ?x wdt:P2 wd:Q2 }",
+    'SELECT ?s WHERE { ?s wdt:P1 "literal" }',
+    "SELECT ?s WHERE { ?s wdt:P1 <http://example.org/a> }",
+    "SELECT ?s WHERE { ?s rdfs:label ?v }",
+    "SELECT ?v WHERE { wd:Q1 wdt:P1 ?v } OFFSET 2",
+    "SELECT ?v WHERE { wd:Q1 wdt:P1 ?v VALUES ?v { wd:Q2 } }",
+    'SELECT ?v WHERE { ?s ?p ?v FILTER(STRSTARTS(STR(?p), "a:")) }',
+    "SELECT ?v WHERE { ?v wdt:P2 ?v }",
+    "SELECT ?v WHERE { ?s ?s ?v }",
+    'SELECT ?v WHERE { ?s wdt:P1 ?v . ?x wdt:P2 "x" }',
+    'SELECT ?v WHERE { ?s ?q "x" . ?s wdt:P1 ?v }',
+    'SELECT ?v WHERE { ?s rdfs:label "x" . ?s wdt:P1 ?v }',
+)
 
 # A few hand-written queries reach what the compiler never writes: prefixed
 # names, ``a``, ``$`` variables, tagged and typed literals, comments.
@@ -86,6 +109,50 @@ def _sparql_texts(rng: random.Random) -> list[str]:
     return texts
 
 
+def _decoder_texts(rng: random.Random) -> list[str]:
+    """Queries in the decoder's subset: a claim pattern with constant or
+    variable slots, some with auxiliary patterns on its subject or value
+    variable whose constants are entities, plain IRIs or plain, typed and
+    tagged literals; some DISTINCT, some with a LIMIT. And the hand-written
+    queries next to the subset."""
+    gen = ModelGen(rng.randrange(1 << 30))
+
+    def entity() -> str:
+        iri = gen.item().iri.value if rng.random() < 0.8 else gen.property().iri.value
+        return f"<{iri}>" if rng.random() < 0.3 else "wd:" + iri.rsplit("/", 1)[1]
+
+    def direct() -> str:
+        local = gen.property().iri.value.rsplit("/", 1)[1]
+        return f"<{_WDT}{local}>" if rng.random() < 0.3 else "wdt:" + local
+
+    def aux(var: str) -> str:
+        return f"?{var} {direct()} {write_term(m.simple_value(gen.value()))} . "
+
+    texts = list(_HAND_DECODER_QUERIES)
+    while len(texts) < 100:
+        shape = rng.randrange(8)
+        if shape == 0:
+            head, body = "?v", f"{entity()} {direct()} ?v"
+        elif shape == 1:
+            head, body = "?x", f"?x {direct()} {entity()}"
+        elif shape == 2:
+            head, body = "?x ?y", f"?x {direct()} ?y"
+        elif shape == 3:
+            head, body = "?p ?v", f"{entity()} ?p ?v"
+        elif shape == 4:
+            head, body = "?s ?p", "?s ?p ?v"
+        elif shape == 5:
+            head, body = "?s ?v", aux("s") + f"?s {direct()} ?v"
+        elif shape == 6:
+            head, body = "?v", aux("s") + aux("s") + f"?s {direct()} ?v"
+        else:
+            head, body = "?s", f"?s {direct()} ?o . " + aux("o")
+        distinct = "DISTINCT " if rng.random() < 0.3 else ""
+        limit = f" LIMIT {rng.randint(0, 20)}" if rng.random() < 0.3 else ""
+        texts.append(f"SELECT {distinct}{head} WHERE {{ {body} }}{limit}")
+    return texts
+
+
 # reader name: (parse, valid-text source, edit alphabet). A graph's triples
 # are sorted: its own order follows the hashes of the term classes.
 READERS = {
@@ -93,6 +160,7 @@ READERS = {
                  '<>"\\_:.@^# \t\nx0'),
     "sexpr": (sexpr.parse, _sexpr_texts, '()" \n\\*:-.05abcxQP'),
     "sparql": (parse_query, _sparql_texts, '{}.?$<>"\\# \n*^@-+0aS:(),F'),
+    "decoder": (decode, _decoder_texts, '{}.?<>"# \n^@:01PQdtvsxo'),
 }
 
 
