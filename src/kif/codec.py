@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from . import model as m
 from . import namespaces as ns
@@ -112,10 +112,16 @@ def statement_object(stmt: m.Statement) -> Term | None:
     return None
 
 
+def _object_key(obj: Term) -> tuple:
+    """Sort key of *obj*'s canonical term: equal for equivalent lexical
+    forms."""
+    return term_key(canonical_object_term(obj))
+
+
 def claim_key(subject_iri: str, plocal: str, obj: Term) -> tuple:
     """Key of the claim ``subject wdt:plocal obj``, equal for equivalent
     lexical forms of *obj*."""
-    return subject_iri, plocal, term_key(canonical_object_term(obj))
+    return subject_iri, plocal, _object_key(obj)
 
 
 def _snak_genid(snak: m.Snak) -> IriTerm:
@@ -327,24 +333,38 @@ def truthy_graph(pairs: Iterable[Pair]) -> Graph:
 # Decoding (assembly shared by decode() and the query-backed stores)
 # ---------------------------------------------------------------------------
 
-def _least_object(g: Graph, node: IriTerm, predicate: str) -> Term | None:
+# The fixed predicates that assembly reads, each built once.
+_RDF_TYPE = IriTerm(ns.RDF_TYPE)
+_QUANTITY_AMOUNT = IriTerm(ns.WIKIBASE_QUANTITY_AMOUNT)
+_QUANTITY_UNIT = IriTerm(ns.WIKIBASE_QUANTITY_UNIT)
+_QUANTITY_LOWER = IriTerm(ns.WIKIBASE_QUANTITY_LOWER)
+_QUANTITY_UPPER = IriTerm(ns.WIKIBASE_QUANTITY_UPPER)
+_TIME_VALUE = IriTerm(ns.WIKIBASE_TIME_VALUE)
+_TIME_PRECISION = IriTerm(ns.WIKIBASE_TIME_PRECISION)
+_TIME_TIMEZONE = IriTerm(ns.WIKIBASE_TIME_TIMEZONE)
+_TIME_CALENDAR = IriTerm(ns.WIKIBASE_TIME_CALENDAR)
+_WAS_DERIVED_FROM = IriTerm(ns.PROV_WAS_DERIVED_FROM)
+_RANK = IriTerm(ns.WIKIBASE_RANK)
+
+
+def _least_object(g: Graph, node: IriTerm, predicate: IriTerm) -> Term | None:
     """The canonically least object of *node*'s *predicate* triples, so a
     repeated component reads the same whatever the triple order."""
-    return min(g.objects(node, IriTerm(predicate)), key=term_key, default=None)
+    return min(g.objects(node, predicate), key=term_key, default=None)
 
 
 def read_deep_value(g: Graph, node: IriTerm, diagnostics: list[str]) -> m.Value | None:
-    amounts = g.objects(node, IriTerm(ns.WIKIBASE_QUANTITY_AMOUNT))
-    times = g.objects(node, IriTerm(ns.WIKIBASE_TIME_VALUE))
+    amounts = g.objects(node, _QUANTITY_AMOUNT)
+    times = g.objects(node, _TIME_VALUE)
     try:
         if amounts:
             lex = min((a for a in amounts if isinstance(a, Literal)),
                       key=term_key, default=None)
             if lex is None:
                 raise m.ModelError("quantity amount is not a literal")
-            unit_t = _least_object(g, node, ns.WIKIBASE_QUANTITY_UNIT)
-            lower_t = _least_object(g, node, ns.WIKIBASE_QUANTITY_LOWER)
-            upper_t = _least_object(g, node, ns.WIKIBASE_QUANTITY_UPPER)
+            unit_t = _least_object(g, node, _QUANTITY_UNIT)
+            lower_t = _least_object(g, node, _QUANTITY_LOWER)
+            upper_t = _least_object(g, node, _QUANTITY_UPPER)
             return m.Quantity(
                 Decimal(lex.lexical),
                 m.Item(unit_t.value) if isinstance(unit_t, IriTerm) else None,
@@ -355,9 +375,9 @@ def read_deep_value(g: Graph, node: IriTerm, diagnostics: list[str]) -> m.Value 
                       key=term_key, default=None)
             if lex is None:
                 raise m.ModelError("time value is not a literal")
-            prec_t = _least_object(g, node, ns.WIKIBASE_TIME_PRECISION)
-            tz_t = _least_object(g, node, ns.WIKIBASE_TIME_TIMEZONE)
-            cal_t = _least_object(g, node, ns.WIKIBASE_TIME_CALENDAR)
+            prec_t = _least_object(g, node, _TIME_PRECISION)
+            tz_t = _least_object(g, node, _TIME_TIMEZONE)
+            cal_t = _least_object(g, node, _TIME_CALENDAR)
             return m.TimeValue(
                 m.Timestamp.parse(lex.lexical),
                 int(prec_t.lexical) if isinstance(prec_t, Literal) else m.PRECISION_DAY,
@@ -417,7 +437,7 @@ def _assemble_snak_family(g: Graph, node: IriTerm, simple_base: str, deep_base: 
             covered.add(term_key(m.simple_value(value)))
             snaks.append(m.ValueSnak(prop, value))
         for obj in sorted(simple.get(local, []), key=term_key):
-            if term_key(canonical_object_term(obj)) not in covered:
+            if _object_key(obj) not in covered:
                 snaks.append(truthy_snak(prop, obj))
     return snaks
 
@@ -440,16 +460,47 @@ def links_context(predicate: str, deep_only: bool) -> bool:
                                       or WIKIDATA.local(predicate, "prv")))
 
 
-def assemble_main_snak(g: Graph, wds: IriTerm, plocal: str,
+class _ClaimTerms(NamedTuple):
+    """The property of the claims under a property local, and the IRIs
+    that assembly reads them by."""
+
+    local: str
+    prop: m.Property
+    ps: IriTerm
+    psv: IriTerm
+    wdno: IriTerm
+
+
+def _claim_terms(plocal: str) -> _ClaimTerms:
+    return _ClaimTerms(plocal, m.Property(ns.WD + plocal), IriTerm(ns.PS + plocal),
+                       IriTerm(ns.PSV + plocal), IriTerm(ns.WDNO + plocal))
+
+
+class _Table(dict):
+    """A dict that builds the value of a missing key from the key, once.
+    read_statements keeps its tables for one call."""
+
+    __slots__ = ("_build",)
+
+    def __init__(self, build: Callable) -> None:
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key):
+        value = self[key] = self._build(key)
+        return value
+
+
+def assemble_main_snak(g: Graph, wds: IriTerm, claim: _ClaimTerms,
                        diagnostics: list[str]) -> m.Snak | None:
-    """Main snak of *wds*, or None for a malformed node. A ``psv:`` deep
-    value must agree with the least ``ps:`` object, which the plans match.
-    It reads only the node triples whose predicate is under one of
-    MAIN_SNAK_PREFIXES."""
-    prop = m.Property(ns.WD + plocal)
-    if IriTerm(ns.WDNO + plocal) in g.objects(wds, IriTerm(ns.RDF_TYPE)):
+    """Main snak of *wds*, linked to its subject by the ``p:`` property of
+    *claim*, or None for a malformed node. A ``psv:`` deep value must agree
+    with the least ``ps:`` object, which the plans match. It reads only the
+    node triples whose predicate is under one of MAIN_SNAK_PREFIXES."""
+    plocal, prop = claim.local, claim.prop
+    if claim.wdno in g.objects(wds, _RDF_TYPE):
         return m.NoValueSnak(prop)
-    ps_objects = sorted(g.objects(wds, IriTerm(ns.PS + plocal)), key=term_key)
+    ps_objects = sorted(g.objects(wds, claim.ps), key=term_key)
     if not ps_objects:
         diagnostics.append(
             f"statement node {wds.value} has a p:{plocal} link but no ps:{plocal} value")
@@ -457,7 +508,7 @@ def assemble_main_snak(g: Graph, wds: IriTerm, plocal: str,
     if len(ps_objects) > 1:
         diagnostics.append(f"statement node {wds.value} has multiple ps:{plocal} values")
     obj = ps_objects[0]
-    deep_nodes = [o for o in g.objects(wds, IriTerm(ns.PSV + plocal))
+    deep_nodes = [o for o in g.objects(wds, claim.psv)
                   if isinstance(o, IriTerm)]
     if not deep_nodes or (isinstance(obj, IriTerm)
                           and obj.value.startswith((ns.WDGENID, ns.WDNO))):
@@ -476,7 +527,7 @@ def assemble_annotation(g: Graph, wds: IriTerm,
                         diagnostics: list[str]) -> m.AnnotationRecord:
     qualifiers = _assemble_snak_family(g, wds, ns.PQ, ns.PQV, diagnostics)
     references = []
-    for obj in sorted(g.objects(wds, IriTerm(ns.PROV_WAS_DERIVED_FROM)), key=term_key):
+    for obj in sorted(g.objects(wds, _WAS_DERIVED_FROM), key=term_key):
         if not isinstance(obj, IriTerm):
             diagnostics.append(f"reference of {wds.value} is not a node: {obj!r}")
             continue
@@ -486,14 +537,14 @@ def assemble_annotation(g: Graph, wds: IriTerm,
             continue
         references.append(m.ReferenceRecord(snaks))
     # The least known rank; a node with none reads as Normal.
-    rank = min((obj.value for obj in g.objects(wds, IriTerm(ns.WIKIBASE_RANK))
+    rank = min((obj.value for obj in g.objects(wds, _RANK)
                 if isinstance(obj, IriTerm) and obj.value in _IRI_RANK), default=None)
     return m.AnnotationRecord(qualifiers, references, _IRI_RANK.get(rank, m.Rank.NORMAL))
 
 
 def is_best(g: Graph, wds: IriTerm) -> bool:
     return any(isinstance(o, IriTerm) and o.value == ns.WIKIBASE_BEST_RANK
-               for o in g.objects(wds, IriTerm(ns.RDF_TYPE)))
+               for o in g.objects(wds, _RDF_TYPE))
 
 
 def read_statements(batches: Iterable[tuple[Graph, Iterable[tuple[IriTerm, IriTerm, str]]]],
@@ -506,26 +557,33 @@ def read_statements(batches: Iterable[tuple[Graph, Iterable[tuple[IriTerm, IriTe
     then, with graph and node None, each (subject, property local, object)
     of ``truthy(covered)`` that no node covers, that is, has as a ``ps:``
     value (*covered* holds their claim_key); then the nodes' no-value
-    statements."""
+    statements.
+
+    Each property's terms, each subject's entity and each object's
+    canonical key are built once per call, in tables that the call drops."""
+    claims = _Table(_claim_terms)
+    entities = _Table(entity_from_iri)
+    object_keys = _Table(_object_key)
     covered: set[tuple] = set()
     no_values = []
     for g, links in batches:
         for subject, wds, plocal in links:
-            snak = assemble_main_snak(g, wds, plocal, diagnostics)
+            claim = claims[plocal]
+            snak = assemble_main_snak(g, wds, claim, diagnostics)
             if snak is None:
                 continue
-            stmt = m.Statement(entity_from_iri(subject.value), snak)
+            stmt = m.Statement(entities[subject.value], snak)
             if isinstance(snak, m.NoValueSnak):
                 no_values.append((stmt, g, wds))
                 continue
-            for obj in g.objects(wds, IriTerm(ns.PS + plocal)):
-                covered.add(claim_key(subject.value, plocal, obj))
+            for obj in g.objects(wds, claim.ps):
+                covered.add((subject.value, plocal, object_keys[obj]))
             yield stmt, g, wds
     for subject, plocal, obj in truthy(covered):
-        if claim_key(subject.value, plocal, obj) not in covered:
-            snak = _claim_snak(m.Property(ns.WD + plocal), obj, subject.value, diagnostics)
+        if (subject.value, plocal, object_keys[obj]) not in covered:
+            snak = _claim_snak(claims[plocal].prop, obj, subject.value, diagnostics)
             if snak is not None:
-                yield m.Statement(entity_from_iri(subject.value), snak), None, None
+                yield m.Statement(entities[subject.value], snak), None, None
     yield from no_values
 
 

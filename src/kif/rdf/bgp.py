@@ -62,7 +62,10 @@ def _str(t: Term) -> str:
 
 def _passes(t: Triple, tests: Tests) -> bool:
     terms = (t.subject, t.predicate, t.object)
-    return all(_str(terms[i]).startswith(prefix) for i, prefix in tests)
+    for i, prefix in tests:
+        if not _str(terms[i]).startswith(prefix):
+            return False
+    return True
 
 
 def _filtered_match(graph: Graph, s, p, o, tests: Tests) -> Iterator[Triple]:
@@ -179,7 +182,7 @@ def solution_rows(bindings: Iterable[Binding], variables: Sequence[str],
     drop repeated rows if *distinct*, order canonically, then keep the
     first *limit*."""
     def key(row: Binding) -> tuple:
-        return tuple(term_key(row[v]) for v in variables)
+        return tuple([term_key(row[v]) for v in variables])
 
     rows = [{v: b[v] for v in variables} for b in bindings]
     rows.sort(key=key)

@@ -114,20 +114,28 @@ def read_exactly(rfile, size: int) -> bytes:
     return b"".join(pieces)
 
 
+class BadFieldLine(http.client.HTTPException):
+    """A header field line that is not a field name, a colon and a value."""
+
+
 def read_header_fields(rfile) -> dict[str, str]:
     """The header fields of an HTTP message by lower-cased name, read from
     *rfile* up to the empty line that ends them (or the end of the
     stream); a repeated field's values are joined by ", " (RFC 9110 5.3).
-    A line over 65536 bytes raises http.client.LineTooLong, more than 100
-    fields http.client.HTTPException."""
+    A line with no colon, an empty name, or whitespace around the name
+    (before the colon, RFC 9112 5.1, or at the start: a folded line, 5.2)
+    raises BadFieldLine. A line over 65536 bytes raises
+    http.client.LineTooLong, more than 100 fields http.client.HTTPException."""
     fields: dict[str, str] = {}
     for _ in range(_MAX_HEADERS + 1):
         line = read_line(rfile)
         if line in (b"\r\n", b"\n", b""):
             return fields
-        name, _, value = line.decode("latin-1").partition(":")
-        name = name.strip().lower()
-        fields[name] = f"{fields[name]}, {value.strip()}" if name in fields else value.strip()
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon or not name or name.strip() != name:
+            raise BadFieldLine(f"malformed header field line {line[:100]!r}")
+        name, value = name.lower(), value.strip()
+        fields[name] = f"{fields[name]}, {value}" if name in fields else value
     raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
 
 
@@ -211,6 +219,8 @@ class _Handler(socketserver.StreamRequestHandler):
             raise _Refusal(505, f"unsupported HTTP version {words[2]!r}")
         try:
             fields = read_header_fields(self.rfile)
+        except BadFieldLine as e:
+            raise _Refusal(400, str(e)) from None
         except http.client.HTTPException as e:
             raise _Refusal(431, str(e)) from None
         return words[0], words[1], keeps_alive(words[2], fields), fields

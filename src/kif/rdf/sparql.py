@@ -115,8 +115,19 @@ class SelectQuery:
                 f"projected variable ?{missing[0]} does not occur in the pattern")
 
     def with_page(self, limit: int | None, offset: int | None) -> "SelectQuery":
-        return SelectQuery(self.variables, self.patterns, self.distinct,
-                           self.values, limit, offset, self.filters)
+        """This query with another LIMIT and OFFSET. The copy equals, and
+        hashes like, a query built from the same fields; it is not checked
+        again, since neither field takes part in __post_init__'s checks."""
+        page = object.__new__(SelectQuery)
+        set_field = object.__setattr__
+        set_field(page, "variables", self.variables)
+        set_field(page, "patterns", self.patterns)
+        set_field(page, "distinct", self.distinct)
+        set_field(page, "values", self.values)
+        set_field(page, "limit", limit)
+        set_field(page, "offset", offset)
+        set_field(page, "filters", self.filters)
+        return page
 
 
 def _write_pattern_term(t: PatternTerm) -> str:

@@ -15,8 +15,11 @@ keep both the insert and the first lookup cheap:
   is only serialized builds none. Later inserts go into the built indexes,
   and each bucket is a list that holds a triple at most once.
 - One object per IRI. ``ntriples.parse_ntriples`` builds one ``IriTerm``
-  per distinct IRI of a document, so the dictionary lookups of indexing
-  and matching mostly find the very key object and never compare fields.
+  per distinct IRI of a document, and the results decoder
+  (``stores.backed.decode_results_json``) one ``IriTerm`` per distinct IRI
+  and one ``Literal`` per distinct literal of a response, so the
+  dictionary lookups of indexing and matching mostly find the very key
+  object and never compare fields. Neither keeps its table past the call.
 """
 
 from __future__ import annotations
@@ -273,4 +276,9 @@ class Graph:
         return [bucket[0].predicate for bucket in self._index("p").values()]
 
     def objects(self, s: IriTerm, p: IriTerm) -> list[Term]:
-        return [t.object for t in self._bucket(s, p, None)]
+        """The objects of the triples with subject *s* and predicate *p*."""
+        if s.__class__ is IriTerm and p.__class__ is IriTerm:
+            bucket = self._index("sp").get((s.value, p.value), ())
+        else:
+            bucket = self._bucket(s, p, None)
+        return [t.object for t in bucket]

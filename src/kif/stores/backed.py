@@ -143,7 +143,12 @@ class GraphBackend:
 def decode_results_json(payload: object, url: str = "") -> list[Row]:
     """Decode the SPARQL results JSON format into term rows, leaving blank
     nodes out; a document of another shape, or a term of unknown type, is a
-    TransportError of the endpoint *url*."""
+    TransportError of the endpoint *url*.
+
+    The rows hold one term object per distinct IRI, and per distinct
+    literal, of the document, as ``ntriples.parse_ntriples`` does: the
+    table that interns them lives for this call only, so no term is shared
+    with the rows of another response."""
     def bad(why: str) -> TransportError:
         return TransportError(url, f"bad results payload: {why}")
 
@@ -152,6 +157,7 @@ def decode_results_json(payload: object, url: str = "") -> list[Row]:
     if not (isinstance(head, dict) and "vars" in head
             and isinstance(results, dict) and isinstance(results.get("bindings"), list)):
         raise bad("no head.vars or no results.bindings array")
+    interned: dict[str | tuple, Term] = {}
     rows = []
     for binding in results["bindings"]:
         if not isinstance(binding, dict):
@@ -165,9 +171,19 @@ def decode_results_json(payload: object, url: str = "") -> list[Row]:
                     and (lang is None or isinstance(lang, str))):
                 raise bad(f"the term of {var!r} is not an object of string members")
             if kind == "uri":
-                row[var] = IriTerm(value)
+                iri = interned.get(value)
+                if iri is None:
+                    iri = interned[value] = IriTerm(value)
+                row[var] = iri
             elif kind in ("literal", "typed-literal"):
-                row[var] = Literal(value, language=lang) if lang else Literal(value, datatype)
+                # A literal's key is a tuple and an IRI's a str, so they never
+                # meet; a tag sets the datatype and is read in lower case.
+                key = (value, None, lang.lower()) if lang else (value, datatype, None)
+                literal = interned.get(key)
+                if literal is None:
+                    literal = interned[key] = (Literal(value, language=lang) if lang
+                                               else Literal(value, datatype))
+                row[var] = literal
             elif kind != "bnode":
                 raise bad(f"a binding of type {kind!r}")
         rows.append(row)

@@ -211,3 +211,18 @@ def test_a_malformed_results_document_is_a_transport_error(body):
                 backend.select(QUERY)
         finally:
             backend.close()
+
+
+@pytest.mark.parametrize("fields", [
+    b"Content-Length : %d\r\n" % len(PAYLOAD),
+    b"Content-Length: %d\r\ngarbage line\r\n" % len(PAYLOAD),
+], ids=["whitespace before the colon", "no colon"])
+def test_a_malformed_header_field_line_in_a_response_is_a_transport_error(fields):
+    with RawServer([(HEAD_11 + fields + b"\r\n" + PAYLOAD, False)]) as server:
+        backend = HttpBackend(server.url, timeout=5)
+        try:
+            with pytest.raises(TransportError, match="BadFieldLine"):
+                backend.select(QUERY)
+        finally:
+            backend.close()
+    assert server.accepted == 1

@@ -349,3 +349,23 @@ def test_a_repeated_connection_field_holding_close_closes(endpoint):
         assert status == 200 and _values(payload) == [WD + "Q7286"]
         assert headers["connection"] == "close"
         assert rfile.read() == b""
+
+
+@pytest.mark.parametrize("fields", [
+    [f"Content-Length : {len(QUERY)}"],
+    [f"Content-Length: {len(QUERY)}", "garbage line"],
+    [f"Content-Length: {len(QUERY)}", "X-A: a", " b"],
+    [f"Content-Length: {len(QUERY)}", ": a"],
+], ids=["whitespace before the colon", "no colon", "a folded line", "an empty name"])
+def test_a_malformed_header_field_line_answers_400_and_closes(endpoint, fields):
+    # RFC 9112 sections 5.1 and 5.2: a server answers such a line with 400,
+    # since intermediaries disagree on how to read it.
+    head = ["POST /sparql HTTP/1.1", "Host: x", "Content-Type: application/sparql-query",
+            *fields]
+    with _connect(endpoint) as sock, sock.makefile("rb") as rfile:
+        sock.settimeout(2)
+        sock.sendall(("\r\n".join(head) + "\r\n\r\n").encode() + QUERY)
+        status, headers, payload = _read_reply(rfile)
+        assert status == 400 and headers["connection"] == "close"
+        assert b"malformed header field line" in payload
+        assert rfile.read() == b""
